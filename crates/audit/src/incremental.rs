@@ -1,27 +1,29 @@
-//! Incremental (streaming) auditing: O(delta) always-on checks.
+//! The audit engine: event-fed O(delta) checks.
 //!
-//! The batch auditors ([`crate::ScheduleAudit`], [`crate::MultiAudit`])
-//! re-derive a *finished* run from its full segment list — O(run) work and
-//! O(run) memory per audit, which cannot ride along with the streaming
-//! cores soaking millions of releases on bounded memory (DESIGN.md §9).
-//! [`IncrementalAudit`] subscribes to the stream's own event feed instead
-//! — releases, retired segments from the `SpillRing`, completions — and
-//! maintains rolling accumulators so that
+//! Every audit in this crate runs here. [`IncrementalAudit`] subscribes to
+//! a run's event feed — releases, retired segments (from a stream's
+//! `SpillRing`), completions — and maintains rolling accumulators so that
 //!
 //! * each **segment** costs O(1): the wellformed / release-before-service
-//!   folds, the running closed-form energy sum (same
-//!   [`crate::closed_form`] fast path and quadrature cross-check tier as
-//!   the batch pass, sampled by the same global segment index), and the
+//!   folds, the running closed-form energy sum (with the sampled
+//!   quadrature cross-check tier, by global segment index), and the
 //!   running measurement-resolution state (peak speed, horizon);
 //! * each **completion** costs O(its segments): the job's per-segment
-//!   volumes, prefix-sum [`SegmentIndex`] completion inversion, and
-//!   fractional-flow integral are derived with *bit-identical arithmetic*
-//!   to [`crate::ScheduleAudit`]'s `derive_per_job` /
-//!   `frac_flow_rederived`, then the job's retained segments are dropped —
-//!   resident state is O(active jobs), independent of stream length;
-//! * [`IncrementalAudit::finalize`] emits a standard [`AuditReport`] with
-//!   the same named checks, in the same order, judged by the same
-//!   scale-free residuals and tolerances as the batch auditor.
+//!   volumes, prefix-sum completion inversion, and fractional-flow
+//!   integral are derived from its retained segments, which are then
+//!   dropped — resident state is O(active jobs), independent of stream
+//!   length;
+//! * [`IncrementalAudit::finalize`] emits the standard [`AuditReport`]:
+//!   the named checks judged by scale-free residuals.
+//!
+//! [`IncrementalMultiAudit`] is the fleet engine: the same per-job
+//! derivation over each job's merged cross-machine timeline, plus the
+//! cross-machine checks. A *finished* run is audited by streaming it
+//! through these engines post hoc — [`crate::ScheduleAudit`] and
+//! [`crate::MultiAudit`] feed every release, then every segment in schedule
+//! order (machine by machine for a fleet), then the reported completions
+//! by job id — so a live audit and a post-hoc audit share every
+//! derivation by construction.
 //!
 //! # Feeding contract
 //!
@@ -35,19 +37,19 @@
 //! completion before one of its segments shows up as lost volume — exactly
 //! what it would mean.
 //!
-//! # Parity contract
+//! # Order dependence
 //!
-//! Against the batch auditor the contract is **verdict parity**: identical
-//! check names in identical order, identical verdicts, and failing
-//! residuals of the same order of magnitude (property-tested in
-//! `tests/audit_property.rs` across the full tamper matrix). Most
-//! accumulators are in fact bitwise equal to the batch pass (energy is
-//! summed in the same global segment order; the per-job derivations are the
-//! same arithmetic); the documented exceptions are sums accumulated in
-//! completion order rather than job-id order (last-ulp differences) and the
-//! volume-conservation *candidate selection*, which uses the measurement
-//! resolution known at completion time rather than the end-of-run value
-//! (the recorded residual is re-normalised with the final resolution).
+//! A live feed (segments and completions interleaved per offer) and the
+//! post-hoc feed of the same run give the same check names and verdicts.
+//! Their residuals can differ only through two deliberate choices, both
+//! far below tolerance on honest runs (`tests/audit_property.rs` pins
+//! them to the same order of magnitude):
+//!
+//! * **sum order** — `Σ frac/int` accumulate in completion order, which a
+//!   stream need not emit in job-id order;
+//! * **volume candidate selection** — the rolling argmax uses the
+//!   measurement resolution known *at that completion* (it only grows);
+//!   the recorded residual is re-normalised with the end-of-run value.
 //!
 //! Against **itself** the contract is bitwise: the full accumulator state
 //! round-trips through [`IncrementalSnapshot`] (and the `crates/trace`
@@ -59,9 +61,9 @@ use std::collections::{BTreeMap, HashMap};
 use crate::closed_form;
 use crate::quad::integrate;
 use crate::report::{AuditReport, Stopwatch};
-use crate::schedule_audit::{residual, sampled, AuditConfig};
+use crate::schedule_audit::AuditConfig;
 use ncss_sim::profile::{Phase, PhaseScope};
-use ncss_sim::{Job, JobId, Objective, PowerLaw, Segment, SegmentIndex, SimResult, SpeedLaw};
+use ncss_sim::{Job, JobId, Objective, PowerLaw, Segment, SimResult, SpeedLaw};
 
 /// An eagerly tripped check: emitted by [`IncrementalAudit::on_segment`] /
 /// [`IncrementalAudit::on_complete`] the moment a rolling check leaves
@@ -70,12 +72,36 @@ use ncss_sim::{Job, JobId, Objective, PowerLaw, Segment, SegmentIndex, SimResult
 /// the final report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Trip {
-    /// Name of the tripped check (one of the batch auditor's check names).
+    /// Name of the tripped check (one of the report's check names).
     pub check: &'static str,
     /// The offending residual, judged against the check's tolerance.
     pub residual: f64,
     /// Human-readable description of the violation.
     pub detail: String,
+}
+
+/// Scale-free residual: relative for large magnitudes, absolute near zero.
+fn residual(x: f64, reference: f64) -> f64 {
+    (x - reference).abs() / (1.0 + reference.abs())
+}
+
+/// A NaN residual is an infinite one, so it can never hide below tolerance.
+fn or_inf(r: f64) -> f64 {
+    if r.is_nan() {
+        f64::INFINITY
+    } else {
+        r
+    }
+}
+
+/// Whether residual `r` leaves tolerance `tol` (non-finite always does).
+fn out_of(tol: f64, r: f64) -> bool {
+    !(r.is_finite() && r <= tol)
+}
+
+/// Whether index `i` falls on the quadrature cross-check tier.
+fn sampled(stride: usize, i: usize) -> bool {
+    stride > 0 && i % stride == 0
 }
 
 /// A running worst-violation fold: the largest residual seen so far and
@@ -91,7 +117,7 @@ impl Worst {
         Self { value: 0.0, detail: ok.to_string() }
     }
 
-    /// Batch-auditor fold rule for plain maxima (`r > worst`).
+    /// Fold rule for plain maxima (`r > worst`, so ties keep the first).
     fn fold(&mut self, value: f64, detail: impl FnOnce() -> String) {
         if value > self.value {
             self.value = value;
@@ -100,21 +126,448 @@ impl Worst {
     }
 }
 
+/// The largest `(residual, "machine m: detail")` over per-machine folds,
+/// first machine winning ties.
+fn worst_machine<'a>(folds: impl Iterator<Item = &'a Worst>, ok: &str) -> (f64, String) {
+    let mut worst = Worst::new(ok);
+    for (m, w) in folds.enumerate() {
+        worst.fold(w.value, || format!("machine {m}: {}", w.detail));
+    }
+    (worst.value, worst.detail)
+}
+
+/// The segments-wellformed fold over one machine's timeline: "finite,
+/// positively oriented, monotone, non-overlapping", worst segment named.
+/// (`Schedule::new` enforces this too; the audit re-derives it so a
+/// constructor regression cannot hide.)
+#[derive(Debug, Clone)]
+struct Wellformed {
+    prev_end: f64,
+    worst: Worst,
+}
+
+impl Wellformed {
+    fn new() -> Self {
+        Self { prev_end: f64::NEG_INFINITY, worst: Worst::new("all segments ordered") }
+    }
+
+    fn fold(&mut self, i: u64, seg: &Segment) {
+        let bad_times = !(seg.start.is_finite() && seg.end.is_finite() && seg.scale.is_finite());
+        let inversion = seg.start - seg.end; // > 0 means reversed
+        let overlap = if self.prev_end.is_finite() { self.prev_end - seg.start } else { 0.0 };
+        let v = if bad_times { f64::INFINITY } else { inversion.max(overlap).max(0.0) };
+        self.worst.fold(v, || format!("segment {i}: [{:.6}, {:.6}]", seg.start, seg.end));
+        self.prev_end = self.prev_end.max(seg.end);
+    }
+}
+
+/// Fold segment `index`'s service of job `j` (released at `release`) into
+/// the release-before-service check.
+fn fold_early(rel: &mut Worst, j: JobId, release: f64, seg: &Segment, index: u64) {
+    let early = release - seg.start;
+    rel.fold(early, || format!("job {j} served {early:.3e} before release (segment {index})"));
+}
+
+/// The faster endpoint speed of `seg`, for the measurement resolution.
+/// Every speed law is monotone within its segment (constant, decaying, or
+/// growing), so with a non-negative scale only the dominating endpoint can
+/// raise a running max — evaluating just that one yields the identical max
+/// bits at half the kernel evaluations. A negative scale (representable,
+/// never emitted) reverses the ordering, so it falls back to both.
+fn peak_speed(pl: PowerLaw, seg: &Segment) -> f64 {
+    if seg.scale >= 0.0 {
+        let t = match seg.law {
+            SpeedLaw::Growth { .. } => seg.end,
+            SpeedLaw::Idle | SpeedLaw::Constant { .. } | SpeedLaw::Decay { .. } => seg.start,
+        };
+        seg.speed_at(pl, t)
+    } else {
+        seg.speed_at(pl, seg.start).max(seg.speed_at(pl, seg.end))
+    }
+}
+
+/// Segment `i`'s energy: its closed form, or — on the cross-check tier —
+/// tanh-sinh quadrature of its pointwise power curve.
+fn segment_energy(pl: PowerLaw, stride: usize, i: u64, seg: &Segment) -> f64 {
+    if sampled(stride, i as usize) {
+        integrate(|t| seg.power_at(pl, t), seg.start, seg.end)
+    } else {
+        closed_form::energy(pl, seg)
+    }
+}
+
+/// Measurement resolution of timelines with peak speed `peak_speed` over
+/// `horizon`: a job's service is representable only if its duration
+/// `V_j / s` exceeds one ulp of the time axis. With mixed magnitudes
+/// (1e±150 faults) a normal-size job served at speed ~1e74 finishes in
+/// ~1e-74 — far below `ulp(horizon)` — so it legitimately leaves no
+/// segment behind. Any volume below `peak_speed · horizon · ε` is therefore
+/// unmeasurable by *any* observer of these schedules, auditor included.
+fn resolution(peak_speed: f64, horizon: f64) -> f64 {
+    peak_speed * horizon.abs() * f64::EPSILON * 64.0
+}
+
+/// The four outcome checks over *reported* numbers: objective-finite,
+/// completion-after-release, frac-dominated-by-int, and
+/// reported-sums-consistent. Both engines fold them per completion, and
+/// [`crate::ScheduleAudit::audit_outcome`] folds them alone for runs that
+/// produce no schedule.
+#[derive(Debug, Clone)]
+pub(crate) struct OutcomeFolds {
+    car: Worst,
+    fdi: Worst,
+    rep_frac: f64,
+    rep_int: f64,
+}
+
+impl OutcomeFolds {
+    pub(crate) fn new() -> Self {
+        Self {
+            car: Worst::new("all completions after release"),
+            fdi: Worst::new("fractional ≤ integral per job"),
+            rep_frac: 0.0,
+            rep_int: 0.0,
+        }
+    }
+
+    /// Fold job `j`'s reported completion and flows; returns the first of
+    /// completion-after-release and frac-dominated-by-int this job trips.
+    pub(crate) fn fold(
+        &mut self,
+        tol: f64,
+        j: JobId,
+        release: f64,
+        completion: f64,
+        frac_flow: f64,
+        int_flow: f64,
+    ) -> Option<Trip> {
+        let car = if completion.is_finite() { release - completion } else { f64::INFINITY };
+        let car_detail = || format!("job {j}: completion {completion} vs release {release}");
+        self.car.fold(car, car_detail);
+        // ρ_j ∫ V_j(t) dt never exceeds w_j (c_j − r_j): the remaining
+        // volume is at most V_j.
+        let fdi = or_inf(residual(frac_flow.max(int_flow), int_flow));
+        let fdi_detail = || format!("job {j}: frac {frac_flow} vs int {int_flow}");
+        self.fdi.fold(fdi, fdi_detail);
+        self.rep_frac += frac_flow;
+        self.rep_int += int_flow;
+        let trip = |check, residual, detail: String| Trip { check, residual, detail };
+        out_of(tol, car.max(0.0))
+            .then(|| trip("completion-after-release", car, car_detail()))
+            .or_else(|| out_of(tol, fdi).then(|| trip("frac-dominated-by-int", fdi, fdi_detail())))
+    }
+
+    /// Record the four checks against the reported aggregate `objective`.
+    /// `completed` of `released` jobs reported a completion; any mismatch
+    /// fails completion-after-release.
+    pub(crate) fn record(
+        mut self,
+        report: &mut AuditReport,
+        clock: &mut Stopwatch,
+        tol: f64,
+        objective: &Objective,
+        completed: u64,
+        released: u64,
+    ) {
+        let mut worst = 0.0f64;
+        let mut detail = String::from("all components finite");
+        for (what, v) in [
+            ("energy", objective.energy),
+            ("frac_flow", objective.frac_flow),
+            ("int_flow", objective.int_flow),
+        ] {
+            if !(v.is_finite() && v >= 0.0) {
+                worst = f64::INFINITY;
+                detail = format!("{what} = {v}");
+            }
+        }
+        report.record_timed("objective-finite", worst, tol, detail, clock.lap());
+
+        if completed != released {
+            self.car.value = f64::INFINITY;
+            self.car.detail = format!("{completed} completions for {released} jobs");
+        }
+        report.record_timed(
+            "completion-after-release",
+            self.car.value.max(0.0),
+            tol,
+            self.car.detail,
+            clock.lap(),
+        );
+        let fdi = self.fdi;
+        report.record_timed("frac-dominated-by-int", fdi.value, tol, fdi.detail, clock.lap());
+        // The aggregate objective must equal the per-job sums it claims to
+        // summarise.
+        let v = or_inf(
+            residual(self.rep_frac, objective.frac_flow)
+                .max(residual(self.rep_int, objective.int_flow)),
+        );
+        report.record_timed(
+            "reported-sums-consistent",
+            v,
+            tol,
+            format!("Σfrac {:.9e} / Σint {:.9e}", self.rep_frac, self.rep_int),
+            clock.lap(),
+        );
+    }
+}
+
+/// How an engine names its volume check: the check, the subject of its
+/// detail line, and its all-clear text.
+#[derive(Debug, Clone, Copy)]
+struct VolumeCheck {
+    name: &'static str,
+    delivered: &'static str,
+    ok: &'static str,
+}
+
+const SINGLE_VOLUME: VolumeCheck = VolumeCheck {
+    name: "volume-conservation",
+    delivered: "delivered",
+    ok: "all volumes conserved",
+};
+
+const FLEET_VOLUME: VolumeCheck = VolumeCheck {
+    name: "cross-machine-volume",
+    delivered: "machines delivered",
+    ok: "all volumes conserved across machines",
+};
+
+/// The per-job re-derivation and every check folded at a completion,
+/// shared by both engines: volume conservation, completion consistency,
+/// the re-derived flow sums, and the outcome folds.
+#[derive(Debug, Clone)]
+struct JobChecks {
+    vol: VolumeCheck,
+    released: u64,
+    completed: u64,
+    /// Volume-conservation candidate: `|delivered − volume|` of the worst
+    /// job, its denominator base `1 + volume`, and the value it won with.
+    vol_a: f64,
+    vol_b: f64,
+    vol_sel: f64,
+    vol_detail: String,
+    comp: Worst,
+    frac_derived: f64,
+    int_derived: f64,
+    outcome: OutcomeFolds,
+    /// Scratch per-segment volumes, reused across completions. Dead
+    /// between events; never snapshotted.
+    scratch_dvs: Vec<f64>,
+    /// Scratch inclusive prefix sums of `scratch_dvs`, same lifecycle.
+    scratch_cum: Vec<f64>,
+}
+
+impl JobChecks {
+    fn new(vol: VolumeCheck) -> Self {
+        Self {
+            vol,
+            released: 0,
+            completed: 0,
+            vol_a: 0.0,
+            vol_b: 1.0,
+            vol_sel: 0.0,
+            vol_detail: vol.ok.to_string(),
+            comp: Worst::new("completions agree"),
+            frac_derived: 0.0,
+            int_derived: 0.0,
+            outcome: OutcomeFolds::new(),
+            scratch_dvs: Vec::new(),
+            scratch_cum: Vec::new(),
+        }
+    }
+
+    fn on_release(&mut self, id: JobId) {
+        self.released = self.released.max(id as u64 + 1);
+    }
+
+    /// A completion for a job never released (or audited twice): nothing
+    /// to derive against, which is itself a finding.
+    fn never_released(&mut self, id: JobId) -> Option<Trip> {
+        let detail = format!("job {id}: completed but never released");
+        self.comp.fold(f64::INFINITY, || detail.clone());
+        self.completed += 1;
+        Some(Trip { check: "completion-consistency", residual: f64::INFINITY, detail })
+    }
+
+    /// Re-derive job `j`'s delivered volume, completion time, and flows
+    /// from its serving segments `segs` (in start order), fold every
+    /// per-job check against the reported `completion`, `frac_flow`, and
+    /// `int_flow`, and return the first check this job trips.
+    ///
+    /// Per-segment volumes are closed forms, with every `stride`-th
+    /// `(j + i)` re-measured by quadrature (the cross-check tier). The
+    /// completion crossing is found by binary search over their prefix sums
+    /// and inverted analytically inside the crossing segment. Fractional
+    /// flow uses Fubini with the *derived* completion `c_j`:
+    ///   `F_j = ρ_j [ V_j (c_j − r_j) − ∫_{r_j}^{c_j} (c_j − τ) s_j(τ) dτ ]`,
+    /// whose weighted integral is analytic per segment, or quadrature for
+    /// every `stride`-th job.
+    #[allow(clippy::too_many_arguments)]
+    fn complete(
+        &mut self,
+        pl: PowerLaw,
+        config: &AuditConfig,
+        resolution: f64,
+        j: JobId,
+        job: &Job,
+        segs: &[Segment],
+        (completion, frac_flow, int_flow): (f64, f64, f64),
+    ) -> Option<Trip> {
+        self.completed += 1;
+        let stride = config.cross_check_stride;
+        let mut dvs = std::mem::take(&mut self.scratch_dvs);
+        dvs.clear();
+        dvs.extend(segs.iter().enumerate().map(|(i, s)| {
+            if sampled(stride, j + i) {
+                integrate(|t| s.speed_at(pl, t), s.start, s.end)
+            } else {
+                closed_form::volume(pl, s)
+            }
+        }));
+        let mut cum = std::mem::take(&mut self.scratch_cum);
+        cum.clear();
+        let mut running = 0.0;
+        cum.extend(dvs.iter().map(|&v| {
+            running += v;
+            running
+        }));
+        // First segment whose cumulative volume reaches the job size. The
+        // margin is scale-free so 1e-150-scale volumes (which can
+        // underflow to 0) still register.
+        let margin = 1e-9 * (1.0 + job.volume);
+        let mut derived_c = f64::NAN;
+        let i = cum.partition_point(|&p| !(p >= job.volume - margin));
+        if let Some(s) = segs.get(i) {
+            let before = if i == 0 { 0.0 } else { cum[i - 1] };
+            let target = (job.volume - before).min(dvs[i]).max(0.0);
+            derived_c = if dvs[i] - target <= margin {
+                // The remaining volume at the segment boundary is
+                // indistinguishable from zero, so the boundary is the
+                // completion. Inverting would chase the vanishing-speed
+                // tail and land early on curves that drain exactly at the
+                // segment end (the closed-form optimum at α < 2 loses
+                // ~1e-6 that way).
+                s.end
+            } else {
+                closed_form::time_at_volume(pl, s, target)
+            };
+        }
+        let delivered = cum.last().copied().unwrap_or(0.0);
+        if derived_c.is_nan()
+            && (delivered - job.volume).abs() <= config.rel_tol * (1.0 + job.volume + resolution)
+        {
+            // All measurable volume was delivered but no crossing was
+            // detectable (zero-scale jobs whose serving segments are empty
+            // or underflow): adopt the last serving instant — or the
+            // reported value when the job never measurably ran at all.
+            derived_c = segs.last().map_or(completion, |s| s.end).max(job.release);
+        }
+        self.scratch_dvs = dvs;
+        self.scratch_cum = cum;
+
+        let frac = if derived_c.is_finite() {
+            // Segments at or past c_j contribute nothing.
+            let cut = segs.partition_point(|s| s.start < derived_c);
+            let mut served = 0.0;
+            for s in &segs[..cut] {
+                served += if sampled(stride, j) {
+                    let weighted = |t: f64| (derived_c - t) * s.speed_at(pl, t);
+                    integrate(weighted, s.start, s.end.min(derived_c))
+                } else {
+                    closed_form::weighted_volume(pl, s, derived_c)
+                };
+            }
+            job.density * (job.volume * (derived_c - job.release) - served)
+        } else {
+            f64::NAN
+        };
+        self.frac_derived += frac;
+        self.int_derived += (job.density * job.volume) * (derived_c - job.release);
+
+        // --- volume-conservation candidate. Selection uses the resolution
+        // known *now* (it only grows, so a job that passes now passes the
+        // final judgement too); `record` re-normalises the winner with the
+        // end-of-run resolution.
+        let who = self.vol.delivered;
+        let vol_detail = || format!("job {j}: {who} {delivered:.9e} of {:.9e}", job.volume);
+        let a = (delivered - job.volume).abs();
+        let b = 1.0 + job.volume;
+        let sel = a / (b + resolution);
+        if !(sel <= self.vol_sel) {
+            self.vol_sel = sel;
+            self.vol_a = a;
+            self.vol_b = b;
+            self.vol_detail = vol_detail();
+        }
+        let r = or_inf(residual(derived_c, completion));
+        let comp_detail = || format!("job {j}: derived {derived_c:.9} vs reported {completion:.9}");
+        self.comp.fold(r, comp_detail);
+
+        let tol = config.rel_tol;
+        let outcome = self.outcome.fold(tol, j, job.release, completion, frac_flow, int_flow);
+        let trip = |check, residual, detail: String| Trip { check, residual, detail };
+        out_of(tol, sel)
+            .then(|| trip(self.vol.name, sel, vol_detail()))
+            .or_else(|| out_of(tol, r).then(|| trip("completion-consistency", r, comp_detail())))
+            .or(outcome)
+    }
+
+    /// Record every check from volume conservation on, in report order:
+    /// the volume candidate re-normalised with the end-of-run `resolution`,
+    /// completion consistency, the energy / fractional / integral flow
+    /// re-derivations, and the outcome checks.
+    fn record(
+        self,
+        report: &mut AuditReport,
+        clock: &mut Stopwatch,
+        tol: f64,
+        resolution: f64,
+        energy: f64,
+        objective: &Objective,
+    ) {
+        let vol = self.vol_a / (self.vol_b + resolution);
+        report.record_timed(self.vol.name, vol, tol, self.vol_detail, clock.lap());
+        let comp = self.comp;
+        report.record_timed("completion-consistency", comp.value, tol, comp.detail, clock.lap());
+        report.record_timed(
+            "energy-recomputed",
+            residual(energy, objective.energy),
+            tol,
+            format!("re-derived {energy:.9e} vs reported {:.9e}", objective.energy),
+            clock.lap(),
+        );
+        report.record_timed(
+            "frac-flow-recomputed",
+            residual(self.frac_derived, objective.frac_flow),
+            tol,
+            format!("re-derived {:.9e} vs reported {:.9e}", self.frac_derived, objective.frac_flow),
+            clock.lap(),
+        );
+        report.record_timed(
+            "int-flow-recomputed",
+            residual(self.int_derived, objective.int_flow),
+            tol,
+            format!("derived {:.9e} vs reported {:.9e}", self.int_derived, objective.int_flow),
+            clock.lap(),
+        );
+        self.outcome.record(report, clock, tol, objective, self.completed, self.released);
+    }
+}
+
 /// A released-but-not-yet-audited job: its static fields plus every
 /// serving segment retired so far. Dropped as soon as the completion
 /// event is audited, so the map of these is O(active jobs).
 #[derive(Debug, Clone, PartialEq)]
 struct ActiveJob {
-    release: f64,
-    volume: f64,
-    density: f64,
+    job: Job,
     segs: Vec<Segment>,
 }
 
 /// A serving segment that named a job id the auditor has not seen released
 /// (tampered feeds only — honest streams release before serving). Resolved
-/// at [`IncrementalAudit::finalize`]: still-unknown ids reproduce the batch
-/// auditor's infinite release-before-service residual.
+/// at [`IncrementalAudit::finalize`]: still-unknown ids fail
+/// release-before-service with an infinite residual.
 #[derive(Debug, Clone, PartialEq)]
 struct PendingSegment {
     index: u64,
@@ -171,7 +624,7 @@ pub struct IncrementalSnapshot {
     pub comp_worst: f64,
     /// Detail of the worst completion-consistency violation.
     pub comp_detail: String,
-    /// Running energy sum (global segment order — bitwise the batch sum).
+    /// Running energy sum (global segment order).
     pub energy: f64,
     /// Running re-derived fractional-flow sum (completion order).
     pub frac_derived: f64,
@@ -198,7 +651,7 @@ pub struct IncrementalSnapshot {
 }
 
 /// Streaming single-machine auditor; see the module docs for the feeding
-/// and parity contracts.
+/// contract and the order dependence.
 ///
 /// ```
 /// use ncss_audit::{AuditConfig, IncrementalAudit};
@@ -217,75 +670,40 @@ pub struct IncrementalSnapshot {
 pub struct IncrementalAudit {
     config: AuditConfig,
     law: PowerLaw,
-    released: u64,
-    completed: u64,
     seg_count: u64,
     peak_speed: f64,
     horizon: f64,
-    wf_prev_end: f64,
-    wf: Worst,
+    wf: Wellformed,
     rel: Worst,
-    vol_a: f64,
-    vol_b: f64,
-    vol_sel: f64,
-    vol_detail: String,
-    comp: Worst,
     energy: f64,
-    frac_derived: f64,
-    int_derived: f64,
-    car: Worst,
-    fdi: Worst,
-    rep_frac: f64,
-    rep_int: f64,
+    jobs: JobChecks,
     /// Hash-indexed for O(1) per-event lookups; every consumer that
     /// observes more than one entry (`finalize`, `snapshot`) sorts by id
     /// first, so nothing depends on iteration order.
     active: HashMap<JobId, ActiveJob>,
     pending: Vec<PendingSegment>,
-    /// Scratch per-segment volumes, reused across completions. Dead
-    /// between events; never snapshotted.
-    scratch_dvs: Vec<f64>,
-    /// Scratch inclusive prefix sums of `scratch_dvs`, same lifecycle.
-    scratch_cum: Vec<f64>,
     /// Recycled per-job segment buffers (≤ peak active jobs entries):
     /// completions return their emptied vec here, releases take one back.
     seg_pool: Vec<Vec<Segment>>,
 }
 
 impl IncrementalAudit {
-    /// A fresh auditor for a stream running under `law`. Only `rel_tol`,
-    /// `time_tol`, and `cross_check_stride` of `config` are used — the
-    /// incremental path is strictly serial (every event is O(1) or O(one
-    /// job), so there is nothing to shard).
+    /// A fresh auditor for a run under `law`. Only `rel_tol`, `time_tol`,
+    /// and `cross_check_stride` of `config` are used.
     #[must_use]
     pub fn new(law: PowerLaw, config: AuditConfig) -> Self {
         Self {
             config,
             law,
-            released: 0,
-            completed: 0,
             seg_count: 0,
             peak_speed: 0.0,
             horizon: 0.0,
-            wf_prev_end: f64::NEG_INFINITY,
-            wf: Worst::new("all segments ordered"),
+            wf: Wellformed::new(),
             rel: Worst::new("no early service"),
-            vol_a: 0.0,
-            vol_b: 1.0,
-            vol_sel: 0.0,
-            vol_detail: String::from("all volumes conserved"),
-            comp: Worst::new("completions agree"),
             energy: 0.0,
-            frac_derived: 0.0,
-            int_derived: 0.0,
-            car: Worst::new("all completions after release"),
-            fdi: Worst::new("fractional ≤ integral per job"),
-            rep_frac: 0.0,
-            rep_int: 0.0,
+            jobs: JobChecks::new(SINGLE_VOLUME),
             active: HashMap::new(),
             pending: Vec::new(),
-            scratch_dvs: Vec::new(),
-            scratch_cum: Vec::new(),
             seg_pool: Vec::new(),
         }
     }
@@ -307,51 +725,35 @@ impl IncrementalAudit {
     /// Releases fed so far.
     #[must_use]
     pub fn released(&self) -> u64 {
-        self.released
+        self.jobs.released
     }
 
     /// Completions audited so far.
     #[must_use]
     pub fn completed(&self) -> u64 {
-        self.completed
-    }
-
-    /// Measurement resolution implied by the segments fed so far (the
-    /// batch auditor's `measurement_resolution` over the running peak
-    /// speed and horizon).
-    fn resolution(&self) -> f64 {
-        self.peak_speed * self.horizon.abs() * f64::EPSILON * 64.0
+        self.jobs.completed
     }
 
     /// Record job `id`'s release. Ids must be the stream's arrival indices
     /// (dense from 0); re-releasing a live id resets its segment history.
     pub fn on_release(&mut self, id: JobId, job: Job) {
         let _p = PhaseScope::enter(Phase::Audit);
-        self.released = self.released.max(id as u64 + 1);
+        self.jobs.on_release(id);
         let mut segs = self.seg_pool.pop().unwrap_or_default();
         // A tampered feed can serve a job before releasing it: adopt the
         // pended segments (feed order preserved) and charge the early
-        // service to the release fold, as the batch scan would.
+        // service to the release fold.
         let mut i = 0;
         while i < self.pending.len() {
             if !self.pending[i].late && self.pending[i].job == id as u64 {
                 let p = self.pending.remove(i);
-                let early = job.release - p.seg.start;
-                self.rel.fold(early, || {
-                    format!(
-                        "job {id} served {early:.3e} before release (segment {})",
-                        p.index
-                    )
-                });
+                fold_early(&mut self.rel, id, job.release, &p.seg, p.index);
                 segs.push(p.seg);
             } else {
                 i += 1;
             }
         }
-        self.active.insert(
-            id,
-            ActiveJob { release: job.release, volume: job.volume, density: job.density, segs },
-        );
+        self.active.insert(id, ActiveJob { job, segs });
     }
 
     /// Feed one retired segment (in retirement order). O(1): folds the
@@ -363,86 +765,34 @@ impl IncrementalAudit {
         let _p = PhaseScope::enter(Phase::Audit);
         let i = self.seg_count;
         self.seg_count += 1;
-        let pl = self.law;
-
-        // --- wellformed fold (exactly `wellformed_residual`'s scan).
-        let bad_times = !(seg.start.is_finite() && seg.end.is_finite() && seg.scale.is_finite());
-        let inversion = seg.start - seg.end;
-        let overlap =
-            if self.wf_prev_end.is_finite() { self.wf_prev_end - seg.start } else { 0.0 };
-        let v = if bad_times { f64::INFINITY } else { inversion.max(overlap).max(0.0) };
-        self.wf.fold(v, || format!("segment {i}: [{:.6}, {:.6}]", seg.start, seg.end));
-        self.wf_prev_end = self.wf_prev_end.max(seg.end);
-
-        // --- resolution state (running peak speed and horizon). Every
-        // speed law is monotone within its segment (constant, decaying,
-        // or growing), so with a non-negative scale only the dominating
-        // endpoint can raise the running max — evaluating just that one
-        // yields the identical max bits at half the kernel evaluations.
-        // A negative scale (representable, never emitted) reverses the
-        // ordering, so it falls back to both endpoints.
-        self.peak_speed = if seg.scale >= 0.0 {
-            let t = match seg.law {
-                SpeedLaw::Growth { .. } => seg.end,
-                SpeedLaw::Idle | SpeedLaw::Constant { .. } | SpeedLaw::Decay { .. } => seg.start,
-            };
-            self.peak_speed.max(seg.speed_at(pl, t))
-        } else {
-            self.peak_speed
-                .max(seg.speed_at(pl, seg.start))
-                .max(seg.speed_at(pl, seg.end))
-        };
+        self.wf.fold(i, &seg);
+        self.peak_speed = self.peak_speed.max(peak_speed(self.law, &seg));
         self.horizon = seg.end;
-
-        // --- running energy, sampled by the global segment index — the
-        // same index the batch pass uses over the rebuilt schedule, so the
-        // sum is bitwise identical.
-        let de = if sampled(self.config.cross_check_stride, i as usize) {
-            integrate(|t| seg.power_at(pl, t), seg.start, seg.end)
-        } else {
-            closed_form::energy(pl, &seg)
-        };
-        self.energy += de;
-
-        // --- early-service fold and per-job retention.
+        self.energy += segment_energy(self.law, self.config.cross_check_stride, i, &seg);
         if let Some(j) = seg.job {
-            if let Some(job) = self.active.get_mut(&j) {
-                let early = job.release - seg.start;
-                self.rel
-                    .fold(early, || format!("job {j} served {early:.3e} before release (segment {i})"));
-                job.segs.push(seg);
+            if let Some(active) = self.active.get_mut(&j) {
+                fold_early(&mut self.rel, j, active.job.release, &seg, i);
+                active.segs.push(seg);
             } else {
-                let late = (j as u64) < self.released;
+                let late = (j as u64) < self.jobs.released;
                 self.pending.push(PendingSegment { index: i, job: j as u64, seg, late });
             }
         }
 
         let time_tol = self.config.time_tol * (1.0 + self.horizon.abs());
-        if !(self.wf.value.is_finite() && self.wf.value <= time_tol) {
-            return Some(Trip {
-                check: "segments-wellformed",
-                residual: self.wf.value,
-                detail: self.wf.detail.clone(),
-            });
-        }
-        if !(self.rel.value.is_finite() && self.rel.value <= time_tol) {
-            return Some(Trip {
-                check: "release-before-service",
-                residual: self.rel.value,
-                detail: self.rel.detail.clone(),
-            });
-        }
-        None
+        let (wf, rel) = (&self.wf.worst, &self.rel);
+        let trip = |check, w: &Worst| Trip { check, residual: w.value, detail: w.detail.clone() };
+        out_of(time_tol, wf.value)
+            .then(|| trip("segments-wellformed", wf))
+            .or_else(|| out_of(time_tol, rel.value).then(|| trip("release-before-service", rel)))
     }
 
     /// Audit job `id`'s completion: derive its delivered volume,
     /// completion time, and flow contributions from its retained segments
-    /// (O(its segments), bit-identical arithmetic to the batch
-    /// `derive_per_job` / `frac_flow_rederived`), fold every rolling
-    /// check, and drop the job's state. `completion`, `frac_flow`, and
-    /// `int_flow` are the *reported* per-job values from the stream's
-    /// completion event. Returns the first per-job check that left
-    /// tolerance, if any.
+    /// (O(its segments)), fold every per-job check, and drop the job's
+    /// state. `completion`, `frac_flow`, and `int_flow` are the *reported*
+    /// per-job values from the stream's completion event. Returns the first
+    /// per-job check that left tolerance, if any.
     pub fn on_complete(
         &mut self,
         id: JobId,
@@ -451,196 +801,51 @@ impl IncrementalAudit {
         int_flow: f64,
     ) -> Option<Trip> {
         let _p = PhaseScope::enter(Phase::Audit);
-        let Some(job) = self.active.remove(&id) else {
-            // Completion for a job never released (or audited twice):
-            // nothing to derive against, which is itself a finding.
-            let detail = format!("job {id}: completed but never released");
-            self.comp.fold(f64::INFINITY, || detail.clone());
-            self.completed += 1;
-            return Some(Trip {
-                check: "completion-consistency",
-                residual: f64::INFINITY,
-                detail,
-            });
+        let Some(ActiveJob { job, mut segs }) = self.active.remove(&id) else {
+            return self.jobs.never_released(id);
         };
-        self.completed += 1;
-        let pl = self.law;
-        let j = id;
-        let stride = self.config.cross_check_stride;
-        let resolution = self.resolution();
-
-        // --- per-segment volumes + completion inversion: the exact
-        // arithmetic of the batch `derive_per_job` for this one job. The
-        // volume and prefix-sum vectors are scratch space reused across
-        // completions; the sums accumulate in the same order as the batch
-        // [`SegmentIndex`], so every derived value keeps its batch bits.
-        let speed_of = |s: &Segment| {
-            let s = *s;
-            move |t: f64| s.speed_at(pl, t)
-        };
-        let mut dvs = std::mem::take(&mut self.scratch_dvs);
-        dvs.clear();
-        dvs.extend(job.segs.iter().enumerate().map(|(i, s)| {
-            if sampled(stride, j + i) {
-                integrate(speed_of(s), s.start, s.end)
-            } else {
-                closed_form::volume(pl, s)
-            }
-        }));
-        let mut cum_volume = std::mem::take(&mut self.scratch_cum);
-        cum_volume.clear();
-        let mut running = 0.0;
-        cum_volume.extend(dvs.iter().map(|&v| {
-            running += v;
-            running
-        }));
-        let margin = 1e-9 * (1.0 + job.volume);
-        let mut derived_c = f64::NAN;
-        // `SegmentIndex::first_reaching` / `volume_before` over the
-        // scratch prefix sums.
-        let target_v = job.volume - margin;
-        let i = cum_volume.partition_point(|&p| !(p >= target_v));
-        if let Some(s) = job.segs.get(i) {
-            let before = if i == 0 { 0.0 } else { cum_volume[i - 1] };
-            let target = (job.volume - before).min(dvs[i]).max(0.0);
-            if dvs[i] - target <= margin {
-                derived_c = s.end;
-            } else {
-                derived_c = closed_form::time_at_volume(pl, s, target);
-            }
-        }
-        let cum = cum_volume.last().copied().unwrap_or(0.0);
-        if derived_c.is_nan()
-            && (cum - job.volume).abs() <= self.config.rel_tol * (1.0 + job.volume + resolution)
-        {
-            derived_c = job.segs.last().map_or(completion, |s| s.end).max(job.release);
-        }
-
-        // --- volume-conservation candidate. Selection uses the resolution
-        // known *now* (it only grows, so a job that passes now passes the
-        // final judgement too); the recorded residual is re-normalised
-        // with the end-of-run resolution in `finalize`.
-        let a = (cum - job.volume).abs();
-        let b = 1.0 + job.volume;
-        let sel = a / (b + resolution);
-        if !(sel <= self.vol_sel) {
-            self.vol_sel = sel;
-            self.vol_a = a;
-            self.vol_b = b;
-            self.vol_detail = format!("job {j}: delivered {cum:.9e} of {:.9e}", job.volume);
-        }
-
-        // --- completion-consistency fold.
-        let r = residual(derived_c, completion);
-        let r = if r.is_nan() { f64::INFINITY } else { r };
-        self.comp
-            .fold(r, || format!("job {j}: derived {derived_c:.9} vs reported {completion:.9}"));
-
-        // --- fractional flow contribution (batch `frac_flow_rederived`
-        // for this one job, with the derived completion).
-        let dfrac = if derived_c.is_finite() {
-            let cut = job.segs.partition_point(|s| s.start < derived_c);
-            let mut served = 0.0;
-            for s in &job.segs[..cut] {
-                served += if sampled(stride, j) {
-                    integrate(|t| (derived_c - t) * s.speed_at(pl, t), s.start, s.end.min(derived_c))
-                } else {
-                    closed_form::weighted_volume(pl, s, derived_c)
-                };
-            }
-            job.density * (job.volume * (derived_c - job.release) - served)
-        } else {
-            f64::NAN
-        };
-        self.frac_derived += dfrac;
-        self.int_derived += (job.density * job.volume) * (derived_c - job.release);
-
-        // Hand the per-job buffers back: scratch for the next completion,
-        // the emptied segment vec to the release pool.
-        self.scratch_dvs = dvs;
-        self.scratch_cum = cum_volume;
-        let mut segs = job.segs;
+        let resolution = resolution(self.peak_speed, self.horizon);
+        let reported = (completion, frac_flow, int_flow);
+        let trip =
+            self.jobs.complete(self.law, &self.config, resolution, id, &job, &segs, reported);
+        // Hand the emptied segment vec back to the release pool.
         segs.clear();
         self.seg_pool.push(segs);
-
-        // --- outcome folds over the *reported* per-job values.
-        let car = if completion.is_finite() { job.release - completion } else { f64::INFINITY };
-        self.car
-            .fold(car, || format!("job {j}: completion {completion} vs release {}", job.release));
-        let fdi = residual(frac_flow.max(int_flow), int_flow);
-        let fdi = if fdi.is_nan() { f64::INFINITY } else { fdi };
-        self.fdi.fold(fdi, || format!("job {j}: frac {frac_flow} vs int {int_flow}"));
-        self.rep_frac += frac_flow;
-        self.rep_int += int_flow;
-
-        // --- eager verdict: first per-job check out of tolerance.
-        let tol = self.config.rel_tol;
-        let trip = |check, residual: f64, detail: String| Some(Trip { check, residual, detail });
-        if !(sel.is_finite() && sel <= tol) {
-            return trip(
-                "volume-conservation",
-                sel,
-                format!("job {j}: delivered {cum:.9e} of {:.9e}", job.volume),
-            );
-        }
-        if !(r.is_finite() && r <= tol) {
-            return trip(
-                "completion-consistency",
-                r,
-                format!("job {j}: derived {derived_c:.9} vs reported {completion:.9}"),
-            );
-        }
-        if !(car.is_finite() && car.max(0.0) <= tol) {
-            return trip(
-                "completion-after-release",
-                car,
-                format!("job {j}: completion {completion} vs release {}", job.release),
-            );
-        }
-        if !(fdi.is_finite() && fdi <= tol) {
-            return trip(
-                "frac-dominated-by-int",
-                fdi,
-                format!("job {j}: frac {frac_flow} vs int {int_flow}"),
-            );
-        }
-        None
+        trip
     }
 
     /// Close the run against the stream's reported aggregate `objective`
-    /// and emit the final [`AuditReport`]: the batch auditor's checks, in
-    /// the batch auditor's order, judged with the batch tolerances.
+    /// and emit the final [`AuditReport`].
     ///
     /// Jobs still active (released, never completed) are derived here with
     /// no reported completion to compare against — they trip
-    /// `completion-consistency` exactly as a short reported-completions
-    /// array trips the batch pass.
+    /// `completion-consistency`, and the completion count trips
+    /// `completion-after-release`.
     #[must_use]
     pub fn finalize(mut self, objective: &Objective) -> AuditReport {
         let mut report = AuditReport::default();
         let mut clock = Stopwatch::new();
-        let tol = self.config.rel_tol;
         let time_tol = self.config.time_tol * (1.0 + self.horizon.abs());
 
         // Jobs that never completed: audit them now (reported completion
-        // NaN), ascending id — the batch scan's order — so lost jobs
-        // cannot hide from the per-job checks.
+        // NaN), ascending id, so lost jobs cannot hide from the per-job
+        // checks.
         let mut leftover: Vec<JobId> = self.active.keys().copied().collect();
         leftover.sort_unstable();
         for id in leftover {
             let _ = self.on_complete(id, f64::NAN, f64::NAN, f64::NAN);
-            self.completed -= 1; // they did not actually complete
+            self.jobs.completed -= 1; // they did not actually complete
         }
 
-        // Pending segments that never resolved: unknown ids reproduce the
-        // batch release scan's infinite residual; service *after* a job's
-        // audited completion is unaccountable volume.
+        // Pending segments that never resolved: unknown ids fail the
+        // release scan outright; service *after* a job's audited
+        // completion is unaccountable volume.
         for p in &self.pending {
             if p.late {
-                self.vol_sel = f64::INFINITY;
-                self.vol_a = f64::INFINITY;
-                self.vol_b = 1.0;
-                self.vol_detail =
+                self.jobs.vol_sel = f64::INFINITY;
+                self.jobs.vol_a = f64::INFINITY;
+                self.jobs.vol_b = 1.0;
+                self.jobs.vol_detail =
                     format!("job {}: served after completion (segment {})", p.job, p.index);
             } else {
                 self.rel.value = f64::INFINITY;
@@ -648,153 +853,58 @@ impl IncrementalAudit {
             }
         }
 
-        let res_final = self.resolution();
-        report.record_timed(
-            "segments-wellformed",
-            self.wf.value,
-            time_tol,
-            self.wf.detail,
-            clock.lap(),
-        );
-        report.record_timed(
-            "release-before-service",
-            self.rel.value,
-            time_tol,
-            self.rel.detail,
-            clock.lap(),
-        );
-
-        // Recorded volume residual: the winning candidate re-normalised
-        // with the end-of-run resolution (bitwise the batch value whenever
-        // the candidate is the batch argmax — see the module docs).
-        let vol = self.vol_a / (self.vol_b + res_final);
-        report.record_timed("volume-conservation", vol, tol, self.vol_detail, clock.lap());
-        report.record_timed(
-            "completion-consistency",
-            self.comp.value,
-            tol,
-            self.comp.detail,
-            clock.lap(),
-        );
-        report.record_timed(
-            "energy-recomputed",
-            residual(self.energy, objective.energy),
-            tol,
-            format!("re-derived {:.9e} vs reported {:.9e}", self.energy, objective.energy),
-            clock.lap(),
-        );
-        report.record_timed(
-            "frac-flow-recomputed",
-            residual(self.frac_derived, objective.frac_flow),
-            tol,
-            format!(
-                "re-derived {:.9e} vs reported {:.9e}",
-                self.frac_derived, objective.frac_flow
-            ),
-            clock.lap(),
-        );
-        report.record_timed(
-            "int-flow-recomputed",
-            residual(self.int_derived, objective.int_flow),
-            tol,
-            format!("derived {:.9e} vs reported {:.9e}", self.int_derived, objective.int_flow),
-            clock.lap(),
-        );
-
-        // --- outcome checks, batch order and arithmetic.
-        let mut worst = 0.0f64;
-        let mut detail = String::from("all components finite");
-        for (what, v) in [
-            ("energy", objective.energy),
-            ("frac_flow", objective.frac_flow),
-            ("int_flow", objective.int_flow),
-        ] {
-            if !(v.is_finite() && v >= 0.0) {
-                worst = f64::INFINITY;
-                detail = format!("{what} = {v}");
-            }
-        }
-        report.record_timed("objective-finite", worst, tol, detail, clock.lap());
-
-        if self.completed != self.released {
-            self.car.value = f64::INFINITY;
-            self.car.detail =
-                format!("{} completions for {} jobs", self.completed, self.released);
-        }
-        report.record_timed(
-            "completion-after-release",
-            self.car.value.max(0.0),
-            tol,
-            self.car.detail,
-            clock.lap(),
-        );
-        report.record_timed(
-            "frac-dominated-by-int",
-            self.fdi.value,
-            tol,
-            self.fdi.detail,
-            clock.lap(),
-        );
-        let v = residual(self.rep_frac, objective.frac_flow)
-            .max(residual(self.rep_int, objective.int_flow));
-        let v = if v.is_nan() { f64::INFINITY } else { v };
-        report.record_timed(
-            "reported-sums-consistent",
-            v,
-            tol,
-            format!("Σfrac {:.9e} / Σint {:.9e}", self.rep_frac, self.rep_int),
-            clock.lap(),
-        );
+        let wf = self.wf.worst;
+        report.record_timed("segments-wellformed", wf.value, time_tol, wf.detail, clock.lap());
+        let rel = self.rel;
+        report.record_timed("release-before-service", rel.value, time_tol, rel.detail, clock.lap());
+        let resolution = resolution(self.peak_speed, self.horizon);
+        let tol = self.config.rel_tol;
+        self.jobs.record(&mut report, &mut clock, tol, resolution, self.energy, objective);
         report
     }
 
     /// Capture the full accumulator state, bit for bit.
     #[must_use]
     pub fn snapshot(&self) -> IncrementalSnapshot {
+        let jobs = &self.jobs;
+        let mut active: Vec<_> = self
+            .active
+            .iter()
+            .map(|(&id, a)| (id as u64, a.job.release, a.job.volume, a.job.density, a.segs.clone()))
+            .collect();
+        active.sort_unstable_by_key(|r| r.0);
         IncrementalSnapshot {
             alpha: self.law.alpha(),
             rel_tol: self.config.rel_tol,
             time_tol: self.config.time_tol,
             cross_check_stride: self.config.cross_check_stride as u64,
-            released: self.released,
-            completed: self.completed,
+            released: jobs.released,
+            completed: jobs.completed,
             seg_count: self.seg_count,
             peak_speed: self.peak_speed,
             horizon: self.horizon,
-            wf_prev_end: self.wf_prev_end,
-            wf_worst: self.wf.value,
-            wf_detail: self.wf.detail.clone(),
+            wf_prev_end: self.wf.prev_end,
+            wf_worst: self.wf.worst.value,
+            wf_detail: self.wf.worst.detail.clone(),
             rel_worst: self.rel.value,
             rel_detail: self.rel.detail.clone(),
-            vol_a: self.vol_a,
-            vol_b: self.vol_b,
-            vol_sel: self.vol_sel,
-            vol_detail: self.vol_detail.clone(),
-            comp_worst: self.comp.value,
-            comp_detail: self.comp.detail.clone(),
+            vol_a: jobs.vol_a,
+            vol_b: jobs.vol_b,
+            vol_sel: jobs.vol_sel,
+            vol_detail: jobs.vol_detail.clone(),
+            comp_worst: jobs.comp.value,
+            comp_detail: jobs.comp.detail.clone(),
             energy: self.energy,
-            frac_derived: self.frac_derived,
-            int_derived: self.int_derived,
-            car_worst: self.car.value,
-            car_detail: self.car.detail.clone(),
-            fdi_worst: self.fdi.value,
-            fdi_detail: self.fdi.detail.clone(),
-            rep_frac: self.rep_frac,
-            rep_int: self.rep_int,
-            active: {
-                let mut rows: Vec<_> = self
-                    .active
-                    .iter()
-                    .map(|(&id, j)| (id as u64, j.release, j.volume, j.density, j.segs.clone()))
-                    .collect();
-                rows.sort_unstable_by_key(|r| r.0);
-                rows
-            },
-            pending: self
-                .pending
-                .iter()
-                .map(|p| (p.index, p.job, p.seg, p.late))
-                .collect(),
+            frac_derived: jobs.frac_derived,
+            int_derived: jobs.int_derived,
+            car_worst: jobs.outcome.car.value,
+            car_detail: jobs.outcome.car.detail.clone(),
+            fdi_worst: jobs.outcome.fdi.value,
+            fdi_detail: jobs.outcome.fdi.detail.clone(),
+            rep_frac: jobs.outcome.rep_frac,
+            rep_int: jobs.outcome.rep_int,
+            active,
+            pending: self.pending.iter().map(|p| (p.index, p.job, p.seg, p.late)).collect(),
         }
     }
 
@@ -805,37 +915,43 @@ impl IncrementalAudit {
         let config = AuditConfig {
             rel_tol: snap.rel_tol,
             time_tol: snap.time_tol,
-            threads: Some(1),
             cross_check_stride: snap.cross_check_stride as usize,
+            ..AuditConfig::default()
         };
-        Ok(Self {
-            config,
-            law,
-            released: snap.released,
-            completed: snap.completed,
-            seg_count: snap.seg_count,
-            peak_speed: snap.peak_speed,
-            horizon: snap.horizon,
-            wf_prev_end: snap.wf_prev_end,
-            wf: Worst { value: snap.wf_worst, detail: snap.wf_detail },
-            rel: Worst { value: snap.rel_worst, detail: snap.rel_detail },
-            vol_a: snap.vol_a,
-            vol_b: snap.vol_b,
-            vol_sel: snap.vol_sel,
-            vol_detail: snap.vol_detail,
-            comp: Worst { value: snap.comp_worst, detail: snap.comp_detail },
-            energy: snap.energy,
-            frac_derived: snap.frac_derived,
-            int_derived: snap.int_derived,
+        let mut jobs = JobChecks::new(SINGLE_VOLUME);
+        jobs.released = snap.released;
+        jobs.completed = snap.completed;
+        jobs.vol_a = snap.vol_a;
+        jobs.vol_b = snap.vol_b;
+        jobs.vol_sel = snap.vol_sel;
+        jobs.vol_detail = snap.vol_detail;
+        jobs.comp = Worst { value: snap.comp_worst, detail: snap.comp_detail };
+        jobs.frac_derived = snap.frac_derived;
+        jobs.int_derived = snap.int_derived;
+        jobs.outcome = OutcomeFolds {
             car: Worst { value: snap.car_worst, detail: snap.car_detail },
             fdi: Worst { value: snap.fdi_worst, detail: snap.fdi_detail },
             rep_frac: snap.rep_frac,
             rep_int: snap.rep_int,
+        };
+        Ok(Self {
+            config,
+            law,
+            seg_count: snap.seg_count,
+            peak_speed: snap.peak_speed,
+            horizon: snap.horizon,
+            wf: Wellformed {
+                prev_end: snap.wf_prev_end,
+                worst: Worst { value: snap.wf_worst, detail: snap.wf_detail },
+            },
+            rel: Worst { value: snap.rel_worst, detail: snap.rel_detail },
+            energy: snap.energy,
+            jobs,
             active: snap
                 .active
                 .into_iter()
                 .map(|(id, release, volume, density, segs)| {
-                    (id as JobId, ActiveJob { release, volume, density, segs })
+                    (id as JobId, ActiveJob { job: Job::new(release, volume, density), segs })
                 })
                 .collect(),
             pending: snap
@@ -843,22 +959,20 @@ impl IncrementalAudit {
                 .into_iter()
                 .map(|(index, job, seg, late)| PendingSegment { index, job, seg, late })
                 .collect(),
-            scratch_dvs: Vec::new(),
-            scratch_cum: Vec::new(),
             seg_pool: Vec::new(),
         })
     }
 }
 
-/// Per-machine fold state of the multi-machine incremental auditor.
+/// Per-machine fold state of the fleet engine.
 #[derive(Debug, Clone)]
 struct MachineState {
     seg_count: u64,
-    prev_end: f64,
     last_end: f64,
-    wf: Worst,
+    wf: Wellformed,
     rel: Worst,
     energy: f64,
+    /// Segments naming a job not (yet) released: `(index, job, segment)`.
     pending: Vec<(u64, u64, Segment)>,
 }
 
@@ -866,60 +980,45 @@ struct MachineState {
 /// serving segments tagged `(machine, arrival index)`.
 #[derive(Debug, Clone)]
 struct MultiActiveJob {
-    release: f64,
-    volume: f64,
-    density: f64,
+    job: Job,
     segs: Vec<(usize, u64, Segment)>,
 }
 
-/// Streaming cross-machine auditor: the incremental counterpart of
+/// Streaming cross-machine auditor, the engine behind
 /// [`crate::MultiAudit`]. Feed per-machine retired segments via
 /// [`IncrementalMultiAudit::on_segment`] and fleet completions via
 /// [`IncrementalMultiAudit::on_complete`]; resident state is O(active
 /// jobs' segments + machines).
 ///
-/// Parity with the batch pass is at the verdict level (same check names,
-/// same order, same verdicts, failing residuals of the same order); the
-/// energy cross-check tier samples by per-machine segment index rather
-/// than the batch pass's fleet-concatenation index, so the energy residual
-/// can differ from the batch value by quadrature-vs-closed-form slack
-/// (≲1e-12), far below the audit tolerance.
+/// The energy cross-check tier samples by per-machine segment index, so
+/// a fleet's energy residual does not depend on how the machines'
+/// feeds interleave.
 #[derive(Debug, Clone)]
 pub struct IncrementalMultiAudit {
     config: AuditConfig,
     laws: Vec<PowerLaw>,
     machines: Vec<MachineState>,
     peak_speed: f64,
-    released: u64,
-    completed: u64,
     nds: Worst,
-    vol_a: f64,
-    vol_b: f64,
-    vol_sel: f64,
-    vol_detail: String,
-    comp: Worst,
-    frac_derived: f64,
-    int_derived: f64,
-    car: Worst,
-    fdi: Worst,
-    rep_frac: f64,
-    rep_int: f64,
+    jobs: JobChecks,
     active: BTreeMap<JobId, MultiActiveJob>,
+    /// Scratch merged timeline of the completing job, reused across
+    /// completions.
+    merged: Vec<Segment>,
 }
 
 impl IncrementalMultiAudit {
     /// A fresh fleet auditor: one power law per machine (the fleet is
-    /// fixed for the run, as in [`crate::MultiAudit`]).
+    /// fixed for the run).
     #[must_use]
     pub fn new(laws: Vec<PowerLaw>, config: AuditConfig) -> Self {
         let machines = laws
             .iter()
             .map(|_| MachineState {
                 seg_count: 0,
-                prev_end: f64::NEG_INFINITY,
                 last_end: 0.0,
-                wf: Worst { value: 0.0, detail: String::from("all segments ordered") },
-                rel: Worst { value: 0.0, detail: String::from("no early service") },
+                wf: Wellformed::new(),
+                rel: Worst::new("no early service"),
                 energy: 0.0,
                 pending: Vec::new(),
             })
@@ -929,36 +1028,22 @@ impl IncrementalMultiAudit {
             laws,
             machines,
             peak_speed: 0.0,
-            released: 0,
-            completed: 0,
             nds: Worst::new("no cross-machine overlap"),
-            vol_a: 0.0,
-            vol_b: 1.0,
-            vol_sel: 0.0,
-            vol_detail: String::from("all volumes conserved across machines"),
-            comp: Worst::new("completions agree"),
-            frac_derived: 0.0,
-            int_derived: 0.0,
-            car: Worst::new("all completions after release"),
-            fdi: Worst::new("fractional ≤ integral per job"),
-            rep_frac: 0.0,
-            rep_int: 0.0,
+            jobs: JobChecks::new(FLEET_VOLUME),
             active: BTreeMap::new(),
+            merged: Vec::new(),
         }
     }
 
-    /// The fleet's reference law (machine 0's, or the inert cube fallback
-    /// of the batch pass for an empty fleet).
+    /// The fleet's reference law: machine 0's, or — for an empty fleet,
+    /// which has no law to read — the cube law, which integrates the empty
+    /// segment set to zero like any other.
     fn law(&self) -> PowerLaw {
         self.laws.first().copied().unwrap_or_else(PowerLaw::cube)
     }
 
     fn horizon(&self) -> f64 {
         self.machines.iter().map(|m| m.last_end.abs()).fold(0.0f64, f64::max)
-    }
-
-    fn resolution(&self) -> f64 {
-        self.peak_speed * self.horizon() * f64::EPSILON * 64.0
     }
 
     /// Jobs released but not yet audited.
@@ -970,32 +1055,21 @@ impl IncrementalMultiAudit {
     /// Record job `id`'s release to the fleet.
     pub fn on_release(&mut self, id: JobId, job: Job) {
         let _p = PhaseScope::enter(Phase::Audit);
-        self.released = self.released.max(id as u64 + 1);
+        self.jobs.on_release(id);
         let mut segs = Vec::new();
         for (m, ms) in self.machines.iter_mut().enumerate() {
             let mut i = 0;
             while i < ms.pending.len() {
                 if ms.pending[i].1 == id as u64 {
                     let (idx, _, seg) = ms.pending.remove(i);
-                    let early = job.release - seg.start;
-                    ms.rel.fold(early, || {
-                        format!("job {id} served {early:.3e} before release (segment {idx})")
-                    });
+                    fold_early(&mut ms.rel, id, job.release, &seg, idx);
                     segs.push((m, idx, seg));
                 } else {
                     i += 1;
                 }
             }
         }
-        self.active.insert(
-            id,
-            MultiActiveJob {
-                release: job.release,
-                volume: job.volume,
-                density: job.density,
-                segs,
-            },
-        );
+        self.active.insert(id, MultiActiveJob { job, segs });
     }
 
     /// Feed machine `m`'s next retired segment (machine-chronological
@@ -1009,56 +1083,32 @@ impl IncrementalMultiAudit {
         let ms = &mut self.machines[m];
         let i = ms.seg_count;
         ms.seg_count += 1;
-
-        let bad_times = !(seg.start.is_finite() && seg.end.is_finite() && seg.scale.is_finite());
-        let inversion = seg.start - seg.end;
-        let overlap = if ms.prev_end.is_finite() { ms.prev_end - seg.start } else { 0.0 };
-        let v = if bad_times { f64::INFINITY } else { inversion.max(overlap).max(0.0) };
-        ms.wf.fold(v, || format!("segment {i}: [{:.6}, {:.6}]", seg.start, seg.end));
-        ms.prev_end = ms.prev_end.max(seg.end);
+        ms.wf.fold(i, &seg);
         ms.last_end = seg.end;
-
-        self.peak_speed = self
-            .peak_speed
-            .max(seg.speed_at(pl, seg.start))
-            .max(seg.speed_at(pl, seg.end));
-
-        let de = if sampled(self.config.cross_check_stride, i as usize) {
-            integrate(|t| seg.power_at(pl, t), seg.start, seg.end)
-        } else {
-            closed_form::energy(pl, &seg)
-        };
-        self.machines[m].energy += de;
-
+        ms.energy += segment_energy(pl, self.config.cross_check_stride, i, &seg);
+        self.peak_speed = self.peak_speed.max(peak_speed(pl, &seg));
         if let Some(j) = seg.job {
-            if let Some(job) = self.active.get_mut(&j) {
-                let early = job.release - seg.start;
-                self.machines[m]
-                    .rel
-                    .fold(early, || format!("job {j} served {early:.3e} before release (segment {i})"));
-                job.segs.push((m, i, seg));
+            if let Some(active) = self.active.get_mut(&j) {
+                fold_early(&mut ms.rel, j, active.job.release, &seg, i);
+                active.segs.push((m, i, seg));
             } else {
-                self.machines[m].pending.push((i, j as u64, seg));
+                ms.pending.push((i, j as u64, seg));
             }
         }
 
         let time_tol = self.config.time_tol * (1.0 + self.horizon());
-        let wf = &self.machines[m].wf;
-        if !(wf.value.is_finite() && wf.value <= time_tol) {
-            return Some(Trip {
-                check: "segments-wellformed",
-                residual: wf.value,
-                detail: format!("machine {m}: {}", wf.detail),
-            });
-        }
-        None
+        let wf = &self.machines[m].wf.worst;
+        out_of(time_tol, wf.value).then(|| Trip {
+            check: "segments-wellformed",
+            residual: wf.value,
+            detail: format!("machine {m}: {}", wf.detail),
+        })
     }
 
     /// Audit job `id`'s fleet completion: merge its cross-machine serving
-    /// intervals (batch sort order: start, then machine, then arrival),
-    /// run the O(k²) no-double-service scan, derive volume / completion /
-    /// flows over the merged timeline, fold every check, and drop the
-    /// job's state.
+    /// intervals (by start, then machine, then arrival), run the O(k²)
+    /// no-double-service scan, derive volume / completion / flows over the
+    /// merged timeline, fold every check, and drop the job's state.
     pub fn on_complete(
         &mut self,
         id: JobId,
@@ -1067,33 +1117,23 @@ impl IncrementalMultiAudit {
         int_flow: f64,
     ) -> Option<Trip> {
         let _p = PhaseScope::enter(Phase::Audit);
-        let Some(mut job) = self.active.remove(&id) else {
-            let detail = format!("job {id}: completed but never released");
-            self.comp.fold(f64::INFINITY, || detail.clone());
-            self.completed += 1;
-            return Some(Trip {
-                check: "completion-consistency",
-                residual: f64::INFINITY,
-                detail,
-            });
+        let Some(MultiActiveJob { job, mut segs }) = self.active.remove(&id) else {
+            return self.jobs.never_released(id);
         };
-        self.completed += 1;
         let pl = self.law();
-        let j = id;
-        let stride = self.config.cross_check_stride;
-        let resolution = self.resolution();
+        let resolution = resolution(self.peak_speed, self.horizon());
+        segs.sort_by(|(m_a, i_a, a), (m_b, i_b, b)| {
+            a.start.total_cmp(&b.start).then(m_a.cmp(m_b)).then(i_a.cmp(i_b))
+        });
 
-        // Batch merge order: machine-major insertion, stable sort by
-        // start. `(start, machine, arrival)` reproduces it exactly.
-        job.segs
-            .sort_by(|a, b| a.2.start.total_cmp(&b.2.start).then(a.0.cmp(&b.0)).then(a.1.cmp(&b.1)));
-
-        // --- no-double-service: O(k²) over this job's intervals, batch
-        // scan order.
+        // --- no-double-service: a job's serving intervals on *different*
+        // machines must not overlap in wall-clock time (same-machine
+        // overlap is segments-wellformed's). The residual is the worst
+        // overlap duration, so a clean run audits at exactly zero.
         let mut worst = f64::NEG_INFINITY;
         let mut detail = String::new();
-        for (i, (m_a, _, a)) in job.segs.iter().enumerate() {
-            for (m_b, _, b) in &job.segs[i + 1..] {
+        for (i, (m_a, _, a)) in segs.iter().enumerate() {
+            for (m_b, _, b) in &segs[i + 1..] {
                 if m_a == m_b {
                     continue;
                 }
@@ -1106,115 +1146,28 @@ impl IncrementalMultiAudit {
                 }
             }
         }
-        self.nds.fold(worst, || format!("job {j}: {detail}"));
+        self.nds.fold(worst, || format!("job {id}: {detail}"));
 
-        // --- merged-timeline derivation (batch `derive_per_job` body).
-        let segs: Vec<Segment> = job.segs.iter().map(|&(_, _, s)| s).collect();
-        let speed_of = |s: &Segment| {
-            let s = *s;
-            move |t: f64| s.speed_at(pl, t)
-        };
-        let dvs: Vec<f64> = segs
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                if sampled(stride, j + i) {
-                    integrate(speed_of(s), s.start, s.end)
-                } else {
-                    closed_form::volume(pl, s)
-                }
-            })
-            .collect();
-        let index = SegmentIndex::from_volumes(&segs, dvs.iter().copied());
-        let margin = 1e-9 * (1.0 + job.volume);
-        let mut derived_c = f64::NAN;
-        let i = index.first_reaching(job.volume - margin);
-        if let Some(s) = segs.get(i) {
-            let target = (job.volume - index.volume_before(i)).min(dvs[i]).max(0.0);
-            if dvs[i] - target <= margin {
-                derived_c = s.end;
-            } else {
-                derived_c = closed_form::time_at_volume(pl, s, target);
-            }
-        }
-        let cum = index.total_volume();
-        if derived_c.is_nan()
-            && (cum - job.volume).abs() <= self.config.rel_tol * (1.0 + job.volume + resolution)
-        {
-            derived_c = segs.last().map_or(completion, |s| s.end).max(job.release);
-        }
+        self.merged.clear();
+        self.merged.extend(segs.iter().map(|&(_, _, s)| s));
+        let reported = (completion, frac_flow, int_flow);
+        let trip =
+            self.jobs.complete(pl, &self.config, resolution, id, &job, &self.merged, reported);
 
-        let a = (cum - job.volume).abs();
-        let b = 1.0 + job.volume;
-        let sel = a / (b + resolution);
-        if !(sel <= self.vol_sel) {
-            self.vol_sel = sel;
-            self.vol_a = a;
-            self.vol_b = b;
-            self.vol_detail =
-                format!("job {j}: machines delivered {cum:.9e} of {:.9e}", job.volume);
-        }
-
-        let r = residual(derived_c, completion);
-        let r = if r.is_nan() { f64::INFINITY } else { r };
-        self.comp
-            .fold(r, || format!("job {j}: derived {derived_c:.9} vs reported {completion:.9}"));
-
-        let dfrac = if derived_c.is_finite() {
-            let cut = segs.partition_point(|s| s.start < derived_c);
-            let mut served = 0.0;
-            for s in &segs[..cut] {
-                served += if sampled(stride, j) {
-                    integrate(|t| (derived_c - t) * s.speed_at(pl, t), s.start, s.end.min(derived_c))
-                } else {
-                    closed_form::weighted_volume(pl, s, derived_c)
-                };
-            }
-            job.density * (job.volume * (derived_c - job.release) - served)
-        } else {
-            f64::NAN
-        };
-        self.frac_derived += dfrac;
-        self.int_derived += (job.density * job.volume) * (derived_c - job.release);
-
-        let car = if completion.is_finite() { job.release - completion } else { f64::INFINITY };
-        self.car
-            .fold(car, || format!("job {j}: completion {completion} vs release {}", job.release));
-        let fdi = residual(frac_flow.max(int_flow), int_flow);
-        let fdi = if fdi.is_nan() { f64::INFINITY } else { fdi };
-        self.fdi.fold(fdi, || format!("job {j}: frac {frac_flow} vs int {int_flow}"));
-        self.rep_frac += frac_flow;
-        self.rep_int += int_flow;
-
-        let tol = self.config.rel_tol;
         let time_tol = self.config.time_tol * (1.0 + self.horizon());
-        if !(self.nds.value.max(0.0) <= time_tol && self.nds.value.is_finite() || self.nds.value == f64::NEG_INFINITY)
-        {
-            return Some(Trip {
+        let nds = &self.nds;
+        out_of(time_tol, nds.value)
+            .then(|| Trip {
                 check: "no-double-service",
-                residual: self.nds.value.max(0.0),
-                detail: self.nds.detail.clone(),
-            });
-        }
-        if !(sel.is_finite() && sel <= tol) {
-            return Some(Trip {
-                check: "cross-machine-volume",
-                residual: sel,
-                detail: format!("job {j}: machines delivered {cum:.9e} of {:.9e}", job.volume),
-            });
-        }
-        if !(r.is_finite() && r <= tol) {
-            return Some(Trip {
-                check: "completion-consistency",
-                residual: r,
-                detail: format!("job {j}: derived {derived_c:.9} vs reported {completion:.9}"),
-            });
-        }
-        None
+                residual: nds.value,
+                detail: nds.detail.clone(),
+            })
+            .or(trip)
     }
 
-    /// Close the run and emit the final report — [`crate::MultiAudit`]'s
-    /// checks, in its order, with its tolerances.
+    /// Close the run and emit the final report: power-law-consistent, the
+    /// per-machine segment checks (worst machine named), the cross-machine
+    /// checks, and the shared per-job, objective, and outcome checks.
     #[must_use]
     pub fn finalize(mut self, objective: &Objective) -> AuditReport {
         let mut report = AuditReport::default();
@@ -1226,141 +1179,39 @@ impl IncrementalMultiAudit {
         let leftover: Vec<JobId> = self.active.keys().copied().collect();
         for id in leftover {
             let _ = self.on_complete(id, f64::NAN, f64::NAN, f64::NAN);
-            self.completed -= 1;
+            self.jobs.completed -= 1;
         }
-        for m in 0..self.machines.len() {
-            if let Some(&(idx, j, _)) = self.machines[m].pending.first() {
-                self.machines[m].rel.value = f64::INFINITY;
-                self.machines[m].rel.detail =
-                    format!("segment {idx} serves unknown job {j}");
+        for ms in &mut self.machines {
+            if let Some(&(idx, j, _)) = ms.pending.first() {
+                ms.rel.value = f64::INFINITY;
+                ms.rel.detail = format!("segment {idx} serves unknown job {j}");
             }
         }
 
-        // --- power-law-consistent (batch loop, verbatim).
+        // --- power-law-consistent: one fleet, one energy model.
         let mut worst = 0.0f64;
         let mut detail = String::from("all machines share one power law");
         for (m, law) in self.laws.iter().enumerate() {
             let d = (law.alpha() - pl.alpha()).abs();
             if !(d <= worst) {
-                worst = if d.is_nan() { f64::INFINITY } else { d };
-                detail = format!(
-                    "machine {m}: α = {} vs machine 0: α = {}",
-                    law.alpha(),
-                    pl.alpha()
-                );
+                worst = or_inf(d);
+                detail =
+                    format!("machine {m}: α = {} vs machine 0: α = {}", law.alpha(), pl.alpha());
             }
         }
         report.record_timed("power-law-consistent", worst, tol, detail, clock.lap());
 
-        // --- per-machine folds, machine-order worst-of (batch `worst_of`).
-        let mut worst = 0.0f64;
-        let mut detail = String::from("all machine timelines ordered");
-        for (m, ms) in self.machines.iter().enumerate() {
-            if ms.wf.value > worst {
-                worst = ms.wf.value;
-                detail = format!("machine {m}: {}", ms.wf.detail);
-            }
-        }
+        let wf = self.machines.iter().map(|m| &m.wf.worst);
+        let (worst, detail) = worst_machine(wf, "all machine timelines ordered");
         report.record_timed("segments-wellformed", worst, time_tol, detail, clock.lap());
-
-        let mut worst = 0.0f64;
-        let mut detail = String::from("no early service");
-        for (m, ms) in self.machines.iter().enumerate() {
-            if ms.rel.value > worst {
-                worst = ms.rel.value;
-                detail = format!("machine {m}: {}", ms.rel.detail);
-            }
-        }
+        let rel = self.machines.iter().map(|m| &m.rel);
+        let (worst, detail) = worst_machine(rel, "no early service");
         report.record_timed("release-before-service", worst, time_tol, detail, clock.lap());
-
-        let res_final = self.resolution();
-        report.record_timed(
-            "no-double-service",
-            self.nds.value.max(0.0),
-            time_tol,
-            self.nds.detail,
-            clock.lap(),
-        );
-
-        let vol = self.vol_a / (self.vol_b + res_final);
-        report.record_timed("cross-machine-volume", vol, tol, self.vol_detail, clock.lap());
-        report.record_timed(
-            "completion-consistency",
-            self.comp.value,
-            tol,
-            self.comp.detail,
-            clock.lap(),
-        );
-
+        let resolution = resolution(self.peak_speed, self.horizon());
         let energy: f64 = self.machines.iter().map(|m| m.energy).sum();
-        report.record_timed(
-            "energy-recomputed",
-            residual(energy, objective.energy),
-            tol,
-            format!("re-derived {energy:.9e} vs reported {:.9e}", objective.energy),
-            clock.lap(),
-        );
-        report.record_timed(
-            "frac-flow-recomputed",
-            residual(self.frac_derived, objective.frac_flow),
-            tol,
-            format!(
-                "re-derived {:.9e} vs reported {:.9e}",
-                self.frac_derived, objective.frac_flow
-            ),
-            clock.lap(),
-        );
-        report.record_timed(
-            "int-flow-recomputed",
-            residual(self.int_derived, objective.int_flow),
-            tol,
-            format!("derived {:.9e} vs reported {:.9e}", self.int_derived, objective.int_flow),
-            clock.lap(),
-        );
-
-        let mut worst = 0.0f64;
-        let mut detail = String::from("all components finite");
-        for (what, v) in [
-            ("energy", objective.energy),
-            ("frac_flow", objective.frac_flow),
-            ("int_flow", objective.int_flow),
-        ] {
-            if !(v.is_finite() && v >= 0.0) {
-                worst = f64::INFINITY;
-                detail = format!("{what} = {v}");
-            }
-        }
-        report.record_timed("objective-finite", worst, tol, detail, clock.lap());
-
-        if self.completed != self.released {
-            self.car.value = f64::INFINITY;
-            self.car.detail =
-                format!("{} completions for {} jobs", self.completed, self.released);
-        }
-        report.record_timed(
-            "completion-after-release",
-            self.car.value.max(0.0),
-            tol,
-            self.car.detail,
-            clock.lap(),
-        );
-        report.record_timed(
-            "frac-dominated-by-int",
-            self.fdi.value,
-            tol,
-            self.fdi.detail,
-            clock.lap(),
-        );
-        let v = residual(self.rep_frac, objective.frac_flow)
-            .max(residual(self.rep_int, objective.int_flow));
-        let v = if v.is_nan() { f64::INFINITY } else { v };
-        report.record_timed(
-            "reported-sums-consistent",
-            v,
-            tol,
-            format!("Σfrac {:.9e} / Σint {:.9e}", self.rep_frac, self.rep_int),
-            clock.lap(),
-        );
+        let nds = self.nds;
+        report.record_timed("no-double-service", nds.value, time_tol, nds.detail, clock.lap());
+        self.jobs.record(&mut report, &mut clock, tol, resolution, energy, objective);
         report
     }
 }
@@ -1368,110 +1219,78 @@ impl IncrementalMultiAudit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{MultiAudit, ScheduleAudit};
-    use ncss_sim::{evaluate, Instance, Schedule, SpeedLaw};
+    use ncss_sim::{Instance, SpeedLaw};
 
     fn pl(alpha: f64) -> PowerLaw {
         PowerLaw::new(alpha).unwrap()
     }
 
-    /// Feed a finished batch run (schedule order, then completions in job
-    /// order) through a fresh incremental auditor.
-    fn incremental_report(
-        law: PowerLaw,
-        jobs: &[Job],
-        segments: &[Segment],
-        per_job: &ncss_sim::PerJob,
-        objective: &Objective,
-    ) -> AuditReport {
-        let mut audit = IncrementalAudit::new(law, AuditConfig::default());
-        for (id, job) in jobs.iter().enumerate() {
-            audit.on_release(id, *job);
-        }
-        for seg in segments {
-            let _ = audit.on_segment(*seg);
-        }
-        for j in 0..jobs.len() {
-            let _ = audit.on_complete(
-                j,
-                per_job.completion.get(j).copied().unwrap_or(f64::NAN),
-                per_job.frac_flow.get(j).copied().unwrap_or(f64::NAN),
-                per_job.int_flow.get(j).copied().unwrap_or(f64::NAN),
-            );
-        }
-        audit.finalize(objective)
-    }
-
-    fn constant_run() -> (Instance, Schedule, ncss_sim::Evaluated) {
+    fn constant_run() -> (Instance, Vec<Segment>, ncss_sim::PerJob, Objective) {
         let inst =
             Instance::new(vec![Job::new(0.0, 2.0, 3.0), Job::new(0.5, 1.0, 1.0)]).unwrap();
-        let law = pl(2.0);
         let segs = vec![
             Segment::new(0.0, 2.0, Some(0), SpeedLaw::Constant { speed: 1.0 }),
             Segment::new(2.0, 3.0, Some(1), SpeedLaw::Constant { speed: 1.0 }),
         ];
-        let sched = Schedule::new(law, segs).unwrap();
-        let ev = evaluate(&sched, &inst).unwrap();
-        (inst, sched, ev)
+        let sched = ncss_sim::Schedule::new(pl(2.0), segs.clone()).unwrap();
+        let ev = ncss_sim::evaluate(&sched, &inst).unwrap();
+        (inst, segs, ev.per_job, ev.objective)
     }
 
-    #[test]
-    fn honest_run_matches_batch_bitwise() {
-        let (inst, sched, ev) = constant_run();
-        let batch = ScheduleAudit::default().audit(&inst, &sched, &ev);
-        let inc = incremental_report(
-            sched.power_law(),
-            inst.jobs(),
-            sched.segments(),
-            &ev.per_job,
-            &ev.objective,
-        );
-        assert!(batch.passed(), "{batch}");
-        assert!(inc.passed(), "{inc}");
-        assert_eq!(batch.checks.len(), inc.checks.len());
-        for (b, i) in batch.checks.iter().zip(&inc.checks) {
-            assert_eq!(b.name, i.name);
-            assert_eq!(b.passed, i.passed, "{}: {b:?} vs {i:?}", b.name);
-            assert_eq!(
-                b.residual.to_bits(),
-                i.residual.to_bits(),
-                "{}: batch {:e} vs incremental {:e}",
-                b.name,
-                b.residual,
-                i.residual
-            );
+    /// Feed a finished run live-style: releases, then segments, then
+    /// completions in job order.
+    fn feed(
+        audit: &mut IncrementalAudit,
+        inst: &Instance,
+        segs: &[Segment],
+        per_job: &ncss_sim::PerJob,
+    ) -> Option<Trip> {
+        let mut first = None;
+        for (id, job) in inst.jobs().iter().enumerate() {
+            audit.on_release(id, *job);
         }
+        for seg in segs {
+            first = first.or(audit.on_segment(*seg));
+        }
+        for j in 0..inst.len() {
+            let (c, f, i) = (per_job.completion[j], per_job.frac_flow[j], per_job.int_flow[j]);
+            first = first.or(audit.on_complete(j, c, f, i));
+        }
+        first
     }
 
     #[test]
-    fn tampered_energy_trips_same_check_as_batch() {
-        let (inst, sched, mut ev) = constant_run();
-        ev.objective.energy *= 1.5;
-        let batch = ScheduleAudit::default().audit(&inst, &sched, &ev);
-        let inc = incremental_report(
-            sched.power_law(),
-            inst.jobs(),
-            sched.segments(),
-            &ev.per_job,
-            &ev.objective,
-        );
-        assert!(!batch.passed());
-        assert!(!inc.passed());
-        assert!(inc.failures().iter().any(|c| c.name == "energy-recomputed"), "{inc}");
+    fn honest_run_passes_tightly_without_trips() {
+        let (inst, segs, per_job, objective) = constant_run();
+        let mut audit = IncrementalAudit::new(pl(2.0), AuditConfig::default());
+        assert!(feed(&mut audit, &inst, &segs, &per_job).is_none());
+        let report = audit.finalize(&objective);
+        assert!(report.passed(), "{report}");
+        assert!(report.max_residual() < 1e-7, "{report}");
+    }
+
+    #[test]
+    fn tampered_energy_trips_energy_recomputed() {
+        let (inst, segs, per_job, mut objective) = constant_run();
+        objective.energy *= 1.5;
+        let mut audit = IncrementalAudit::new(pl(2.0), AuditConfig::default());
+        let _ = feed(&mut audit, &inst, &segs, &per_job);
+        let report = audit.finalize(&objective);
+        assert!(!report.passed());
+        assert!(report.failures().iter().any(|c| c.name == "energy-recomputed"), "{report}");
     }
 
     #[test]
     fn eager_verdict_fires_at_the_offending_completion() {
-        let (inst, _sched, ev) = constant_run();
-        let law = pl(2.0);
-        let mut audit = IncrementalAudit::new(law, AuditConfig::default());
+        let (inst, _segs, per_job, _objective) = constant_run();
+        let mut audit = IncrementalAudit::new(pl(2.0), AuditConfig::default());
         for (id, job) in inst.jobs().iter().enumerate() {
             audit.on_release(id, *job);
         }
         // Job 0's serving segment never arrives: its completion must trip
         // volume-conservation immediately.
         let trip = audit
-            .on_complete(0, ev.per_job.completion[0], ev.per_job.frac_flow[0], ev.per_job.int_flow[0])
+            .on_complete(0, per_job.completion[0], per_job.frac_flow[0], per_job.int_flow[0])
             .expect("lost volume must trip eagerly");
         assert_eq!(trip.check, "volume-conservation");
         assert!(trip.residual > 1e-3, "{trip:?}");
@@ -1479,12 +1298,12 @@ mod tests {
 
     #[test]
     fn snapshot_round_trip_is_bitwise() {
-        let (inst, sched, ev) = constant_run();
-        let mut audit = IncrementalAudit::new(sched.power_law(), AuditConfig::default());
+        let (inst, segs, per_job, objective) = constant_run();
+        let mut audit = IncrementalAudit::new(pl(2.0), AuditConfig::default());
         for (id, job) in inst.jobs().iter().enumerate() {
             audit.on_release(id, *job);
         }
-        let _ = audit.on_segment(sched.segments()[0]);
+        let _ = audit.on_segment(segs[0]);
         let snap = audit.snapshot();
         let restored = IncrementalAudit::from_snapshot(snap.clone()).unwrap();
         assert_eq!(restored.snapshot(), snap);
@@ -1493,18 +1312,14 @@ mod tests {
         let mut a = audit;
         let mut b = restored;
         for side in [&mut a, &mut b] {
-            let _ = side.on_segment(sched.segments()[1]);
+            let _ = side.on_segment(segs[1]);
             for j in 0..inst.len() {
-                let _ = side.on_complete(
-                    j,
-                    ev.per_job.completion[j],
-                    ev.per_job.frac_flow[j],
-                    ev.per_job.int_flow[j],
-                );
+                let (c, f, i) = (per_job.completion[j], per_job.frac_flow[j], per_job.int_flow[j]);
+                let _ = side.on_complete(j, c, f, i);
             }
         }
-        let ra = a.finalize(&ev.objective);
-        let rb = b.finalize(&ev.objective);
+        let ra = a.finalize(&objective);
+        let rb = b.finalize(&objective);
         for (x, y) in ra.checks.iter().zip(&rb.checks) {
             assert_eq!(x.name, y.name);
             assert_eq!(x.passed, y.passed);
@@ -1514,7 +1329,7 @@ mod tests {
     }
 
     #[test]
-    fn multi_duplicated_timeline_trips_like_batch() {
+    fn multi_duplicated_timeline_trips_cross_machine_checks() {
         let inst =
             Instance::new(vec![Job::new(0.0, 2.0, 1.0), Job::new(0.0, 1.0, 1.0)]).unwrap();
         let law = pl(2.0);
@@ -1526,62 +1341,34 @@ mod tests {
             int_flow: vec![4.0, 1.0],
         };
         let objective = Objective { energy: 3.0, frac_flow: 2.5, int_flow: 5.0 };
+        let run = |timelines: [&[Segment]; 2]| {
+            let mut audit = IncrementalMultiAudit::new(vec![law, law], AuditConfig::default());
+            for (id, job) in inst.jobs().iter().enumerate() {
+                audit.on_release(id, *job);
+            }
+            for (m, segs) in timelines.iter().enumerate() {
+                for s in *segs {
+                    let _ = audit.on_segment(m, *s);
+                }
+            }
+            let mut tripped = None;
+            for j in 0..2 {
+                let (c, f, i) = (per_job.completion[j], per_job.frac_flow[j], per_job.int_flow[j]);
+                tripped = tripped.or(audit.on_complete(j, c, f, i));
+            }
+            (tripped, audit.finalize(&objective))
+        };
 
-        // Honest fleet passes.
-        let mut audit = IncrementalMultiAudit::new(vec![law, law], AuditConfig::default());
-        for (id, job) in inst.jobs().iter().enumerate() {
-            audit.on_release(id, *job);
-        }
-        for s in &m0 {
-            let _ = audit.on_segment(0, *s);
-        }
-        for s in &m1 {
-            let _ = audit.on_segment(1, *s);
-        }
-        for j in 0..2 {
-            assert!(audit
-                .on_complete(j, per_job.completion[j], per_job.frac_flow[j], per_job.int_flow[j])
-                .is_none());
-        }
-        let honest = audit.finalize(&objective);
+        let (tripped, honest) = run([&m0, &m1]);
+        assert!(tripped.is_none(), "{tripped:?}");
         assert!(honest.passed(), "{honest}");
 
-        // Machine 1 duplicating machine 0's timeline trips the same named
-        // checks as the batch cross-machine auditor.
-        let mut audit = IncrementalMultiAudit::new(vec![law, law], AuditConfig::default());
-        for (id, job) in inst.jobs().iter().enumerate() {
-            audit.on_release(id, *job);
-        }
-        for s in &m0 {
-            let _ = audit.on_segment(0, *s);
-            let _ = audit.on_segment(1, *s);
-        }
-        let mut tripped = None;
-        for j in 0..2 {
-            if let Some(t) = audit.on_complete(
-                j,
-                per_job.completion[j],
-                per_job.frac_flow[j],
-                per_job.int_flow[j],
-            ) {
-                tripped.get_or_insert(t);
-            }
-        }
-        let inc = audit.finalize(&objective);
-        let schedules = vec![
-            Schedule::new(law, m0.clone()).unwrap(),
-            Schedule::new(law, m0.clone()).unwrap(),
-        ];
-        let ev = ncss_sim::Evaluated { objective, per_job };
-        let batch = MultiAudit::default().audit(&inst, &schedules, &ev);
-        assert!(!batch.passed());
-        assert!(!inc.passed());
-        let batch_names: Vec<_> = batch.failures().iter().map(|c| c.name).collect();
-        let inc_names: Vec<_> = inc.failures().iter().map(|c| c.name).collect();
-        assert_eq!(batch_names, inc_names, "batch {batch} vs incremental {inc}");
-        assert!(tripped.is_some(), "duplicated service must trip eagerly");
-        let names: Vec<_> = inc.checks.iter().map(|c| c.name).collect();
-        let batch_all: Vec<_> = batch.checks.iter().map(|c| c.name).collect();
-        assert_eq!(names, batch_all);
+        // Machine 1 duplicating machine 0's timeline is double service and
+        // double volume, tripped eagerly and named in the report.
+        let (tripped, report) = run([&m0, &m0]);
+        assert_eq!(tripped.map(|t| t.check), Some("no-double-service"));
+        let names: Vec<_> = report.failures().iter().map(|c| c.name).collect();
+        assert!(names.contains(&"no-double-service"), "{report}");
+        assert!(names.contains(&"cross-machine-volume"), "{report}");
     }
 }

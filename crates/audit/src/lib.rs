@@ -4,19 +4,19 @@
 //! forms* (exact kernel integrals in `ncss-sim::kernel`). A bookkeeping bug
 //! in those closed forms would silently corrupt every experiment, so this
 //! crate re-derives the three objective components — energy, fractional and
-//! integral weighted flow-time — from the serving segments of a finished
-//! [`ncss_sim::Schedule`] using its own arithmetic, and cross-checks the
-//! result against the reported [`ncss_sim::Evaluated`]. The re-derivation
-//! is **tiered** (DESIGN.md §8.4): segment integrals are evaluated by the
-//! audit's independently written antiderivatives ([`closed_form`]), while
-//! every `cross_check_stride`-th integral is instead measured by
+//! integral weighted flow-time — from the serving segments of a run using
+//! its own arithmetic, and cross-checks the result against the reported
+//! [`ncss_sim::Evaluated`]. The re-derivation is **tiered** (DESIGN.md
+//! §8.4): segment integrals are evaluated by the audit's independently
+//! written antiderivatives ([`closed_form`]), while every
+//! `cross_check_stride`-th integral is instead measured by
 //! double-exponential quadrature of the **pointwise speed curve**
 //! ([`quad`]) and folded into the same check — so an algebra error shared
 //! between the simulators and the audit's formulas still surfaces as a
 //! residual blow-up, without paying quadrature prices on every segment.
 //!
-//! On top of the numeric cross-check, [`ScheduleAudit`] verifies the
-//! event-level invariants any lawful run must satisfy:
+//! On top of the numeric cross-check, the audit verifies the event-level
+//! invariants any lawful run must satisfy:
 //!
 //! * segments are well-formed: finite, positively oriented, non-overlapping,
 //!   in monotone time order;
@@ -24,49 +24,42 @@
 //! * per-job volume conservation: the re-derived volume delivered to each
 //!   job matches its size;
 //! * completion consistency: completion times re-derived by inverting the
-//!   cumulative volume (binary search over a prefix-sum
-//!   [`ncss_sim::SegmentIndex`], analytic inversion inside the crossing
-//!   segment) match the reported ones.
+//!   cumulative volume (binary search over per-job prefix sums, analytic
+//!   inversion inside the crossing segment) match the reported ones.
 //!
 //! The audit never panics: every finding is a [`CheckVerdict`] inside a
 //! structured [`AuditReport`] with a per-invariant residual, so callers (the
 //! `ncss audit` CLI, `run_checked`, the fault-injection contract test)
 //! decide what to do with a failure.
 //!
-//! Parallel-machine runs are audited by [`MultiAudit`]: per-machine
-//! segment invariants plus the cross-machine ones (no-double-service,
-//! cross-machine volume conservation, fleet-total objective
-//! re-derivation). Runs that produce no `Schedule` at all (processor
-//! sharing) are covered by the weaker but still useful
+//! ## One engine
+//!
+//! All checks are written once, in the event-fed engines of
+//! [`incremental`]: [`IncrementalAudit`] for one machine and
+//! [`IncrementalMultiAudit`] for fleets, which adds the cross-machine
+//! checks (no-double-service, cross-machine volume conservation,
+//! fleet-total re-derivation). A live stream feeds them event by event;
+//! [`ScheduleAudit`] and [`MultiAudit`] audit a finished run by feeding it
+//! through the same engines post hoc. Runs that produce no `Schedule` at
+//! all (processor sharing) get the engines' outcome checks alone via
 //! [`ScheduleAudit::audit_outcome`].
 //!
-//! ## Parallelism and timing
-//!
-//! The integral derivations — per-job volume/completion re-derivation,
-//! energy per segment, fractional flow per job, and the `O(k²)`
-//! no-double-service pass — fan out over the shared `ncss-pool`
-//! persistent worker pool ([`AuditConfig::threads`] picks the worker
-//! count; workers are long-lived, so audits pay no per-call spawn). The
-//! fan-out is order-preserving and every sum is reduced serially, so
-//! **serial and parallel audits produce identical verdicts and residuals**
-//! and the residual tolerances are unchanged under sharding (DESIGN.md
-//! §8). Every verdict records the wall-time its check took
-//! ([`CheckVerdict::elapsed_ns`]); bench binaries surface these as the
+//! Every verdict records the wall-time its check took
+//! ([`CheckVerdict::elapsed_ns`]); a post-hoc audit charges its feed to the
+//! volume check (DESIGN.md §8.3). Bench binaries surface these as the
 //! `audit_timing` block in `BENCH_*.json` (EXPERIMENTS.md).
 
 #![deny(missing_docs)]
 
 pub mod closed_form;
 pub mod incremental;
-mod multi_audit;
 pub mod quad;
 pub mod report;
 mod schedule_audit;
 
 pub use incremental::{IncrementalAudit, IncrementalMultiAudit, IncrementalSnapshot, Trip};
-pub use multi_audit::MultiAudit;
 pub use report::{AuditReport, CheckVerdict, Stopwatch};
-pub use schedule_audit::{AuditConfig, ScheduleAudit};
+pub use schedule_audit::{AuditConfig, MultiAudit, ScheduleAudit};
 
 use ncss_sim::{Evaluated, Instance, Objective, PerJob, Schedule};
 

@@ -23,8 +23,8 @@ baseline. A quantile or check regresses when it is both PCT percent and
 N nanoseconds slower; a residual regresses when it grows by more than F x
 past the noise floor R; an audit verdict that leaves \"pass\" always fails.
 
-Named \"metrics\" values (schema ncss-bench/4 — derived scalars such as
-the fleet k-sweep's degradation ratio) are compared to float slack: any
+Named \"metrics\" values (derived scalars such as the fleet k-sweep's
+degradation ratio) are compared to float slack: any
 real drift, loss, or nullification of a baseline metric fails the diff.
 
 Rows where both documents carry the deterministic \"work_items\" metric
@@ -33,7 +33,8 @@ additionally print a normalised per-item throughput delta
 quantile comparison already gates the timing. \"work_items\" itself is
 exempt from the metric gate: it is a workload size, and the normalised
 delta is how soaks of different lengths are compared. \"phases\"
-attribution blocks (schema ncss-bench/5) parse but are not diffed.
+attribution blocks parse but are not diffed. Both documents must be
+schema ncss-bench/5; any other tag is a tool error (exit 2).
 
   --threshold PCT        relative slowdown to flag, percent (default 25)
   --floor-ns N           absolute slowdown floor, nanoseconds (default 50000)

@@ -20,12 +20,12 @@
 //!   a log scale, so the factor defaults to an order of magnitude;
 //! * an audit verdict that was `pass` in the baseline and is anything else
 //!   in the candidate is **always** a regression, no thresholds;
-//! * an `audit_mode` flip (`batch` ↔ `incremental`, new in `ncss-bench/3`;
-//!   `/2` rows default to `batch`) is **always** a regression — the row is
-//!   measuring a different auditor, so the trajectory is not comparable
-//!   until the baseline is regenerated;
-//! * a named `metrics` value (new in `ncss-bench/4` — derived scalars like
-//!   the fleet k-sweep's degradation ratio) regresses when it drifts
+//! * an `audit_mode` flip (`batch` ↔ `incremental`: the audit ran after the
+//!   run or during it) is **always** a regression — the timed region
+//!   changed, so the trajectory is not comparable until the baseline is
+//!   regenerated;
+//! * a named `metrics` value (derived scalars like the fleet k-sweep's
+//!   degradation ratio) regresses when it drifts
 //!   relatively by more than `metric_rel_tol`, or when a baseline metric
 //!   goes missing / non-finite — metrics are deterministic functions of the
 //!   committed traces, so *any* real drift means the algorithm changed;
@@ -39,8 +39,8 @@
 //!   comparison already gates the timing; `work_items` itself is exempt
 //!   from the metric gate (it is a workload size, and normalisation is
 //!   how soaks of different lengths are compared);
-//! * `phases` attribution blocks (new in `ncss-bench/5` — per-phase
-//!   profiler totals from a separately profiled pass) parse into
+//! * `phases` attribution blocks (per-phase profiler totals from a
+//!   separately profiled pass) parse into
 //!   [`BenchEntry::phases`] but are never diffed: they exist to explain a
 //!   quantile regression, and carry a single profiled run's jitter.
 //!
@@ -282,9 +282,8 @@ pub struct BenchEntry {
     pub name: String,
     /// Audit verdict string (`pass` / `fail` / `skipped`).
     pub audit: String,
-    /// Which auditor produced the verdict (`batch` / `incremental`).
-    /// Schema `ncss-bench/2` rows predate the field and default to
-    /// `batch` — the only auditor that harness had.
+    /// When the verdict was produced: `batch` (after the run) or
+    /// `incremental` (during it).
     pub audit_mode: String,
     /// Total audit nanoseconds.
     pub audit_total_ns: u64,
@@ -292,11 +291,11 @@ pub struct BenchEntry {
     pub checks: Vec<CheckRow>,
     /// The five timing quantiles, in `QUANTILES` order.
     pub quantiles: [u64; 5],
-    /// Named derived scalars (`metrics` object, new in `ncss-bench/4`);
-    /// `None` values were serialised as `null` (non-finite). Rows from
-    /// older schemas parse with an empty map.
+    /// Named derived scalars (`metrics` object); `None` values were
+    /// serialised as `null` (non-finite). Metric-free rows omit the object
+    /// and parse with an empty map.
     pub metrics: BTreeMap<String, Option<f64>>,
-    /// Per-phase attribution rows (`phases` object, new in `ncss-bench/5`):
+    /// Per-phase attribution rows (`phases` object):
     /// phase name → `(total ns, scope count)` from a separately profiled
     /// pass. Attribution context for diagnosing a quantile regression, not
     /// itself diffed — phase totals come from one profiled run and carry
@@ -312,8 +311,7 @@ pub const QUANTILES: [&str; 5] = ["min_ns", "mean_ns", "median_ns", "p95_ns", "m
 /// harness whose rows this reader would misinterpret. The diff refuses it
 /// with a named error (exit 2 in `bench-diff` — tool error, not a perf
 /// regression) instead of guessing.
-pub const KNOWN_SCHEMAS: [&str; 4] =
-    ["ncss-bench/2", "ncss-bench/3", "ncss-bench/4", "ncss-bench/5"];
+pub const KNOWN_SCHEMAS: [&str; 1] = ["ncss-bench/5"];
 
 /// A parsed `BENCH_<suite>.json` document.
 #[derive(Debug, Clone, PartialEq)]
@@ -372,30 +370,16 @@ impl BenchDoc {
             let ctx = format!("results[{i}]");
             let name = req_str(entry, "name", &ctx)?;
             let audit = req_str(entry, "audit", &ctx)?;
-            // `audit_mode` arrived with ncss-bench/3; older rows were all
-            // produced by the batch auditor.
-            let audit_mode = match entry.get("audit_mode") {
-                None => "batch".to_string(),
-                Some(v) => {
-                    let mode = v
-                        .as_str()
-                        .ok_or_else(|| format!("{ctx}: \"audit_mode\" is not a string"))?;
-                    if mode != "batch" && mode != "incremental" {
-                        return Err(format!(
-                            "{ctx} ({name:?}): unknown audit_mode {mode:?} \
-                             (want \"batch\" or \"incremental\")"
-                        ));
-                    }
-                    mode.to_string()
-                }
-            };
-            let timing = entry.get("audit_timing").ok_or_else(|| {
-                format!(
-                    "schema drift: {ctx} ({name:?}) has no \"audit_timing\" block — \
-                     the row predates schema ncss-bench/2; regenerate the artifact \
-                     with the current harness"
-                )
-            })?;
+            let audit_mode = req_str(entry, "audit_mode", &ctx)?;
+            if audit_mode != "batch" && audit_mode != "incremental" {
+                return Err(format!(
+                    "{ctx} ({name:?}): unknown audit_mode {audit_mode:?} \
+                     (want \"batch\" or \"incremental\")"
+                ));
+            }
+            let timing = entry
+                .get("audit_timing")
+                .ok_or_else(|| format!("{ctx} ({name:?}): missing \"audit_timing\" block"))?;
             let audit_total_ns = req_u64(timing, "total_ns", &ctx)?;
             let mut checks = Vec::new();
             for (k, row) in timing
@@ -419,8 +403,8 @@ impl BenchDoc {
             for (q, key) in QUANTILES.iter().enumerate() {
                 quantiles[q] = req_u64(entry, key, &ctx)?;
             }
-            // `metrics` arrived with ncss-bench/4 and is omitted entirely
-            // on metric-free rows, so absence is not an error.
+            // `metrics` is omitted entirely on metric-free rows, so absence
+            // is not an error.
             let mut metrics = BTreeMap::new();
             match entry.get("metrics") {
                 None => {}
@@ -442,8 +426,8 @@ impl BenchDoc {
                     return Err(format!("{ctx} ({name:?}): \"metrics\" is not an object"))
                 }
             }
-            // `phases` arrived with ncss-bench/5 and is omitted entirely on
-            // rows without an attribution pass, so absence is not an error.
+            // `phases` is omitted entirely on rows without an attribution
+            // pass, so absence is not an error.
             let mut phases = BTreeMap::new();
             match entry.get("phases") {
                 None => {}
@@ -831,14 +815,17 @@ mod tests {
     use super::*;
 
     fn doc(entries: &str) -> String {
-        format!("{{\"suite\":\"t\",\"schema\":\"ncss-bench/2\",\"results\":[{entries}]}}")
+        format!("{{\"suite\":\"t\",\"schema\":\"ncss-bench/5\",\"results\":[{entries}]}}")
     }
 
-    fn doc3(entries: &str) -> String {
-        format!("{{\"suite\":\"t\",\"schema\":\"ncss-bench/3\",\"results\":[{entries}]}}")
-    }
-
-    fn entry3(name: &str, median: u64, check_ns: u64, residual: &str, audit: &str, mode: &str) -> String {
+    fn entry_mode(
+        name: &str,
+        median: u64,
+        check_ns: u64,
+        residual: &str,
+        audit: &str,
+        mode: &str,
+    ) -> String {
         format!(
             "{{\"name\":\"{name}\",\"audit\":\"{audit}\",\"audit_mode\":\"{mode}\",\
              \"audit_timing\":{{\"total_ns\":{check_ns},\
@@ -849,12 +836,7 @@ mod tests {
     }
 
     fn entry(name: &str, median: u64, check_ns: u64, residual: &str, audit: &str) -> String {
-        format!(
-            "{{\"name\":\"{name}\",\"audit\":\"{audit}\",\"audit_timing\":{{\"total_ns\":{check_ns},\
-             \"checks\":[{{\"name\":\"energy-recomputed\",\"elapsed_ns\":{check_ns},\"residual\":{residual}}}]}},\
-             \"warmup\":3,\"iters\":30,\"min_ns\":{median},\"mean_ns\":{median},\"median_ns\":{median},\
-             \"p95_ns\":{median},\"max_ns\":{median}}}"
-        )
+        entry_mode(name, median, check_ns, residual, audit, "batch")
     }
 
     #[test]
@@ -891,36 +873,28 @@ mod tests {
         .unwrap_err();
         assert!(err.contains("schema drift"), "{err}");
         assert!(err.contains("ncss-bench/9"), "{err}");
-        assert!(err.contains("ncss-bench/2"), "{err}");
-        assert!(err.contains("ncss-bench/3"), "{err}");
-        assert!(err.contains("ncss-bench/4"), "{err}");
-        // Same for an ancient tag.
-        let err = BenchDoc::parse(
-            "{\"suite\":\"t\",\"schema\":\"ncss-bench/1\",\"results\":[]}",
-        )
-        .unwrap_err();
-        assert!(err.contains("schema drift"), "{err}");
+        assert!(err.contains("ncss-bench/5"), "{err}");
+        // Same for older tags: no committed artifact needs them.
+        for old in ["ncss-bench/1", "ncss-bench/4"] {
+            let text = format!("{{\"suite\":\"t\",\"schema\":\"{old}\",\"results\":[]}}");
+            let err = BenchDoc::parse(&text).unwrap_err();
+            assert!(err.contains("schema drift"), "{err}");
+        }
     }
 
     #[test]
-    fn audit_mode_parses_defaults_and_rejects_unknowns() {
-        // A /2 row has no audit_mode: it defaults to the batch auditor.
-        let old = BenchDoc::parse(&doc(&entry("a/1", 1000, 500, "1e-15", "pass"))).unwrap();
-        assert_eq!(old.entries[0].audit_mode, "batch");
-        // A /3 row carries it explicitly.
-        let new = BenchDoc::parse(&doc3(&entry3(
-            "a/1",
-            1000,
-            500,
-            "1e-15",
-            "pass",
-            "incremental",
-        )))
-        .unwrap();
-        assert_eq!(new.schema, "ncss-bench/3");
+    fn audit_mode_is_required_and_rejects_unknowns() {
+        let new =
+            BenchDoc::parse(&doc(&entry_mode("a/1", 1000, 500, "1e-15", "pass", "incremental")))
+                .unwrap();
         assert_eq!(new.entries[0].audit_mode, "incremental");
-        // An unknown mode is a named parse error, not a silent default.
-        let err = BenchDoc::parse(&doc3(&entry3("a/1", 1000, 500, "1e-15", "pass", "psychic")))
+        // A row without the field is a named parse error, not a default.
+        let missing = doc(&entry("a/1", 1000, 500, "1e-15", "pass"))
+            .replace("\"audit_mode\":\"batch\",", "");
+        let err = BenchDoc::parse(&missing).unwrap_err();
+        assert!(err.contains("audit_mode"), "{err}");
+        // So is an unknown mode.
+        let err = BenchDoc::parse(&doc(&entry_mode("a/1", 1000, 500, "1e-15", "pass", "psychic")))
             .unwrap_err();
         assert!(err.contains("audit_mode"), "{err}");
         assert!(err.contains("psychic"), "{err}");
@@ -928,16 +902,13 @@ mod tests {
 
     #[test]
     fn audit_mode_flip_is_a_regression_same_mode_is_not() {
-        // Baseline /2 (implicit batch) vs candidate /3 tagged batch: the
-        // schema bump alone must not flag anything.
         let base = BenchDoc::parse(&doc(&entry("a/1", 1000, 500, "1e-15", "pass"))).unwrap();
-        let same =
-            BenchDoc::parse(&doc3(&entry3("a/1", 1000, 500, "1e-15", "pass", "batch"))).unwrap();
-        assert!(diff(&base, &same, &DiffOptions::default()).passed());
-        // ...but a row that silently became incremental is flagged even
-        // with identical timings.
-        let flipped = BenchDoc::parse(&doc3(&entry3("a/1", 1000, 500, "1e-15", "pass", "incremental")))
-            .unwrap();
+        assert!(diff(&base, &base, &DiffOptions::default()).passed());
+        // A row that silently became incremental is flagged even with
+        // identical timings.
+        let flipped =
+            BenchDoc::parse(&doc(&entry_mode("a/1", 1000, 500, "1e-15", "pass", "incremental")))
+                .unwrap();
         let report = diff(&base, &flipped, &DiffOptions::default());
         assert_eq!(report.regressions.len(), 1);
         assert_eq!(report.regressions[0].kind, Kind::Mode);
@@ -947,19 +918,17 @@ mod tests {
     }
 
     #[test]
-    fn missing_audit_timing_is_named_drift_not_a_panic() {
-        let text = "{\"suite\":\"t\",\"schema\":\"ncss-bench/2\",\"results\":[\
-                    {\"name\":\"a/1\",\"audit\":\"pass\",\"min_ns\":1,\"mean_ns\":1,\
-                    \"median_ns\":1,\"p95_ns\":1,\"max_ns\":1}]}";
-        let err = BenchDoc::parse(text).unwrap_err();
-        assert!(err.contains("schema drift"), "{err}");
+    fn missing_audit_timing_is_a_named_error_not_a_panic() {
+        let text = doc("{\"name\":\"a/1\",\"audit\":\"pass\",\"audit_mode\":\"batch\",\
+                        \"min_ns\":1,\"mean_ns\":1,\"median_ns\":1,\"p95_ns\":1,\"max_ns\":1}");
+        let err = BenchDoc::parse(&text).unwrap_err();
         assert!(err.contains("audit_timing"), "{err}");
         assert!(err.contains("a/1"), "{err}");
         // A non-object audit_timing is also an error, not a panic.
-        let text = "{\"suite\":\"t\",\"schema\":\"ncss-bench/2\",\"results\":[\
-                    {\"name\":\"a/1\",\"audit\":\"pass\",\"audit_timing\":7,\"min_ns\":1,\
-                    \"mean_ns\":1,\"median_ns\":1,\"p95_ns\":1,\"max_ns\":1}]}";
-        assert!(BenchDoc::parse(text).is_err());
+        let text = doc("{\"name\":\"a/1\",\"audit\":\"pass\",\"audit_mode\":\"batch\",\
+                        \"audit_timing\":7,\"min_ns\":1,\"mean_ns\":1,\"median_ns\":1,\
+                        \"p95_ns\":1,\"max_ns\":1}");
+        assert!(BenchDoc::parse(&text).is_err());
     }
 
     #[test]
@@ -1020,45 +989,41 @@ mod tests {
         assert_eq!(report.regressions[0].kind, Kind::Residual);
     }
 
-    fn doc4(entries: &str) -> String {
-        format!("{{\"suite\":\"fleet\",\"schema\":\"ncss-bench/4\",\"results\":[{entries}]}}")
-    }
-
-    fn entry4(name: &str, median: u64, metrics: &str) -> String {
+    /// An incremental-mode row with `extra` fields (metrics, phases)
+    /// appended.
+    fn entry_extra(name: &str, median: u64, extra: &str) -> String {
         format!(
             "{{\"name\":\"{name}\",\"audit\":\"pass\",\"audit_mode\":\"incremental\",\
              \"audit_timing\":{{\"total_ns\":500,\
              \"checks\":[{{\"name\":\"energy-recomputed\",\"elapsed_ns\":500,\"residual\":1e-15}}]}},\
              \"warmup\":3,\"iters\":30,\"min_ns\":{median},\"mean_ns\":{median},\"median_ns\":{median},\
-             \"p95_ns\":{median},\"max_ns\":{median}{metrics}}}"
+             \"p95_ns\":{median},\"max_ns\":{median}{extra}}}"
         )
     }
 
     #[test]
-    fn schema_4_metrics_parse_and_default_empty() {
-        // A /4 row with metrics (including a null one) parses.
-        let text = doc4(&entry4("fleet/k64", 1000, ",\"metrics\":{\"ratio\":4.5,\"bound\":null}"));
+    fn metrics_parse_and_default_empty() {
+        // A row with metrics (including a null one) parses.
+        let metrics = ",\"metrics\":{\"ratio\":4.5,\"bound\":null}";
+        let text = doc(&entry_extra("fleet/k64", 1000, metrics));
         let parsed = BenchDoc::parse(&text).unwrap();
-        assert_eq!(parsed.schema, "ncss-bench/4");
         let m = &parsed.entries[0].metrics;
         assert_eq!(m.get("ratio"), Some(&Some(4.5)));
         assert_eq!(m.get("bound"), Some(&None));
-        // Metric-free /4 rows and all older-schema rows parse to empty maps.
-        let plain = BenchDoc::parse(&doc4(&entry4("fleet/k64", 1000, ""))).unwrap();
+        // Metric-free rows parse to empty maps.
+        let plain = BenchDoc::parse(&doc(&entry_extra("fleet/k64", 1000, ""))).unwrap();
         assert!(plain.entries[0].metrics.is_empty());
-        let old = BenchDoc::parse(&doc(&entry("a/1", 1000, 500, "1e-15", "pass"))).unwrap();
-        assert!(old.entries[0].metrics.is_empty());
         // Malformed metrics are named errors.
-        let bad = doc4(&entry4("fleet/k64", 1000, ",\"metrics\":{\"ratio\":\"big\"}"));
+        let bad = doc(&entry_extra("fleet/k64", 1000, ",\"metrics\":{\"ratio\":\"big\"}"));
         let err = BenchDoc::parse(&bad).unwrap_err();
         assert!(err.contains("ratio"), "{err}");
-        let bad = doc4(&entry4("fleet/k64", 1000, ",\"metrics\":[1,2]"));
+        let bad = doc(&entry_extra("fleet/k64", 1000, ",\"metrics\":[1,2]"));
         assert!(BenchDoc::parse(&bad).is_err());
     }
 
     #[test]
     fn metric_drift_loss_and_nullification_are_regressions() {
-        let base = BenchDoc::parse(&doc4(&entry4(
+        let base = BenchDoc::parse(&doc(&entry_extra(
             "fleet/k64",
             1000,
             ",\"metrics\":{\"ratio\":4.5,\"bound\":8.0}",
@@ -1067,7 +1032,7 @@ mod tests {
         // Identical metrics: clean.
         assert!(diff(&base, &base, &DiffOptions::default()).passed());
         // Sub-tolerance float noise: clean.
-        let noisy = BenchDoc::parse(&doc4(&entry4(
+        let noisy = BenchDoc::parse(&doc(&entry_extra(
             "fleet/k64",
             1000,
             ",\"metrics\":{\"ratio\":4.5000000001,\"bound\":8.0}",
@@ -1075,7 +1040,7 @@ mod tests {
         .unwrap();
         assert!(diff(&base, &noisy, &DiffOptions::default()).passed());
         // Real drift on one metric: exactly one Metric finding.
-        let drifted = BenchDoc::parse(&doc4(&entry4(
+        let drifted = BenchDoc::parse(&doc(&entry_extra(
             "fleet/k64",
             1000,
             ",\"metrics\":{\"ratio\":4.6,\"bound\":8.0}",
@@ -1086,7 +1051,7 @@ mod tests {
         assert_eq!(report.regressions[0].kind, Kind::Metric);
         assert_eq!(report.regressions[0].what, "fleet/k64#ratio");
         // A metric that disappears or goes null is flagged too.
-        let lost = BenchDoc::parse(&doc4(&entry4(
+        let lost = BenchDoc::parse(&doc(&entry_extra(
             "fleet/k64",
             1000,
             ",\"metrics\":{\"bound\":8.0}",
@@ -1095,7 +1060,7 @@ mod tests {
         let report = diff(&base, &lost, &DiffOptions::default());
         assert_eq!(report.regressions.len(), 1);
         assert_eq!(report.regressions[0].kind, Kind::Metric);
-        let nulled = BenchDoc::parse(&doc4(&entry4(
+        let nulled = BenchDoc::parse(&doc(&entry_extra(
             "fleet/k64",
             1000,
             ",\"metrics\":{\"ratio\":null,\"bound\":8.0}",
@@ -1109,13 +1074,9 @@ mod tests {
         assert!(report.passed(), "{:?}", report.regressions);
     }
 
-    fn doc5(entries: &str) -> String {
-        format!("{{\"suite\":\"stream\",\"schema\":\"ncss-bench/5\",\"results\":[{entries}]}}")
-    }
-
     #[test]
-    fn schema_5_phases_parse_and_default_empty() {
-        let text = doc5(&entry4(
+    fn phases_parse_and_default_empty() {
+        let text = doc(&entry_extra(
             "stream_c/soak",
             1000,
             ",\"phases\":{\"dispatch\":{\"ns\":400,\"count\":10},\"root-find\":{\"ns\":100,\"count\":10}}",
@@ -1125,17 +1086,17 @@ mod tests {
         let p = &parsed.entries[0].phases;
         assert_eq!(p.get("dispatch"), Some(&(400, 10)));
         assert_eq!(p.get("root-find"), Some(&(100, 10)));
-        // Phase-free /5 rows and all older-schema rows parse to empty maps.
-        let plain = BenchDoc::parse(&doc5(&entry4("stream_c/soak", 1000, ""))).unwrap();
+        // Phase-free rows parse to empty maps.
+        let plain = BenchDoc::parse(&doc(&entry_extra("stream_c/soak", 1000, ""))).unwrap();
         assert!(plain.entries[0].phases.is_empty());
         // Malformed phases are named errors.
-        let bad = doc5(&entry4("s/1", 1000, ",\"phases\":{\"dispatch\":{\"ns\":1}}"));
+        let bad = doc(&entry_extra("s/1", 1000, ",\"phases\":{\"dispatch\":{\"ns\":1}}"));
         let err = BenchDoc::parse(&bad).unwrap_err();
         assert!(err.contains("count"), "{err}");
-        let bad = doc5(&entry4("s/1", 1000, ",\"phases\":[]"));
+        let bad = doc(&entry_extra("s/1", 1000, ",\"phases\":[]"));
         assert!(BenchDoc::parse(&bad).is_err());
         // Phases never flag a diff on their own (attribution jitters).
-        let shifted = BenchDoc::parse(&doc5(&entry4(
+        let shifted = BenchDoc::parse(&doc(&entry_extra(
             "stream_c/soak",
             1000,
             ",\"phases\":{\"dispatch\":{\"ns\":900,\"count\":10}}",
@@ -1147,13 +1108,13 @@ mod tests {
 
     #[test]
     fn work_items_rows_report_throughput_deltas() {
-        let base = BenchDoc::parse(&doc5(&entry4(
+        let base = BenchDoc::parse(&doc(&entry_extra(
             "stream_c/soak",
             850_000,
             ",\"metrics\":{\"work_items\":1e3}",
         )))
         .unwrap();
-        let new = BenchDoc::parse(&doc5(&entry4(
+        let new = BenchDoc::parse(&doc(&entry_extra(
             "stream_c/soak",
             261_000,
             ",\"metrics\":{\"work_items\":1e3}",
@@ -1168,7 +1129,7 @@ mod tests {
         assert!((t.base - 850.0).abs() < 1e-9 && (t.new - 261.0).abs() < 1e-9, "{t:?}");
         assert!(t.detail.contains("ns/item"), "{}", t.detail);
         // A row without the metric on either side reports no throughput.
-        let plain = BenchDoc::parse(&doc5(&entry4("stream_c/soak", 850_000, ""))).unwrap();
+        let plain = BenchDoc::parse(&doc(&entry_extra("stream_c/soak", 850_000, ""))).unwrap();
         assert!(diff(&plain, &new, &DiffOptions::default()).throughput.is_empty());
         assert!(diff(&base, &plain, &DiffOptions::default()).throughput.is_empty());
     }
@@ -1179,13 +1140,13 @@ mod tests {
         // committed baseline (1e7 items): the count difference must not be
         // a metric regression — the throughput delta is the comparison —
         // while any *other* metric still gates at float slack.
-        let base = BenchDoc::parse(&doc5(&entry4(
+        let base = BenchDoc::parse(&doc(&entry_extra(
             "stream_c/soak",
             850_000,
             ",\"metrics\":{\"work_items\":1e7,\"jobs\":5e1}",
         )))
         .unwrap();
-        let new = BenchDoc::parse(&doc5(&entry4(
+        let new = BenchDoc::parse(&doc(&entry_extra(
             "stream_c/soak",
             261_000,
             ",\"metrics\":{\"work_items\":1e3,\"jobs\":5e1}",
@@ -1195,7 +1156,7 @@ mod tests {
         assert!(report.passed(), "work_items drift flagged: {:?}", report.regressions);
         assert_eq!(report.throughput.len(), 1);
 
-        let drifted = BenchDoc::parse(&doc5(&entry4(
+        let drifted = BenchDoc::parse(&doc(&entry_extra(
             "stream_c/soak",
             261_000,
             ",\"metrics\":{\"work_items\":1e3,\"jobs\":6e1}",

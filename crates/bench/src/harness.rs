@@ -64,15 +64,16 @@ impl AuditVerdict {
     }
 }
 
-/// Which auditor produced a measurement's verdict: the batch
-/// [`ScheduleAudit`](ncss_audit::ScheduleAudit) over the finished run, or
-/// the event-driven [`IncrementalAudit`](ncss_audit::IncrementalAudit)
-/// riding the stream. Recorded per row (`audit_mode` in `BENCH_*.json`,
-/// schema `ncss-bench/3`) so a baseline diff can tell "the auditor got
-/// slower" apart from "a different auditor was measured".
+/// When a measurement's verdict was produced: after the run, by
+/// [`ScheduleAudit`](ncss_audit::ScheduleAudit) feeding the finished run
+/// through the audit engine, or during it, by the
+/// [`IncrementalAudit`](ncss_audit::IncrementalAudit) engine riding the
+/// stream. Recorded per row (`audit_mode` in `BENCH_*.json`) so a baseline
+/// diff can tell "the auditor got slower" apart from "the audit moved
+/// into (or out of) the timed loop".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AuditMode {
-    /// Batch audit of the completed schedule (the default).
+    /// Post-hoc audit of the completed schedule (the default).
     #[default]
     Batch,
     /// Incremental audit fed event-by-event during the run.

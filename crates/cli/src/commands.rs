@@ -38,11 +38,10 @@ commands:
   sweep    --input FILE [--alphas LO:HI:N]
            competitive-ratio curve of C and NC across power-law exponents
   audit    --algorithm A --input FILE [--alpha ALPHA] [--rel-tol T] [--time-tol T]
-           [--machines K] [--threads K] [--cross-check S] [--corrupt WHAT]
+           [--machines K] [--cross-check S] [--corrupt WHAT]
            re-derive the run's objective independently (closed-form segment
            integrals, every S-th integral re-measured by quadrature) and
            check every schedule invariant, reporting per-check wall-time;
-           --threads K forces K audit workers (default: auto-size);
            --cross-check S sets the quadrature sampling stride (default 8;
            1 = re-measure everything, 0 = closed forms only);
            exits non-zero if any check fails
@@ -58,13 +57,12 @@ commands:
            the segments under the honest kernel: energy-recomputed must
            go red
   fleet    --input FILE [--algorithm c-par|nc-par|dispatch] [--alpha ALPHA]
-           [--machines K] [--threads T] [--audit incremental|batch]
-           [--check-serial 0|1] [--corrupt WHAT] [--max-rows N]
+           [--machines K] [--threads T] [--check-serial 0|1] [--corrupt WHAT]
+           [--max-rows N]
            sharded multi-machine run: the serial dispatcher records a
            deterministic dispatch log, per-machine event queues replay as
            worker-pool tasks (--threads T, default auto), and the
-           event-driven cross-machine auditor gates the merged outcome
-           (--audit incremental, default; batch uses MultiAudit). Unless
+           cross-machine auditor gates the merged outcome. Unless
            --check-serial 0, the serial runner is re-run and the sharded
            outcome must match it bit for bit (DESIGN.md §12). --corrupt
            as for 'audit' tampers with the outcome so the gate must go
@@ -77,9 +75,10 @@ commands:
            (CSV from FILE, stdin with '-', or a synthetic Poisson source);
            emits completions as they happen (--emit completions, every Nth)
            and a summary with running objectives and memory high-water
-           marks. --audit 1 rebuilds the schedule from the spill ring and
-           re-audits it; --check-batch 1 replays the batch runner and
-           requires bitwise-equal objectives; --assert-active N makes the
+           marks. --audit 1 (alias: incremental) attaches the O(delta)
+           auditor to the event feed, exiting at the first tripped check;
+           --check-batch 1 replays the batch runner and requires
+           bitwise-equal objectives; --assert-active N makes the
            run fail if more than N jobs were ever resident; both
            self-checks exit non-zero on violation. --corrupt energy skews
            the reported energy so those gates must go red (verify probe)
@@ -469,14 +468,13 @@ fn cmd_audit(args: &ParsedArgs) -> Result<String, String> {
     let law = law_of(args)?;
     let name = args.require("algorithm")?;
     let defaults = AuditConfig::default();
-    let threads = args.usize_or("threads", 0)?; // 0 = auto-size to the machine
     let config = AuditConfig {
         rel_tol: args.f64_or("rel-tol", defaults.rel_tol)?,
         time_tol: args.f64_or("time-tol", defaults.time_tol)?,
-        threads: if threads == 0 { None } else { Some(threads) },
         // Quadrature cross-check stride for the closed-form fast path:
         // 1 re-measures every integral by quadrature, 0 disables the tier.
         cross_check_stride: args.usize_or("cross-check", defaults.cross_check_stride)?,
+        ..defaults
     };
     if MULTI_ALGOS.contains(&name.as_str()) {
         return audit_multi_machine(args, &inst, law, &name, config);
@@ -629,10 +627,12 @@ mod tests {
         parts.iter().map(|s| (*s).to_string()).collect()
     }
 
-    fn write_trace() -> String {
+    /// A generated instance at a path of the calling test's own (tests run
+    /// in parallel, so a shared file would be rewritten under a reader).
+    fn write_trace(test: &str) -> String {
         let dir = std::env::temp_dir().join("ncss_cli_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("trace.csv");
+        let path = dir.join(format!("{test}.{}.csv", std::process::id()));
         let csv = run_cli(&v(&["generate", "--n", "5", "--seed", "3"])).unwrap();
         std::fs::write(&path, csv).unwrap();
         path.to_string_lossy().into_owned()
@@ -661,7 +661,7 @@ mod tests {
 
     #[test]
     fn run_and_opt_and_compare_end_to_end() {
-        let path = write_trace();
+        let path = write_trace("run_and_opt_and_compare_end_to_end");
         for algo in ["c", "nc", "active-count", "newest-first", "constant:1.5"] {
             let out = run_cli(&v(&["run", "--algorithm", algo, "--input", &path, "--alpha", "2"])).unwrap();
             assert!(out.contains("frac objective"), "{algo}: {out}");
@@ -675,7 +675,7 @@ mod tests {
 
     #[test]
     fn gantt_renders() {
-        let path = write_trace();
+        let path = write_trace("gantt_renders");
         let out = run_cli(&v(&["gantt", "--algorithm", "nc", "--input", &path, "--alpha", "2", "--width", "60"])).unwrap();
         assert!(out.contains("speed"));
         assert!(out.contains("job   0"));
@@ -684,7 +684,7 @@ mod tests {
 
     #[test]
     fn sweep_produces_curve() {
-        let path = write_trace();
+        let path = write_trace("sweep_produces_curve");
         let out = run_cli(&v(&["sweep", "--input", &path, "--alphas", "2.0:3.0:3"])).unwrap();
         assert!(out.contains("NC ratio"));
         assert_eq!(out.lines().filter(|l| l.starts_with("2.") || l.starts_with("3.")).count(), 3);
@@ -694,7 +694,7 @@ mod tests {
 
     #[test]
     fn audit_passes_on_clean_runs_and_catches_bad_tolerance() {
-        let path = write_trace();
+        let path = write_trace("audit_passes_on_clean_runs_and_catches_bad_tolerance");
         for algo in ["c", "nc", "constant:1.5", "known-sharing"] {
             let out = run_cli(&v(&["audit", "--algorithm", algo, "--input", &path, "--alpha", "2"]))
                 .unwrap_or_else(|e| panic!("{algo}: {e}"));
@@ -709,10 +709,11 @@ mod tests {
         ]));
         assert!(strict.is_err());
         assert!(strict.unwrap_err().contains("audit: FAIL"));
-        // ...and pass it at the honest one.
+        // ...and pass it at the honest one. (`--threads` is accepted and
+        // ignored: the audit is one serial feed.)
         let loose = run_cli(&v(&[
             "audit", "--algorithm", "nc-nonuniform", "--input", &path, "--alpha", "2",
-            "--rel-tol", "1e-2",
+            "--rel-tol", "1e-2", "--threads", "2",
         ]))
         .unwrap();
         assert!(loose.contains("audit: PASS"), "{loose}");
@@ -720,7 +721,7 @@ mod tests {
 
     #[test]
     fn audit_covers_parallel_algorithms() {
-        let path = write_trace();
+        let path = write_trace("audit_covers_parallel_algorithms");
         for algo in ["c-par", "nc-par", "dispatch"] {
             let out = run_cli(&v(&[
                 "audit", "--algorithm", algo, "--input", &path, "--alpha", "2", "--machines", "3",
@@ -737,7 +738,7 @@ mod tests {
 
     #[test]
     fn corrupt_flag_fails_the_audit() {
-        let path = write_trace();
+        let path = write_trace("corrupt_flag_fails_the_audit");
         // Multi-machine: tampered totals and a double-served schedule.
         for what in ["energy", "frac-flow", "completion", "schedule"] {
             let res = run_cli(&v(&[
@@ -780,7 +781,7 @@ mod tests {
 
     #[test]
     fn compare_reports_audit_verdicts_and_multi_rows() {
-        let path = write_trace();
+        let path = write_trace("compare_reports_audit_verdicts_and_multi_rows");
         let out = run_cli(&v(&["compare", "--input", &path, "--alpha", "2", "--machines", "2"]))
             .unwrap();
         assert!(out.contains("audit"), "{out}");
@@ -793,7 +794,7 @@ mod tests {
 
     #[test]
     fn run_rejects_unknown_algorithm_and_missing_file() {
-        let path = write_trace();
+        let path = write_trace("run_rejects_unknown_algorithm_and_missing_file");
         assert!(run_cli(&v(&["run", "--algorithm", "magic", "--input", &path])).is_err());
         assert!(run_cli(&v(&["run", "--algorithm", "c", "--input", "/nonexistent.csv"])).is_err());
     }

@@ -10,7 +10,7 @@
 
 use crate::args::ParsedArgs;
 use ncss_analysis::{fmt_f, Table};
-use ncss_audit::{AuditConfig, MultiAudit, AuditReport};
+use ncss_audit::AuditConfig;
 use ncss_multi::fleet::{
     audit_fleet, replay_c, replay_nc, replay_nc_assigned, DispatchLog,
 };
@@ -131,7 +131,6 @@ pub fn cmd_fleet(args: &ParsedArgs) -> Result<String, String> {
     let threads = args.usize_or("threads", 0)?; // 0 = size to the host
     let pool = if threads == 0 { Pool::auto() } else { Pool::with_threads(threads) };
     let algorithm = args.get_or("algorithm", "nc-par");
-    let audit_mode = args.get_or("audit", "incremental");
     let check_serial = args.usize_or("check-serial", 1)? != 0;
 
     // Phase 1 (serial): record the dispatcher's decisions. Phase 2
@@ -187,27 +186,14 @@ pub fn cmd_fleet(args: &ParsedArgs) -> Result<String, String> {
         corrupt_outcome(&mut sharded, what)?;
     }
 
-    let config = AuditConfig::default();
-    let report: AuditReport = match audit_mode.as_str() {
-        "incremental" => audit_fleet(&inst, law, &sharded, config),
-        "batch" => {
-            let reported = ncss_sim::Evaluated {
-                objective: sharded.objective,
-                per_job: sharded.per_job.clone(),
-            };
-            MultiAudit::new(config).audit(&inst, &sharded.schedules, &reported)
-        }
-        other => return Err(format!("unknown --audit mode '{other}' (incremental | batch)")),
-    };
+    let report = audit_fleet(&inst, law, &sharded, AuditConfig::default());
 
     let o = &sharded.objective;
     let mut out = format!(
-        "sharded {algorithm} on {} jobs x {machines} machines (alpha = {}, {} pool workers, \
-         {} audit)\n",
+        "sharded {algorithm} on {} jobs x {machines} machines (alpha = {}, {} pool workers)\n",
         inst.len(),
         law.alpha(),
         pool.worker_count(machines),
-        audit_mode,
     );
     out.push_str(&format!(
         "frac objective {}   int objective {}   serial==sharded: {}\n",
@@ -234,10 +220,12 @@ mod tests {
         parts.iter().map(|s| (*s).to_string()).collect()
     }
 
-    fn write_trace() -> String {
+    /// A generated instance at a path of the calling test's own (tests run
+    /// in parallel, so a shared file would be rewritten under a reader).
+    fn write_trace(test: &str) -> String {
         let dir = std::env::temp_dir().join("ncss_fleet_cli_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("trace.csv");
+        let path = dir.join(format!("{test}.{}.csv", std::process::id()));
         let csv = run_cli(&v(&["generate", "--n", "24", "--seed", "11"])).unwrap();
         std::fs::write(&path, csv).unwrap();
         path.to_string_lossy().into_owned()
@@ -245,7 +233,7 @@ mod tests {
 
     #[test]
     fn fleet_runs_all_algorithms_audited() {
-        let path = write_trace();
+        let path = write_trace("fleet_runs_all_algorithms_audited");
         for algo in ["c-par", "nc-par", "dispatch"] {
             let out = run_cli(&v(&[
                 "fleet", "--algorithm", algo, "--input", &path, "--alpha", "2",
@@ -260,36 +248,29 @@ mod tests {
     }
 
     #[test]
-    fn fleet_batch_audit_and_unchecked_serial() {
-        let path = write_trace();
+    fn fleet_unchecked_serial() {
+        let path = write_trace("fleet_unchecked_serial");
         let out = run_cli(&v(&[
             "fleet", "--input", &path, "--alpha", "2", "--machines", "2",
-            "--audit", "batch", "--check-serial", "0",
+            "--check-serial", "0",
         ]))
         .unwrap();
-        assert!(out.contains("batch audit"), "{out}");
         assert!(out.contains("not checked"), "{out}");
-        assert!(run_cli(&v(&[
-            "fleet", "--input", &path, "--audit", "psychic",
-        ]))
-        .is_err());
+        assert!(out.contains("audit: PASS"), "{out}");
     }
 
     #[test]
     fn fleet_corrupt_probes_go_red_with_named_checks() {
-        let path = write_trace();
+        let path = write_trace("fleet_corrupt_probes_go_red_with_named_checks");
         // Tampered energy trips the recomputation check by name; a
         // duplicated machine timeline trips double-service.
         for (what, check) in [("energy", "FAIL energy-recomputed"), ("schedule", "FAIL no-double-service")]
         {
-            for mode in ["incremental", "batch"] {
-                let msg = run_cli(&v(&[
-                    "fleet", "--input", &path, "--alpha", "2", "--machines", "2",
-                    "--audit", mode, "--corrupt", what,
-                ]))
-                .expect_err(&format!("--corrupt {what} ({mode}) must fail"));
-                assert!(msg.contains(check), "{what}/{mode}: {msg}");
-            }
+            let msg = run_cli(&v(&[
+                "fleet", "--input", &path, "--alpha", "2", "--machines", "2", "--corrupt", what,
+            ]))
+            .expect_err(&format!("--corrupt {what} must fail"));
+            assert!(msg.contains(check), "{what}: {msg}");
         }
         assert!(run_cli(&v(&[
             "fleet", "--input", &path, "--corrupt", "entropy",
@@ -299,7 +280,7 @@ mod tests {
 
     #[test]
     fn fleet_caps_per_machine_rows_but_audits_all() {
-        let path = write_trace();
+        let path = write_trace("fleet_caps_per_machine_rows_but_audits_all");
         let out = run_cli(&v(&[
             "fleet", "--input", &path, "--alpha", "2", "--machines", "24",
             "--max-rows", "4",
@@ -311,7 +292,7 @@ mod tests {
 
     #[test]
     fn fleet_rejects_unknown_algorithm_and_bad_machines() {
-        let path = write_trace();
+        let path = write_trace("fleet_rejects_unknown_algorithm_and_bad_machines");
         assert!(run_cli(&v(&["fleet", "--input", &path, "--algorithm", "magic"])).is_err());
         assert!(run_cli(&v(&["fleet", "--input", &path, "--machines", "0"])).is_err());
     }

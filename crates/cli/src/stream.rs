@@ -5,32 +5,27 @@
 //! streaming scheduler core (`ncss_core::streaming`), and emits completions
 //! and running objectives as the event loop crosses them. Resident memory
 //! is O(active jobs): the spill ring of retired segments is drained after
-//! every arrival unless the run is audited (which needs the full schedule).
+//! every arrival.
 //!
-//! Two self-check modes close the loop with the batch path:
+//! Two self-checks close the loop:
 //!
 //! * `--check-batch 1` buffers the jobs, re-runs the batch runner, and
 //!   demands **bitwise** equality of energy / fractional / integral flow
 //!   (DESIGN.md §9's equivalence contract); any mismatch is a non-zero exit.
-//! * `--audit 1` rebuilds a full schedule from the spill ring and feeds it,
-//!   with the stream's own reported objectives, through the independent
-//!   `ScheduleAudit` — the same gate the batch algorithms face.
-//! * `--audit incremental` keeps the bounded-memory streaming configuration
-//!   and attaches an always-on `IncrementalAudit` to the event feed instead:
-//!   every retired segment and completion is checked in O(delta) as it
-//!   happens (a tripped check exits non-zero immediately, naming the check),
-//!   and the final report carries the same named checks as the batch
-//!   auditor (DESIGN.md §11).
+//! * `--audit 1` (alias `incremental`) attaches the always-on
+//!   `IncrementalAudit` to the event feed: every retired segment and
+//!   completion is checked in O(delta) as it happens (a tripped check exits
+//!   non-zero immediately, naming the check), and the final report carries
+//!   the same named checks a post-hoc `ScheduleAudit` of the run gives —
+//!   they are one engine (DESIGN.md §11).
 
 use crate::args::ParsedArgs;
 use ncss_analysis::{fmt_f, Table};
-use ncss_audit::{AuditConfig, IncrementalAudit, ScheduleAudit, Trip};
+use ncss_audit::{AuditConfig, IncrementalAudit, Trip};
 use ncss_core::streaming::{CStream, NcStream, StreamConfig};
 use ncss_core::{run_c, run_nc_uniform};
 use ncss_rng::{dist, Pcg64};
-use ncss_sim::{
-    Evaluated, Instance, Job, Objective, PerJob, PowerLaw, ScheduleBuilder, SpillRing,
-};
+use ncss_sim::{Instance, Job, Objective, PowerLaw, SpillRing};
 use std::io::BufRead;
 
 /// A source of released jobs, in non-decreasing release order. Shared with
@@ -166,23 +161,20 @@ struct Tally {
     emitted: usize,
 }
 
-/// Drain the spill ring: collect into `keep` for retained (audited) runs,
-/// discard for plain streaming (the ring tracks its own peak/drop counters).
-fn drain(ring: &mut SpillRing, keep: Option<&mut Vec<ncss_sim::Segment>>) {
-    match keep {
-        Some(buf) => buf.extend(ring.drain()),
-        None => drop(ring.drain()),
-    }
-}
-
-/// One step of the incremental feeding contract (DESIGN.md §11): retired
+/// Drain the spill ring after an offer. Unaudited runs discard the retired
+/// segments (the ring tracks its own peak/drop counters); audited runs
+/// follow the incremental feeding contract (DESIGN.md §11): retired
 /// segments first, then the completions the offer emitted. An eagerly
 /// tripped check becomes an immediate, named, non-zero exit.
-fn feed_incremental(
-    audit: &mut IncrementalAudit,
+fn drain(
+    audit: Option<&mut IncrementalAudit>,
     ring: &mut SpillRing,
     completions: &mut Vec<(usize, f64, f64, f64)>,
 ) -> Result<(), String> {
+    let Some(audit) = audit else {
+        drop(ring.drain());
+        return Ok(());
+    };
     let fail = |t: Trip| {
         format!(
             "incremental audit tripped {}: residual {:.3e} — {}",
@@ -212,12 +204,10 @@ pub(crate) fn cmd_stream(args: &ParsedArgs) -> Result<String, String> {
     }
     let every = args.usize_or("every", 1)?.max(1);
     let spill_cap = args.usize_or("spill", 4096)?;
-    let audit_arg = args.get_or("audit", "0");
-    let (audit, audit_inc) = match audit_arg.as_str() {
-        "0" => (false, false),
-        "1" => (true, false),
-        "incremental" => (false, true),
-        other => return Err(format!("--audit expects 0|1|incremental, got '{other}'")),
+    let audit = match args.get_or("audit", "0").as_str() {
+        "0" => false,
+        "1" | "incremental" => true,
+        other => return Err(format!("--audit expects 0|1 (incremental = 1), got '{other}'")),
     };
     let check_batch = args.usize_or("check-batch", 0)? == 1;
     let assert_active = args.usize_or("assert-active", usize::MAX)?;
@@ -233,17 +223,15 @@ pub(crate) fn cmd_stream(args: &ParsedArgs) -> Result<String, String> {
 
     let (mut source, _seed) = JobSource::from_args(args, "stream")?;
 
-    // Audit and batch cross-check both need the whole run retained; plain
-    // streaming drains and discards, keeping memory flat.
-    let retain = audit || check_batch;
-    let config = if retain { StreamConfig::batch() } else { StreamConfig::streaming(spill_cap) };
-    let mut jobs: Vec<Job> = Vec::new(); // only filled when `retain`
-    let mut segments: Vec<ncss_sim::Segment> = Vec::new();
-    let mut records: Vec<(usize, f64, f64, f64, f64)> = Vec::new(); // (id, completion, frac, int, base)
+    // The batch cross-check needs every job retained (and an unbounded
+    // ring, so no segment can drop); plain streaming keeps memory flat.
+    let config =
+        if check_batch { StreamConfig::batch() } else { StreamConfig::streaming(spill_cap) };
+    let mut jobs: Vec<Job> = Vec::new(); // only filled for the batch cross-check
     let mut tally = Tally { offered: 0, emitted: 0 };
     // Always-on auditor + the per-offer completion buffer of its feeding
     // contract (segments are fed before the completions they precede).
-    let mut inc = audit_inc.then(|| IncrementalAudit::new(law, AuditConfig::default()));
+    let mut inc = audit.then(|| IncrementalAudit::new(law, AuditConfig::default()));
     let mut inc_buf: Vec<(usize, f64, f64, f64)> = Vec::new();
 
     let err = |e: ncss_sim::SimError| e.to_string();
@@ -252,17 +240,14 @@ pub(crate) fn cmd_stream(args: &ParsedArgs) -> Result<String, String> {
             let mut stream = CStream::new(law, config);
             loop {
                 let Some(job) = source.next_job()? else { break };
-                if retain {
+                if check_batch {
                     jobs.push(job);
                 }
                 if let Some(a) = inc.as_mut() {
                     a.on_release(tally.offered, job);
                 }
                 let mut sink = |c: ncss_core::CCompletion| {
-                    if retain {
-                        records.push((c.id, c.completion, c.frac_flow, c.int_flow, 0.0));
-                    }
-                    if audit_inc {
+                    if audit {
                         inc_buf.push((c.id, c.completion, c.frac_flow, c.int_flow));
                     }
                     tally.emitted += 1;
@@ -275,17 +260,10 @@ pub(crate) fn cmd_stream(args: &ParsedArgs) -> Result<String, String> {
                 };
                 stream.offer(job, &mut sink).map_err(err)?;
                 tally.offered += 1;
-                if let Some(a) = inc.as_mut() {
-                    feed_incremental(a, stream.spill_mut(), &mut inc_buf)?;
-                } else if !retain {
-                    drain(stream.spill_mut(), None);
-                }
+                drain(inc.as_mut(), stream.spill_mut(), &mut inc_buf)?;
             }
             let mut sink = |c: ncss_core::CCompletion| {
-                if retain {
-                    records.push((c.id, c.completion, c.frac_flow, c.int_flow, 0.0));
-                }
-                if audit_inc {
+                if audit {
                     inc_buf.push((c.id, c.completion, c.frac_flow, c.int_flow));
                 }
                 tally.emitted += 1;
@@ -297,28 +275,21 @@ pub(crate) fn cmd_stream(args: &ParsedArgs) -> Result<String, String> {
                 }
             };
             let summary = stream.finish(&mut sink).map_err(err)?;
-            if let Some(a) = inc.as_mut() {
-                feed_incremental(a, stream.spill_mut(), &mut inc_buf)?;
-            } else {
-                drain(stream.spill_mut(), retain.then_some(&mut segments));
-            }
+            drain(inc.as_mut(), stream.spill_mut(), &mut inc_buf)?;
             (summary, stream.stats())
         }
         "nc" => {
             let mut stream = NcStream::new(law, config);
             loop {
                 let Some(job) = source.next_job()? else { break };
-                if retain {
+                if check_batch {
                     jobs.push(job);
                 }
                 if let Some(a) = inc.as_mut() {
                     a.on_release(tally.offered, job);
                 }
                 let mut sink = |c: ncss_core::NcCompletion| {
-                    if retain {
-                        records.push((c.id, c.completion, c.frac_flow, c.int_flow, c.base_power));
-                    }
-                    if audit_inc {
+                    if audit {
                         inc_buf.push((c.id, c.completion, c.frac_flow, c.int_flow));
                     }
                     tally.emitted += 1;
@@ -331,18 +302,10 @@ pub(crate) fn cmd_stream(args: &ParsedArgs) -> Result<String, String> {
                 };
                 stream.offer(job, &mut sink).map_err(err)?;
                 tally.offered += 1;
-                if let Some(a) = inc.as_mut() {
-                    feed_incremental(a, stream.spill_mut(), &mut inc_buf)?;
-                } else if !retain {
-                    drain(stream.spill_mut(), None);
-                }
+                drain(inc.as_mut(), stream.spill_mut(), &mut inc_buf)?;
             }
             let summary = stream.finish().map_err(err)?;
-            if let Some(a) = inc.as_mut() {
-                feed_incremental(a, stream.spill_mut(), &mut inc_buf)?;
-            } else {
-                drain(stream.spill_mut(), retain.then_some(&mut segments));
-            }
+            drain(inc.as_mut(), stream.spill_mut(), &mut inc_buf)?;
             (summary, stream.stats())
         }
         other => return Err(format!("stream supports --algorithm c|nc, got '{other}'")),
@@ -354,7 +317,7 @@ pub(crate) fn cmd_stream(args: &ParsedArgs) -> Result<String, String> {
             stats.peak_active, assert_active
         ));
     }
-    if stats.spill_dropped > 0 && retain {
+    if stats.spill_dropped > 0 && check_batch {
         return Err(format!(
             "{} segments dropped from a retained run (should be impossible)",
             stats.spill_dropped
@@ -375,8 +338,7 @@ pub(crate) fn cmd_stream(args: &ParsedArgs) -> Result<String, String> {
     let mut extra_rows: Vec<(String, String)> = Vec::new();
     if let Some(a) = inc {
         // Judged against the possibly `--corrupt`-skewed reported
-        // objective, so the probe must go red here exactly as it does for
-        // the batch audit gate.
+        // objective, so the probe must go red here.
         let report = a.finalize(&summary.objective);
         extra_rows.push((
             "incremental audit".into(),
@@ -390,41 +352,14 @@ pub(crate) fn cmd_stream(args: &ParsedArgs) -> Result<String, String> {
             return Err(format!("stream incremental audit FAILED:\n{}", report.render()));
         }
     }
-    if retain {
-        let per_job = per_job_of(&records, tally.offered);
-        if check_batch {
-            let batch = match algo.as_str() {
-                "c" => run_c(&Instance::new(jobs.clone()).map_err(err)?, law)
-                    .map_err(err)?
-                    .objective,
-                _ => run_nc_uniform(&Instance::new(jobs.clone()).map_err(err)?, law)
-                    .map_err(err)?
-                    .objective,
-            };
-            check_bitwise(&summary.objective, &batch)?;
-            extra_rows.push(("batch cross-check".into(), "bitwise equal".into()));
-        }
-        if audit {
-            let inst = Instance::new(jobs.clone()).map_err(err)?;
-            let mut builder = ScheduleBuilder::new(law);
-            for seg in &segments {
-                builder.push(*seg);
-            }
-            let schedule = builder.build().map_err(err)?;
-            let reported = Evaluated { objective: summary.objective, per_job };
-            let report = ScheduleAudit::new(AuditConfig::default()).audit(&inst, &schedule, &reported);
-            extra_rows.push((
-                "audit".into(),
-                format!("{} (max residual {:.1e})", if report.passed() { "PASS" } else { "FAIL" }, report.max_residual()),
-            ));
-            if !report.passed() {
-                let mut out = String::new();
-                for (name, verdict) in &extra_rows {
-                    out.push_str(&format!("{name}: {verdict}\n"));
-                }
-                return Err(format!("{out}stream audit FAILED:\n{}", report.render()));
-            }
-        }
+    if check_batch {
+        let inst = Instance::new(jobs).map_err(err)?;
+        let batch = match algo.as_str() {
+            "c" => run_c(&inst, law).map_err(err)?.objective,
+            _ => run_nc_uniform(&inst, law).map_err(err)?.objective,
+        };
+        check_bitwise(&summary.objective, &batch)?;
+        extra_rows.push(("batch cross-check".into(), "bitwise equal".into()));
     }
 
     let mut t = Table::new(
@@ -453,19 +388,6 @@ pub(crate) fn cmd_stream(args: &ParsedArgs) -> Result<String, String> {
         t.row(vec![k, v]);
     }
     Ok(t.render())
-}
-
-/// Scatter completion records into dense per-job vectors.
-fn per_job_of(records: &[(usize, f64, f64, f64, f64)], n: usize) -> PerJob {
-    let mut completion = vec![f64::NAN; n];
-    let mut frac_flow = vec![0.0; n];
-    let mut int_flow = vec![0.0; n];
-    for &(id, c, f, i, _) in records {
-        completion[id] = c;
-        frac_flow[id] = f;
-        int_flow[id] = i;
-    }
-    PerJob { completion, frac_flow, int_flow }
 }
 
 /// The batch-vs-stream equivalence contract: same instance, bitwise-equal
@@ -554,14 +476,15 @@ mod tests {
 
     #[test]
     fn incremental_audit_passes_honest_runs_and_reports() {
-        for algo in ["c", "nc"] {
+        // `incremental` is an alias of `1`: both attach the live engine.
+        for (algo, mode) in [("c", "incremental"), ("nc", "incremental"), ("c", "1")] {
             let out = run_cli(&v(&[
                 "stream", "--synthetic", "300", "--rate", "1.5", "--seed", "11", "--algorithm",
-                algo, "--audit", "incremental",
+                algo, "--audit", mode,
             ]))
             .unwrap();
-            assert!(out.contains("incremental audit"), "{algo}: {out}");
-            assert!(out.contains("PASS"), "{algo}: {out}");
+            assert!(out.contains("incremental audit"), "{algo}/{mode}: {out}");
+            assert!(out.contains("PASS"), "{algo}/{mode}: {out}");
         }
     }
 
@@ -582,7 +505,7 @@ mod tests {
             "stream", "--synthetic", "10", "--audit", "sometimes",
         ]))
         .unwrap_err();
-        assert!(err.contains("--audit expects 0|1|incremental"), "{err}");
+        assert!(err.contains("--audit expects 0|1"), "{err}");
     }
 
     #[test]

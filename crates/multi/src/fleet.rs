@@ -16,12 +16,10 @@
 //! per-machine results back in the exact floating-point summation order the
 //! serial runner uses. Because [`ncss_pool::Pool::map`] is order-preserving
 //! and interleaving-free, the merged outcome is **bitwise identical** to
-//! the serial runner's — the same serial==parallel contract the audit layer
-//! proves for its own sharding (DESIGN.md §8), extended to the fleet
-//! (DESIGN.md §12), and property-tested in `tests/fleet_identity.rs`.
-//! That contract is what makes k ∈ {2..4096} tractable with
-//! [`IncrementalMultiAudit`] gating every cell of the `Ω(k^{1−1/α})`
-//! dispatch study (EXPERIMENTS.md, "Fleet k-sweep").
+//! the serial runner's (DESIGN.md §12), property-tested in
+//! `tests/fleet_identity.rs`. That contract is what makes k ∈ {2..4096}
+//! tractable with [`audit_fleet`] gating every cell of the
+//! `Ω(k^{1−1/α})` dispatch study (EXPERIMENTS.md, "Fleet k-sweep").
 //!
 //! Why the log records a **start time** and not just a machine: NC-PAR
 //! dispatches the queue head at `t = max(release, earliest availability)`
@@ -36,13 +34,13 @@ use crate::c_par::{
     validate_machines, ParOutcome,
 };
 use crate::dispatch::{collect_assignment, ImmediateDispatch};
-use ncss_audit::{AuditConfig, AuditReport, IncrementalMultiAudit};
+use ncss_audit::{AuditConfig, AuditReport, MultiAudit};
 use ncss_core::run_c;
 use ncss_pool::Pool;
 use ncss_sim::kernel::GrowthKernel;
 use ncss_sim::{
-    Instance, Job, Objective, PerJob, PowerLaw, Schedule, ScheduleBuilder, Segment, SimError,
-    SimResult, SpeedLaw,
+    Evaluated, Instance, Job, Objective, PerJob, PowerLaw, Schedule, ScheduleBuilder, Segment,
+    SimError, SimResult, SpeedLaw,
 };
 
 /// One dispatch decision: job `job` goes to machine `machine`, beginning
@@ -506,12 +504,13 @@ pub fn run_immediate_dispatch_sharded(
     replay_nc_assigned(instance, law, &log, pool)
 }
 
-/// Gate a fleet outcome with the event-driven cross-machine auditor
-/// ([`IncrementalMultiAudit`]): every release, every per-machine segment
-/// (machine-chronological, as the pool tasks retired them), and every
-/// completion is fed through the O(δ) checks, and `finalize` emits the
-/// standard 11-check report — the same named checks, fold order, and
-/// tolerances as the batch `MultiAudit`.
+/// Gate a fleet outcome with the cross-machine auditor: every release,
+/// then every machine's segments (machine by machine, in the order the
+/// pool tasks retired them), then every completion by job id streams
+/// through [`ncss_audit::IncrementalMultiAudit`], and `finalize` emits the standard
+/// report. This is [`MultiAudit::audit`] over the outcome. Each machine's
+/// [`Schedule`] carries the power law the fleet ran under and the audit
+/// reads it from there, so `_law` is not consulted.
 ///
 /// # Examples
 ///
@@ -534,31 +533,12 @@ pub fn run_immediate_dispatch_sharded(
 #[must_use]
 pub fn audit_fleet(
     instance: &Instance,
-    law: PowerLaw,
+    _law: PowerLaw,
     outcome: &ParOutcome,
     config: AuditConfig,
 ) -> AuditReport {
-    let machines = outcome.schedules.len();
-    let mut audit = IncrementalMultiAudit::new(vec![law; machines], config);
-    for (id, job) in instance.jobs().iter().enumerate() {
-        audit.on_release(id, *job);
-    }
-    for (m, sched) in outcome.schedules.iter().enumerate() {
-        for seg in sched.segments() {
-            // Eager trips surface in the finalized report too; the gate
-            // reads the report so no trip is dropped here.
-            let _ = audit.on_segment(m, *seg);
-        }
-    }
-    for (id, &c) in outcome.per_job.completion.iter().enumerate() {
-        let _ = audit.on_complete(
-            id,
-            c,
-            outcome.per_job.frac_flow[id],
-            outcome.per_job.int_flow[id],
-        );
-    }
-    audit.finalize(&outcome.objective)
+    let reported = Evaluated { objective: outcome.objective, per_job: outcome.per_job.clone() };
+    MultiAudit::new(config).audit(instance, &outcome.schedules, &reported)
 }
 
 #[cfg(test)]

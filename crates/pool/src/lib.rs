@@ -2,12 +2,11 @@
 //!
 //! One long-lived chunked worker pool for everything in the workspace
 //! that fans independent cells out across cores: the parameter sweeps in
-//! `ncss-analysis`, the integral sharding inside `ncss-audit` (per-segment
-//! energy, per-job volume/completion/flow derivations), the dual-bound
-//! integral in `ncss-opt`, and the fault/contract suites under `tests/`.
-//! Worker threads are spawned **once per process** behind a `OnceLock` and
-//! then fed tasks through a ticket queue, so a 100 µs audit no longer pays
-//! a per-call `std::thread::scope` spawn/join round trip.
+//! `ncss-analysis`, the sharded fleet replay in `ncss-multi`, the
+//! dual-bound integral in `ncss-opt`, and the fault/contract suites under
+//! `tests/`. Worker threads are spawned **once per process** behind a
+//! `OnceLock` and then fed tasks through a ticket queue, so a short map no
+//! longer pays a per-call `std::thread::scope` spawn/join round trip.
 //!
 //! ## Determinism contract
 //!
@@ -17,7 +16,7 @@
 //! Each index is claimed by exactly one participant via an atomic cursor
 //! and written to its own output slot, so downstream order-sensitive folds
 //! (e.g. floating-point sums over per-segment integrals) see the same
-//! operand sequence as the serial path. The serial==parallel audit and
+//! operand sequence as the serial path. The serial==sharded fleet and
 //! sweep determinism tests in this workspace are the enforcement.
 //!
 //! ## Lifecycle and nesting
@@ -26,9 +25,9 @@
 //! workers and then **participates in its own task**: the calling thread
 //! claims chunks from the same cursor until the input is exhausted. The
 //! call therefore completes even if every resident worker is busy — which
-//! is exactly what makes *nested* maps (an audit fanning out per-job work
-//! from inside a sweep cell that is itself a pool task) deadlock-free by
-//! construction. Workers that pick a ticket up late find the task closed
+//! is exactly what makes *nested* maps (an OPT solve fanning out its
+//! dual-bound terms from inside a sweep cell that is itself a pool task)
+//! deadlock-free by construction. Workers that pick a ticket up late find the task closed
 //! and drop it without touching the caller's borrowed closure; the caller
 //! does not return until every registered participant has checked out, so
 //! the type-erased borrow can never dangle.
@@ -131,8 +130,8 @@ impl Pool {
     ///
     /// Work is distributed dynamically via an atomic cursor (one item per
     /// claim), so uneven cell costs — OPT solves of different sizes,
-    /// audit integrals over jobs with very different segment counts —
-    /// balance automatically.
+    /// fleet machines with very different queue lengths — balance
+    /// automatically.
     pub fn map<T: Sync, U: Send>(&self, items: &[T], f: impl Fn(&T) -> U + Sync) -> Vec<U> {
         self.map_chunked(items, 1, f)
     }
@@ -483,8 +482,8 @@ mod tests {
 
     #[test]
     fn ordered_float_sums_are_bitwise_stable() {
-        // The property the audit's energy re-derivation rests on: summing
-        // the order-preserved parallel results gives the exact serial sum.
+        // The property order-sensitive folds rest on: summing the
+        // order-preserved parallel results gives the exact serial sum.
         let items: Vec<f64> = (0..1000).map(|i| 1.0 / f64::from(i + 1)).collect();
         let cell = |&x: &f64| (x * 1.000_000_1).sin();
         let serial: f64 = items.iter().map(cell).sum();

@@ -7,7 +7,8 @@
 # no registry reachable.
 #
 #   1. offline release build of every crate
-#   2. offline workspace test suite (unit + integration + property tests)
+#   2. offline workspace test suite (unit + integration + property tests),
+#      --no-fail-fast so one red crate cannot hide the others' results
 #   3. offline doc-tests (the rustdoc examples are executable contracts)
 #   4. fault-injection robustness contract in --release (the guard rails
 #      must hold where debug_assert! is compiled out); its wall-time is
@@ -24,15 +25,15 @@
 #      energy-recomputed check
 #   7. fleet smoke: the sharded multi-machine runners (dispatch log +
 #      per-machine pool tasks, DESIGN.md §12) must match the serial
-#      runners bitwise and pass the incremental cross-machine audit;
+#      runners bitwise and pass the cross-machine audit;
 #      a corrupted outcome must come back non-zero naming the tripped
 #      check; with NCSS_SOAK=1 the full k-sweep study regenerates
 #      BENCH_fleet.json and bench-diffs it against the committed
 #      baseline (metrics held to float slack)
 #   8. stream smoke: the bounded-memory streaming core must match the
-#      batch runner bitwise and pass the audit (batch-rebuilt and O(delta)
-#      incremental), ingest stdin, and a corrupted streamed objective must
-#      exit non-zero under both audit modes; the default lane always runs
+#      batch runner bitwise and pass the live O(delta) audit, ingest stdin,
+#      and a corrupted streamed objective must exit non-zero under both
+#      the audit and the batch cross-check; the default lane always runs
 #      a short soak (NCSS_STREAM_SOAK_N=200000) through bench-diff against
 #      the committed baseline — unlimited timing headroom (the normalised
 #      ns/item report is the comparison), zero tolerance on audit-verdict,
@@ -53,8 +54,8 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --workspace --release --offline"
 cargo build --workspace --release --offline
 
-echo "==> cargo test --workspace -q --offline"
-cargo test --workspace -q --offline
+echo "==> cargo test --workspace --no-fail-fast -q --offline"
+cargo test --workspace --no-fail-fast -q --offline
 
 echo "==> cargo test --workspace --doc -q --offline"
 cargo test --workspace --doc -q --offline
@@ -113,20 +114,20 @@ if "$cli" audit --algorithm nc-par --machines 3 --input "$trace" --alpha 2 \
 fi
 echo "multi audit smoke passed"
 
-echo "==> fleet smoke (sharded runners vs serial, incremental audit gate)"
+echo "==> fleet smoke (sharded runners vs serial, cross-machine audit gate)"
 # Every sharded algorithm on a small fleet must reproduce the serial runner
 # bit for bit (the command itself enforces --check-serial 1 by default) and
-# pass the event-driven cross-machine audit.
+# pass the cross-machine audit.
 for algo in c-par nc-par dispatch; do
     "$cli" fleet --algorithm "$algo" --machines 4 --threads 3 --input "$trace" \
-        --alpha 2 --audit incremental > /dev/null \
+        --alpha 2 > /dev/null \
         || { echo "FAIL: sharded $algo diverged from serial or failed audit" >&2; exit 1; }
 done
 # Mandatory-red probe: a corrupted sharded outcome must exit non-zero AND
 # name the tripped check in the report.
 fleet_log="$(mktemp /tmp/ncss_verify_fleet.XXXXXX.log)"
 if "$cli" fleet --algorithm nc-par --machines 4 --input "$trace" --alpha 2 \
-        --audit incremental --corrupt energy > /dev/null 2> "$fleet_log"; then
+        --corrupt energy > /dev/null 2> "$fleet_log"; then
     echo "FAIL: corrupted sharded outcome passed the fleet audit" >&2
     rm -f "$fleet_log"; exit 1
 fi
@@ -145,8 +146,8 @@ echo "fleet smoke passed"
 
 echo "==> stream smoke (bounded-memory streaming vs batch, bitwise)"
 # The streamed run must agree with the batch runner bitwise and pass the
-# independent audit; stdin ingestion must work; a deliberately skewed
-# objective must turn both gates red (non-zero exit).
+# live audit; stdin ingestion must work; a deliberately skewed objective
+# must turn both gates red (non-zero exit).
 for algo in c nc; do
     "$cli" stream --algorithm "$algo" --input "$trace" --alpha 2 \
         --check-batch 1 --audit 1 > /dev/null \
@@ -154,8 +155,8 @@ for algo in c nc; do
 done
 "$cli" stream --algorithm c --input - --alpha 2 --assert-active 64 < "$trace" > /dev/null \
     || { echo "FAIL: stream could not ingest stdin" >&2; exit 1; }
-# Always-on auditor: the O(delta) incremental audit rides the bounded-
-# memory configuration (no schedule rebuild) and must pass on honest runs.
+# The `incremental` alias of --audit 1 (the spelling the benchmark uses)
+# rides the bounded-memory configuration and must pass on honest runs.
 for algo in c nc; do
     "$cli" stream --algorithm "$algo" --input "$trace" --alpha 2 \
         --audit incremental > /dev/null \

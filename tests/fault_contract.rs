@@ -13,7 +13,7 @@
 //! Seeds come from `NCSS_FAULT_SEED` when set, so CI failures reproduce.
 //!
 //! The suite shards its cases over `ncss-pool` (the same worker pool the
-//! sweeps and the audit layer use): each case's violations come back as
+//! sweeps and the fleet replay use): each case's violations come back as
 //! strings and are aggregated after the order-preserving parallel map, so
 //! one assertion reports every failing case instead of the first.
 

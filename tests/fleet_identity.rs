@@ -4,16 +4,16 @@
 //! to tolerance: for every dispatch log, replaying per-machine event queues
 //! as pool tasks must reproduce the serial runners **bit for bit** —
 //! objectives, per-job completions and flows, per-machine timelines, and
-//! the audit verdicts gating the run. This property is what makes the
-//! k-sweep study (`BENCH_fleet.json`) trustworthy: a sharded cell is the
-//! serial algorithm's cell, not an approximation of it.
+//! the audit verdicts and residuals gating the run. This property is what
+//! makes the k-sweep study (`BENCH_fleet.json`) trustworthy: a sharded
+//! cell is the serial algorithm's cell, not an approximation of it.
 //!
 //! Matrix: k ∈ {1, 2, 7, 64} × two workload suites (a diverse
 //! uniform-density suite and a bursty tie-heavy suite) × α ∈ {2, 2.75},
 //! for C-PAR, NC-PAR, and the immediate-dispatch policies, across several
 //! pool widths (1 worker, oversubscribed, auto).
 
-use ncss::audit::{AuditConfig, MultiAudit};
+use ncss::audit::AuditConfig;
 use ncss::multi::fleet::{
     audit_fleet, replay_nc_assigned, run_c_par_sharded, run_nc_par_sharded, DispatchLog,
 };
@@ -22,7 +22,7 @@ use ncss::multi::{
     SeededRandom,
 };
 use ncss::pool::Pool;
-use ncss::sim::{Evaluated, Instance, Job, PowerLaw};
+use ncss::sim::{Instance, Job, PowerLaw};
 use ncss::workloads::suite::uniform_suite;
 use ncss::workloads::{VolumeDist, WorkloadSpec};
 
@@ -95,39 +95,28 @@ fn assert_bitwise(serial: &ParOutcome, sharded: &ParOutcome, ctx: &str) {
     }
 }
 
-/// The audit gate agrees too: the event-driven fleet auditor on the sharded
-/// outcome emits the same checks with the same verdicts as the batch
-/// cross-machine auditor on the serial outcome — and both pass. (Residuals
-/// are *not* compared bitwise here: the two auditors accumulate across
-/// machines in different orders, so honest residuals agree in magnitude but
-/// not bits; the bitwise claim is between serial and sharded *runs*, whose
-/// identical inputs make the incremental auditor's residuals equal by
-/// construction.)
+/// The audit gate agrees too: the fleet audit passes the sharded outcome,
+/// and — same events in, same residuals out — audits the serial outcome to
+/// the same verdicts and residual bits.
 #[track_caller]
-fn assert_audit_parity(inst: &Instance, law: PowerLaw, serial: &ParOutcome, sharded: &ParOutcome, ctx: &str) {
-    let reported =
-        Evaluated { objective: serial.objective, per_job: serial.per_job.clone() };
-    let batch = MultiAudit::default().audit(inst, &serial.schedules, &reported);
-    let incremental = audit_fleet(inst, law, sharded, AuditConfig::default());
-    assert!(batch.passed(), "{ctx}: serial batch audit failed\n{}", batch.render());
-    assert!(
-        incremental.passed(),
-        "{ctx}: sharded incremental audit failed\n{}",
-        incremental.render()
-    );
-    assert_eq!(batch.checks.len(), incremental.checks.len(), "{ctx}: check count");
-    for (b, i) in batch.checks.iter().zip(&incremental.checks) {
-        assert_eq!(b.name, i.name, "{ctx}: check order");
-        assert_eq!(b.passed, i.passed, "{ctx}: {} verdict", b.name);
-    }
-    // The incremental auditor itself IS bitwise across serial vs sharded
-    // inputs: same events in, same residuals out.
+fn assert_audit_bitwise(
+    inst: &Instance,
+    law: PowerLaw,
+    serial: &ParOutcome,
+    sharded: &ParOutcome,
+    ctx: &str,
+) {
+    let on_sharded = audit_fleet(inst, law, sharded, AuditConfig::default());
+    assert!(on_sharded.passed(), "{ctx}: sharded fleet audit failed\n{}", on_sharded.render());
     let on_serial = audit_fleet(inst, law, serial, AuditConfig::default());
-    for (s, p) in on_serial.checks.iter().zip(&incremental.checks) {
+    assert_eq!(on_serial.checks.len(), on_sharded.checks.len(), "{ctx}: check count");
+    for (s, p) in on_serial.checks.iter().zip(&on_sharded.checks) {
+        assert_eq!(s.name, p.name, "{ctx}: check order");
+        assert_eq!(s.passed, p.passed, "{ctx}: {} verdict", s.name);
         assert_eq!(
             s.residual.to_bits(),
             p.residual.to_bits(),
-            "{ctx}: {} incremental residual serial-input {:?} vs sharded-input {:?}",
+            "{ctx}: {} residual serial-input {:?} vs sharded-input {:?}",
             s.name,
             s.residual,
             p.residual
@@ -149,7 +138,7 @@ fn c_par_sharded_is_bitwise_serial_across_the_matrix() {
                     let sharded =
                         run_c_par_sharded(inst, law, k, pool).expect("sharded c-par");
                     assert_bitwise(&serial, &sharded, &ctx);
-                    assert_audit_parity(inst, law, &serial, &sharded, &ctx);
+                    assert_audit_bitwise(inst, law, &serial, &sharded, &ctx);
                 }
             }
         }
@@ -170,7 +159,7 @@ fn nc_par_sharded_is_bitwise_serial_across_the_matrix() {
                     let sharded =
                         run_nc_par_sharded(inst, law, k, pool).expect("sharded nc-par");
                     assert_bitwise(&serial, &sharded, &ctx);
-                    assert_audit_parity(inst, law, &serial, &sharded, &ctx);
+                    assert_audit_bitwise(inst, law, &serial, &sharded, &ctx);
                 }
             }
         }
@@ -203,7 +192,7 @@ fn immediate_dispatch_policies_shard_bitwise() {
                 replay_nc_assigned(inst, law, &log, &pool).expect("sharded dispatch")
             };
             assert_bitwise(&serial, &sharded, &ctx);
-            assert_audit_parity(inst, law, &serial, &sharded, &ctx);
+            assert_audit_bitwise(inst, law, &serial, &sharded, &ctx);
         }
     }
 }

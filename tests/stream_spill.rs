@@ -192,7 +192,7 @@ fn honest_streamed_run_passes_audit() {
 
 /// Tamper case 1, incremental edition: the event-driven auditor sees only
 /// the segments a lossy ring kept, and must trip the same named
-/// `volume-conservation` check the batch auditor does — eagerly, at the
+/// `volume-conservation` check the post-hoc audit does — eagerly, at the
 /// first completion whose service history has a hole.
 #[test]
 fn incremental_audit_catches_dropped_segments_like_batch() {
@@ -232,7 +232,7 @@ fn incremental_audit_catches_dropped_segments_like_batch() {
         trip.check, trip.detail
     );
 
-    // The final report agrees with the batch auditor on the same evidence:
+    // The final report agrees with the post-hoc audit on the same evidence:
     // failed, with volume-conservation among the named failures.
     let report = audit.finalize(&summary.objective);
     assert!(!report.passed(), "incremental audit must fail on a lossy schedule");
