@@ -18,7 +18,7 @@
 
 use crate::clairvoyant::run_c;
 use crate::streaming::{NcStream, StreamConfig};
-use ncss_sim::{Instance, Job, Objective, PerJob, PowerLaw, Schedule, ScheduleBuilder, SimError, SimResult};
+use ncss_sim::{Instance, Objective, PerJob, PowerLaw, Schedule, ScheduleBuilder, SimError, SimResult};
 
 /// A completed run of Algorithm NC.
 #[derive(Debug, Clone)]
@@ -66,28 +66,6 @@ pub fn base_power(instance: &Instance, law: PowerLaw, j: usize) -> SimResult<f64
         .filter(|i| i.release == job.release)
         .map(|i| i.weight())
         .sum();
-    Ok(strictly_before + ties)
-}
-
-/// [`base_power`] over an explicit machine history: `K = W^{(C)}(r^-)` for
-/// a job released at `release` arriving at a machine whose previously
-/// assigned jobs are `history`, **in release order with releases ≤
-/// `release`** (the parallel-machine FIFO invariant).
-///
-/// Semantically identical to appending the job to the history and calling
-/// [`base_power`] on the resulting instance, but the parallel runners call
-/// this once per dispatch, so it copies only the strictly-earlier prefix
-/// instead of cloning, re-sorting, and re-validating the whole history
-/// twice per call.
-pub fn base_power_over_history(history: &[Job], release: f64, law: PowerLaw) -> SimResult<f64> {
-    let cut = history.partition_point(|i| i.release < release);
-    let strictly_before = if cut == 0 {
-        0.0
-    } else {
-        run_c(&Instance::new(history[..cut].to_vec())?, law)?.remaining_weight_before(release)
-    };
-    let ties: f64 =
-        history[cut..].iter().filter(|i| i.release == release).map(Job::weight).sum();
     Ok(strictly_before + ties)
 }
 

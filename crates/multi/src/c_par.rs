@@ -7,8 +7,13 @@
 //! time (the energy increase `((W + W_j)^{2−1/α} − W^{2−1/α})` is increasing
 //! in `W`, and flow-time equals energy for Algorithm C). Ties break by
 //! machine index — the total order the paper fixes.
+//!
+//! The greedy rule is recorded by [`DispatchLog::c_par`]; [`run_c_par`]
+//! replays that log on one worker, and the sharded runner on many.
 
-use ncss_core::{run_c, CRun};
+use crate::fleet::{replay_c, DispatchLog};
+use crate::shadow::ShadowTimeline;
+use ncss_pool::Pool;
 use ncss_sim::{Instance, Job, Objective, PerJob, PowerLaw, Schedule, Segment, SimError, SimResult};
 
 /// Largest supported machine count. Parallel-machine state is `O(m)` even
@@ -110,79 +115,59 @@ pub(crate) fn remap_schedule(schedule: &Schedule, ids: &[usize]) -> SimResult<Sc
 }
 
 /// The C-PAR greedy dispatch rule on its own: the machine index chosen for
-/// each job, in release order. Factored out of [`run_c_par`] so the serial
-/// runner and the fleet's [`crate::fleet::DispatchLog`] share one
-/// implementation of the tie-break semantics — the dispatch decisions feeding
-/// the sharded executor are the serial runner's decisions by construction.
+/// each job, in release order. [`DispatchLog::c_par`] records it, and
+/// [`run_c_par`] replays that log, so there is one implementation of the
+/// tie-break semantics.
+///
+/// Each machine's `W(r_j^-)` comes from its [`ShadowTimeline`] (a cached
+/// future of its clairvoyant shadow, rebuilt only when the machine
+/// receives a job), so the scan never re-runs a machine's history.
 pub(crate) fn greedy_c_par_assignment(
     instance: &Instance,
     law: PowerLaw,
     machines: usize,
 ) -> SimResult<Vec<usize>> {
     validate_machines(machines)?;
-    let n = instance.len();
-    let mut assigned: Vec<Vec<Job>> = vec![Vec::new(); machines];
-    let mut assignment = vec![0usize; n];
-    // Per-machine C run over its current job set, invalidated only when the
-    // machine receives a job: the greedy scan below would otherwise
-    // re-simulate every machine for every arrival (`n · m` runs instead of
-    // at most `n` rebuilds).
-    let mut cached: Vec<Option<CRun>> = (0..machines).map(|_| None).collect();
-
-    for (j, job) in instance.jobs().iter().enumerate() {
-        // Remaining fractional weight of each machine just before r_j.
+    let mut timelines: Vec<Option<ShadowTimeline>> = (0..machines).map(|_| None).collect();
+    let mut assignment = Vec::with_capacity(instance.len());
+    for job in instance.jobs() {
+        // Remaining fractional weight of each machine just before r_j,
+        // counting same-instant earlier jobs at full weight (the
+        // distinct-release limit; see `ncss_core::nc_uniform::base_power`).
         let mut best = 0usize;
         let mut best_w = f64::INFINITY;
-        for (m, jobs) in assigned.iter().enumerate() {
-            // Remaining weight at r_j^-, counting same-instant earlier jobs
-            // at full weight (the distinct-release limit; see
-            // `ncss_core::nc_uniform::base_power`).
-            let strictly_before = if jobs.is_empty() {
-                0.0
-            } else {
-                if cached[m].is_none() {
-                    cached[m] = Some(run_c(&Instance::new(jobs.clone())?, law)?);
-                }
-                cached[m].as_ref().expect("just rebuilt").remaining_weight_before(job.release)
-            };
-            let ties: f64 = jobs.iter().filter(|i| i.release == job.release).map(Job::weight).sum();
-            let w = strictly_before + ties;
+        for (m, timeline) in timelines.iter_mut().enumerate() {
+            let w = timeline.as_mut().map_or(0.0, |t| t.weight_before(job.release));
             if w < best_w - 1e-12 {
                 best_w = w;
                 best = m;
             }
+            // Weights are never negative, so after a machine reads exactly
+            // 0.0 either it is the best or best_w <= 1e-12; no later
+            // machine can pass `w < best_w - 1e-12` and the decision is
+            // final.
+            if w == 0.0 {
+                break;
+            }
         }
-        assignment[j] = best;
-        assigned[best].push(*job);
-        cached[best] = None;
+        timelines[best].get_or_insert_with(|| ShadowTimeline::new(law)).receive(*job)?;
+        assignment.push(best);
     }
     Ok(assignment)
 }
 
-/// Run C-PAR on `machines` identical machines.
+/// Run C-PAR on `machines` identical machines: record the greedy dispatch
+/// ([`DispatchLog::c_par`]) and replay it with per-machine Algorithm C on a
+/// one-worker pool — the sharded path with the width pinned to one.
 pub fn run_c_par(instance: &Instance, law: PowerLaw, machines: usize) -> SimResult<ParOutcome> {
-    let n = instance.len();
-    let assignment = greedy_c_par_assignment(instance, law, machines)?;
-    let parts = split_by_assignment(instance, &assignment, machines)?;
-    let mut objective = Objective::default();
-    let mut per_machine = Vec::with_capacity(machines);
-    let mut schedules = Vec::with_capacity(machines);
-    for (inst, ids) in &parts {
-        let run = run_c(inst, law)?;
-        objective.energy += run.objective.energy;
-        objective.frac_flow += run.objective.frac_flow;
-        objective.int_flow += run.objective.int_flow;
-        per_machine.push(run.per_job);
-        schedules.push(remap_schedule(&run.schedule, ids)?);
-    }
-    let per_job = merge_per_job(n, &parts, &per_machine);
-    let objective = objective.validated("run_c_par: objective")?;
-    Ok(ParOutcome { assignment, objective, per_job, schedules })
+    let log = DispatchLog::c_par(instance, law, machines)?;
+    replay_c(instance, law, &log, &Pool::with_threads(1))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ncss_core::run_c;
     use ncss_sim::numeric::approx_eq;
 
     fn pl(alpha: f64) -> PowerLaw {

@@ -1,24 +1,26 @@
-//! Fleet-scale sharded C-PAR / NC-PAR: per-machine event queues as pool
-//! tasks, fed by a deterministic dispatch log.
+//! Fleet-scale C-PAR / NC-PAR: a deterministic dispatch log, replayed as
+//! per-machine event queues on pool tasks.
 //!
-//! The serial runners in [`crate::c_par`] and [`crate::nc_par`] interleave
-//! two jobs: *deciding* which machine each job goes to, and *executing*
-//! each machine's own event queue. Only the decision is inherently serial —
-//! C-PAR's greedy rule and NC-PAR's global FIFO both depend on the whole
-//! fleet's state at each release. Execution is embarrassingly parallel:
-//! once the assignment (and, for NC-PAR, each job's dispatch time) is
-//! fixed, every machine's timeline is a pure function of its own queue.
+//! A fleet run does two jobs: *deciding* which machine each job goes to,
+//! and *executing* each machine's own event queue. Only the decision is
+//! inherently serial — C-PAR's greedy rule and NC-PAR's global FIFO both
+//! depend on the whole fleet's state at each release. Execution is
+//! embarrassingly parallel: once the assignment (and, for NC-PAR, each
+//! job's dispatch time) is fixed, every machine's timeline is a pure
+//! function of its own queue.
 //!
-//! This module splits the two phases. A [`DispatchLog`] records the serial
+//! This module splits the two phases. A [`DispatchLog`] records the
 //! dispatcher's decisions — one `(job, machine, start)` entry per job, in
-//! release order. The sharded executors replay the log with one pool task
-//! per machine over the persistent worker pool (`ncss-pool`), then merge
-//! per-machine results back in the exact floating-point summation order the
-//! serial runner uses. Because [`ncss_pool::Pool::map`] is order-preserving
-//! and interleaving-free, the merged outcome is **bitwise identical** to
-//! the serial runner's (DESIGN.md §12), property-tested in
-//! `tests/fleet_identity.rs`. That contract is what makes k ∈ {2..4096}
-//! tractable with [`audit_fleet`] gating every cell of the
+//! release order — reading each machine's Algorithm C weight from a
+//! per-machine shadow stream, so recording is linear in the jobs. The
+//! replays run one pool task per machine over the persistent worker pool
+//! (`ncss-pool`) and merge per-machine results in a fixed order. The
+//! serial runners [`crate::run_c_par`] and [`crate::run_nc_par`] are a log
+//! replayed on one worker, so each loop exists once, and because
+//! [`ncss_pool::Pool::map`] is order-preserving and interleaving-free,
+//! every pool width gives the same bits (DESIGN.md §12), property-tested
+//! in `tests/fleet_identity.rs`. That contract is what makes
+//! k ∈ {2..4096} tractable with [`audit_fleet`] gating every cell of the
 //! `Ω(k^{1−1/α})` dispatch study (EXPERIMENTS.md, "Fleet k-sweep").
 //!
 //! Why the log records a **start time** and not just a machine: NC-PAR
@@ -34,6 +36,7 @@ use crate::c_par::{
     validate_machines, ParOutcome,
 };
 use crate::dispatch::{collect_assignment, ImmediateDispatch};
+use crate::shadow::MachineShadow;
 use ncss_audit::{AuditConfig, AuditReport, MultiAudit};
 use ncss_core::run_c;
 use ncss_pool::Pool;
@@ -157,10 +160,9 @@ impl DispatchLog {
     }
 
     /// Record C-PAR's greedy least-remaining-weight dispatch decisions
-    /// (Section 6, Theorem 18). Shares the greedy implementation with the
-    /// serial [`crate::run_c_par`], so the decisions are the serial
-    /// runner's by construction; `start` is each job's release time
-    /// (immediate dispatch).
+    /// (Section 6, Theorem 18); `start` is each job's release time
+    /// (immediate dispatch). [`crate::run_c_par`] is this log replayed by
+    /// [`replay_c`] on one worker.
     pub fn c_par(instance: &Instance, law: PowerLaw, machines: usize) -> SimResult<Self> {
         let assignment = greedy_c_par_assignment(instance, law, machines)?;
         Self::from_assignment(instance, &assignment, machines)
@@ -168,22 +170,20 @@ impl DispatchLog {
 
     /// Record NC-PAR's global-FIFO dispatch decisions (Section 6,
     /// Theorem 17): the queue head goes to the lowest-indexed machine
-    /// available at `max(release, earliest availability)`, which is the
-    /// recorded `start`. Mirrors the dispatch loop of
-    /// [`crate::run_nc_par`] exactly — including the `1e-12` availability
-    /// slack and the growth-law service times that drive availability —
-    /// and the bitwise identity between the two code paths is pinned by
-    /// `tests/fleet_identity.rs`.
+    /// available at `max(release, earliest availability)` (with `1e-12`
+    /// slack), which is the recorded `start`. This is NC-PAR's only
+    /// dispatch loop: [`crate::run_nc_par`] is this log replayed by
+    /// [`replay_nc`] on one worker.
     ///
-    /// Like the serial runner, rejects non-uniform densities (the paper's
-    /// Theorem 17 setting) and non-finite service times.
+    /// Rejects non-uniform densities (the paper's Theorem 17 setting) and
+    /// non-finite service times.
     pub fn nc_par(instance: &Instance, law: PowerLaw, machines: usize) -> SimResult<Self> {
         validate_machines(machines)?;
         if !instance.is_uniform_density() {
             return Err(SimError::NonUniformDensity);
         }
         let mut avail = vec![0.0f64; machines];
-        let mut assigned: Vec<Vec<Job>> = vec![Vec::new(); machines];
+        let mut shadows: Vec<Option<MachineShadow>> = (0..machines).map(|_| None).collect();
         let mut entries = Vec::with_capacity(instance.len());
         for (j, job) in instance.jobs().iter().enumerate() {
             let earliest = avail.iter().copied().fold(f64::INFINITY, f64::min);
@@ -194,18 +194,18 @@ impl DispatchLog {
             // Service time under the growth law P(s) = K_j + processed
             // weight — needed here because the next dispatch decision
             // depends on this machine's completion time.
-            let k_j =
-                ncss_core::nc_uniform::base_power_over_history(&assigned[m], job.release, law)?;
+            let k_j = shadows[m].get_or_insert_with(|| MachineShadow::new(law)).admit(*job)?;
             let kernel = GrowthKernel { law, u0: k_j, rho: job.density };
             let tau = kernel.time_to_volume(job.volume);
             if !tau.is_finite() {
+                // Guard before `avail` is poisoned: a NaN availability would
+                // panic the machine-selection `expect` on the next job.
                 return Err(SimError::Numeric {
                     what: "DispatchLog::nc_par: service time",
                     value: tau,
                 });
             }
             avail[m] = start + tau;
-            assigned[m].push(*job);
             entries.push(DispatchEntry { job: j, machine: m, start });
         }
         Self::new(machines, entries)
@@ -251,10 +251,10 @@ impl DispatchLog {
 // ---------------------------------------------------------------------------
 
 /// Split by the log's assignment and run one pool task per machine, merging
-/// objectives / per-job vectors / schedules in the serial runners' exact
-/// machine order. `run` must be pure (no interior mutability observable
-/// across calls): that, plus the pool's order preservation, is what makes
-/// the merged result bitwise equal to the serial fold.
+/// objectives / per-job vectors / schedules in machine order. `run` must be
+/// pure (no interior mutability observable across calls): that, plus the
+/// pool's order preservation, makes the merged result the same bits at
+/// every pool width.
 fn replay_split(
     instance: &Instance,
     assignment: &[usize],
@@ -282,13 +282,12 @@ fn replay_split(
 }
 
 /// Replay a dispatch log with per-machine **Algorithm C** event queues as
-/// pool tasks. With a [`DispatchLog::c_par`] log this is sharded C-PAR;
-/// with any other log it is "per-machine C under that dispatch".
+/// pool tasks. With a [`DispatchLog::c_par`] log this is C-PAR; with any
+/// other log it is "per-machine C under that dispatch".
 ///
-/// Bitwise identical to [`crate::run_c_par`]'s split-run-merge for the same
-/// assignment: the pool map is order-preserving, each machine's `run_c` is
-/// a pure function of its own queue, and the objective folds machine 0, 1,
-/// 2, … exactly as the serial loop does.
+/// The same bits at every pool width: the pool map is order-preserving,
+/// each machine's `run_c` is a pure function of its own queue, and the
+/// objective folds machine 0, 1, 2, … in order.
 pub fn replay_c(
     instance: &Instance,
     law: PowerLaw,
@@ -334,15 +333,15 @@ struct NcMachineRun {
 }
 
 /// Replay one machine's NC-PAR event queue: growth-law service at the
-/// recorded start times, deriving `K_j` from the machine's own dispatch
-/// history — the same pure kernel calls the serial runner makes, in the
-/// same order, so every row is bitwise the serial runner's.
+/// recorded start times, with `K_j` from the machine's own shadow fed the
+/// same jobs in the same order as [`DispatchLog::nc_par`]'s, so every row
+/// has the bits the dispatcher's service times were computed from.
 fn replay_nc_machine(law: PowerLaw, queue: &[(usize, Job, f64)]) -> SimResult<NcMachineRun> {
-    let mut history: Vec<Job> = Vec::with_capacity(queue.len());
+    let mut shadow = None;
     let mut builder = ScheduleBuilder::new(law);
     let mut rows = Vec::with_capacity(queue.len());
     for &(id, job, start) in queue {
-        let k_j = ncss_core::nc_uniform::base_power_over_history(&history, job.release, law)?;
+        let k_j = shadow.get_or_insert_with(|| MachineShadow::new(law)).admit(job)?;
         let rho = job.density;
         let kernel = GrowthKernel { law, u0: k_j, rho };
         let tau = kernel.time_to_volume(job.volume);
@@ -355,19 +354,17 @@ fn replay_nc_machine(law: PowerLaw, queue: &[(usize, Job, f64)]) -> SimResult<Nc
         let int = job.weight() * (completion - job.release);
         builder.push(Segment::new(start, completion, Some(id), SpeedLaw::Growth { u0: k_j, rho }));
         rows.push((id, kernel.energy(tau), completion, frac, int));
-        history.push(job);
     }
     Ok(NcMachineRun { rows, schedule: builder.build()? })
 }
 
 /// Replay an NC-PAR dispatch log with per-machine growth-law event queues
-/// as pool tasks, honouring the recorded start times.
+/// as pool tasks, honouring the recorded start times. With a
+/// [`DispatchLog::nc_par`] log this is NC-PAR.
 ///
-/// Bitwise identical to [`crate::run_nc_par`] for a [`DispatchLog::nc_par`]
-/// log: per-job energies are collected into a job-id-indexed array and
-/// summed in job-id order — the exact accumulation order of the serial
-/// loop's `energy +=` — and the flow sums run over the same job-id-indexed
-/// vectors the serial runner sums.
+/// The same bits at every pool width: per-job energies are collected into
+/// a job-id-indexed array and summed in job-id order, like the flow sums,
+/// so no total depends on which machine or worker produced a row.
 pub fn replay_nc(
     instance: &Instance,
     law: PowerLaw,
@@ -400,9 +397,9 @@ pub fn replay_nc(
         }
         schedules.push(run.schedule);
     }
-    // The serial runner accumulates `energy +=` in global job order (its
-    // loop runs over jobs by id); summing the id-indexed array reproduces
-    // that floating-point sequence bit for bit.
+    // Job-id order is the dispatch order, so this is the `energy +=` fold
+    // of a single loop over the jobs (the reference in
+    // tests/fleet_identity.rs), whatever the sharding.
     let objective = Objective {
         energy: energy_by_job.iter().sum(),
         frac_flow: frac_flow.iter().sum(),

@@ -5,9 +5,10 @@
 //! * [`nc_par`] — non-clairvoyant NC-PAR: global FIFO queue, dispatch on
 //!   machine availability, per-machine Algorithm NC (Theorem 17),
 //! * [`dispatch`] — immediate-dispatch policies behind a volume-blind trait,
-//! * [`fleet`] — sharded fleet execution: a deterministic [`fleet::DispatchLog`]
-//!   feeds per-machine event queues run as `ncss-pool` tasks, bitwise equal
-//!   to the serial runners and tractable to k = 4096,
+//! * [`fleet`] — sharded fleet execution: a deterministic [`fleet::DispatchLog`],
+//!   recorded in linear time, feeds per-machine event queues run as
+//!   `ncss-pool` tasks; the serial runners are the same log on one worker,
+//!   and every pool width gives the same bits up to k = 4096,
 //! * [`lower_bound`] — the adaptive-adversary game realising the paper's
 //!   `Ω(k^{1−1/α})` lower bound for immediate dispatch.
 
@@ -19,6 +20,7 @@ pub mod fleet;
 pub mod lazy_hdf;
 pub mod lower_bound;
 pub mod nc_par;
+mod shadow;
 
 pub use c_par::{run_c_par, ParOutcome, MAX_MACHINES};
 pub use dispatch::{collect_assignment, run_immediate_dispatch, ImmediateDispatch, LeastCount, RoundRobin, SeededRandom};

@@ -7,93 +7,29 @@
 //! machine runs Algorithm NC over the jobs it has been assigned, so a
 //! machine serves one job at a time with the growth-law speed rule
 //! `P(s) = W^{(C)}(r_j^-) + W̆_j(t)`, where the inner C run is over that
-//! machine's own previously-assigned jobs.
+//! machine's own previously-assigned jobs — kept alive as a per-machine
+//! shadow stream, so each `K_j` costs one offer.
+//!
+//! The dispatch loop is [`DispatchLog::nc_par`]; [`run_nc_par`] replays
+//! that log on one worker, and the sharded runner on many.
 //!
 //! Lemma 20 — verified by the tests and experiment E6 — shows the resulting
 //! assignment is *identical* to clairvoyant C-PAR's, which is what lets the
 //! single-machine Lemmas 3 and 4 lift to Theorem 17.
 
-use crate::c_par::{merge_per_job, remap_schedule, split_by_assignment, validate_machines, ParOutcome};
-use ncss_sim::kernel::GrowthKernel;
-use ncss_sim::{
-    Instance, Job, Objective, PerJob, PowerLaw, Schedule, ScheduleBuilder, Segment, SimError,
-    SimResult, SpeedLaw,
-};
+use crate::c_par::{merge_per_job, remap_schedule, split_by_assignment, ParOutcome};
+use crate::fleet::{replay_nc, DispatchLog};
+use ncss_pool::Pool;
+use ncss_sim::{Instance, Objective, PerJob, PowerLaw, Schedule, SimError, SimResult};
 
 /// Run NC-PAR on `machines` identical machines (uniform densities only,
-/// matching the paper's Theorem 17 setting).
+/// matching the paper's Theorem 17 setting): record the global-FIFO
+/// dispatch ([`DispatchLog::nc_par`]) and replay it with per-machine
+/// growth-law queues on a one-worker pool ([`replay_nc`]) — the sharded
+/// path with the width pinned to one, so the dispatch loop exists once.
 pub fn run_nc_par(instance: &Instance, law: PowerLaw, machines: usize) -> SimResult<ParOutcome> {
-    validate_machines(machines)?;
-    if !instance.is_uniform_density() {
-        return Err(SimError::NonUniformDensity);
-    }
-    let jobs = instance.jobs();
-    let n = jobs.len();
-    let mut assignment = vec![0usize; n];
-    // Per machine: availability time, assigned jobs so far, and timeline.
-    let mut avail = vec![0.0f64; machines];
-    let mut assigned: Vec<Vec<Job>> = vec![Vec::new(); machines];
-    let mut builders: Vec<ScheduleBuilder> =
-        (0..machines).map(|_| ScheduleBuilder::new(law)).collect();
-    let mut completion = vec![f64::NAN; n];
-    let mut frac_flow = vec![0.0; n];
-    let mut int_flow = vec![0.0; n];
-    let mut energy = 0.0;
-
-    // Jobs leave the global FIFO queue in release order; the dispatch time
-    // of the queue head is max(its release, earliest machine availability),
-    // and the machine is the lowest-indexed one available then.
-    for (j, job) in jobs.iter().enumerate() {
-        let earliest = avail.iter().copied().fold(f64::INFINITY, f64::min);
-        let t_start = job.release.max(earliest);
-        let m = (0..machines)
-            .find(|&m| avail[m] <= t_start + 1e-12)
-            .expect("some machine is available at t_start");
-        assignment[j] = m;
-
-        // K_j = W^C(r_j^-) over this machine's previously-assigned jobs,
-        // with simultaneous releases handled as the distinct-release limit
-        // (same tie semantics as the single-machine algorithm). The FIFO
-        // dispatch order keeps each machine's history release-sorted, so
-        // the history form of `base_power` applies directly.
-        let k_j = ncss_core::nc_uniform::base_power_over_history(&assigned[m], job.release, law)?;
-        let rho = job.density;
-        let kernel = GrowthKernel { law, u0: k_j, rho };
-        let tau = kernel.time_to_volume(job.volume);
-        if !tau.is_finite() {
-            // Guard before `avail` is poisoned: a NaN availability would
-            // panic the machine-selection `expect` on the next job.
-            return Err(SimError::Numeric { what: "run_nc_par: service time", value: tau });
-        }
-        energy += kernel.energy(tau);
-        frac_flow[j] = rho * job.volume * (t_start - job.release)
-            + rho * (job.volume * tau - kernel.volume_integral(tau));
-        completion[j] = t_start + tau;
-        int_flow[j] = job.weight() * (completion[j] - job.release);
-        builders[m].push(Segment::new(
-            t_start,
-            completion[j],
-            Some(j),
-            SpeedLaw::Growth { u0: k_j, rho },
-        ));
-        avail[m] = completion[j];
-        assigned[m].push(*job);
-    }
-
-    let objective = Objective {
-        energy,
-        frac_flow: frac_flow.iter().sum(),
-        int_flow: int_flow.iter().sum(),
-    }
-    .validated("run_nc_par: objective")?;
-    let schedules =
-        builders.into_iter().map(ScheduleBuilder::build).collect::<SimResult<Vec<_>>>()?;
-    Ok(ParOutcome {
-        assignment,
-        objective,
-        per_job: PerJob { completion, frac_flow, int_flow },
-        schedules,
-    })
+    let log = DispatchLog::nc_par(instance, law, machines)?;
+    replay_nc(instance, law, &log, &Pool::with_threads(1))
 }
 
 /// Run per-machine Algorithm NC under a **fixed** assignment (used by the
@@ -165,6 +101,7 @@ mod tests {
     use crate::c_par::run_c_par;
     use ncss_core::theory;
     use ncss_sim::numeric::approx_eq;
+    use ncss_sim::Job;
 
     fn pl(alpha: f64) -> PowerLaw {
         PowerLaw::new(alpha).unwrap()

@@ -27,9 +27,12 @@
 #      per-machine pool tasks, DESIGN.md §12) must match the serial
 #      runners bitwise and pass the cross-machine audit;
 #      a corrupted outcome must come back non-zero naming the tripped
-#      check; with NCSS_SOAK=1 the full k-sweep study regenerates
-#      BENCH_fleet.json and bench-diffs it against the committed
-#      baseline (metrics held to float slack)
+#      check; a linear-time tripwire runs C-PAR and NC-PAR on 50,000
+#      jobs at 2 machines under a 30 s timeout (each takes under a
+#      second; a dispatcher that re-runs Algorithm C over each
+#      machine's history takes minutes); with NCSS_SOAK=1 the full
+#      k-sweep study regenerates BENCH_fleet.json and bench-diffs it
+#      against the committed baseline (metrics held to float slack)
 #   8. stream smoke: the bounded-memory streaming core must match the
 #      batch runner bitwise and pass the live O(delta) audit, ingest stdin,
 #      and a corrupted streamed objective must exit non-zero under both
@@ -142,6 +145,17 @@ fi
 grep -q "no-double-service" "$fleet_log" \
     || { echo "FAIL: fleet audit rejection did not name no-double-service" >&2; rm -f "$fleet_log"; exit 1; }
 rm -f "$fleet_log"
+# Linear-time tripwire (DESIGN.md §12.2): with each machine's K_j read from
+# its shadow stream, 50,000 jobs on two machines take under a second per
+# algorithm; re-running Algorithm C over a machine's history on every
+# dispatch is quadratic and would take minutes.
+big="$(mktemp /tmp/ncss_verify_big.XXXXXX.csv)"
+"$cli" generate --n 50000 --rate 4 --volumes exp:1.0 --seed 1 > "$big"
+for algo in c-par nc-par; do
+    timeout 30 "$cli" fleet --algorithm "$algo" --machines 2 --input "$big" > /dev/null \
+        || { echo "FAIL: fleet $algo on 50,000 jobs failed or took over 30 s" >&2; rm -f "$big"; exit 1; }
+done
+rm -f "$big"
 echo "fleet smoke passed"
 
 echo "==> stream smoke (bounded-memory streaming vs batch, bitwise)"

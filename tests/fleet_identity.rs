@@ -12,8 +12,16 @@
 //! uniform-density suite and a bursty tie-heavy suite) × α ∈ {2, 2.75},
 //! for C-PAR, NC-PAR, and the immediate-dispatch policies, across several
 //! pool widths (1 worker, oversubscribed, auto).
+//!
+//! Since the serial runners are the dispatch log replayed on one worker,
+//! serial == sharded pins pool-width independence; what pins the
+//! dispatch itself is the independent oracle at the end of this file:
+//! test-local copies of the loops that re-derived `W^{(C)}(r^-)` with a
+//! fresh `run_c` over each machine's history, which the per-machine
+//! shadow of `ncss_multi` must reproduce bit for bit.
 
 use ncss::audit::AuditConfig;
+use ncss::core::run_c;
 use ncss::multi::fleet::{
     audit_fleet, replay_nc_assigned, run_c_par_sharded, run_nc_par_sharded, DispatchLog,
 };
@@ -22,7 +30,10 @@ use ncss::multi::{
     SeededRandom,
 };
 use ncss::pool::Pool;
-use ncss::sim::{Instance, Job, PowerLaw};
+use ncss::sim::kernel::GrowthKernel;
+use ncss::sim::{
+    Instance, Job, Objective, PerJob, PowerLaw, Schedule, ScheduleBuilder, Segment, SpeedLaw,
+};
 use ncss::workloads::suite::uniform_suite;
 use ncss::workloads::{VolumeDist, WorkloadSpec};
 
@@ -214,4 +225,155 @@ fn dispatch_log_is_replayable_and_self_consistent() {
             .expect("replay B");
         assert_bitwise(&a, &b, &format!("replay-twice k={k}"));
     }
+}
+
+// ---------------------------------------------------------------------------
+// Independent oracle: the dispatch loops that re-ran Algorithm C
+// ---------------------------------------------------------------------------
+
+/// `K = W^{(C)}(r^-)` for a job released at `release` on a machine whose
+/// earlier jobs are `history` (release-sorted): a fresh `run_c` over the
+/// strictly-earlier ones, read at the left limit, plus the full weight of
+/// the ones tied at `release`.
+fn rerun_base_power(history: &[Job], release: f64, law: PowerLaw) -> f64 {
+    let cut = history.partition_point(|i| i.release < release);
+    let strictly_before = if cut == 0 {
+        0.0
+    } else {
+        let prefix = Instance::new(history[..cut].to_vec()).expect("prefix");
+        run_c(&prefix, law).expect("prefix run").remaining_weight_before(release)
+    };
+    let ties: f64 =
+        history[cut..].iter().filter(|i| i.release == release).map(Job::weight).sum();
+    strictly_before + ties
+}
+
+/// Serial NC-PAR with `K_j` re-derived from the machine's strictly-earlier
+/// history on every dispatch — quadratic, kept only as the oracle.
+fn reference_nc_par(inst: &Instance, law: PowerLaw, machines: usize) -> ParOutcome {
+    let n = inst.len();
+    let mut assignment = vec![0usize; n];
+    let mut avail = vec![0.0f64; machines];
+    let mut history: Vec<Vec<Job>> = vec![Vec::new(); machines];
+    let mut builders: Vec<ScheduleBuilder> =
+        (0..machines).map(|_| ScheduleBuilder::new(law)).collect();
+    let mut completion = vec![f64::NAN; n];
+    let mut frac_flow = vec![0.0; n];
+    let mut int_flow = vec![0.0; n];
+    let mut energy = 0.0;
+    for (j, job) in inst.jobs().iter().enumerate() {
+        let earliest = avail.iter().copied().fold(f64::INFINITY, f64::min);
+        let start = job.release.max(earliest);
+        let m = (0..machines).find(|&m| avail[m] <= start + 1e-12).expect("available machine");
+        assignment[j] = m;
+        let k_j = rerun_base_power(&history[m], job.release, law);
+        let rho = job.density;
+        let kernel = GrowthKernel { law, u0: k_j, rho };
+        let tau = kernel.time_to_volume(job.volume);
+        energy += kernel.energy(tau);
+        frac_flow[j] = rho * job.volume * (start - job.release)
+            + rho * (job.volume * tau - kernel.volume_integral(tau));
+        completion[j] = start + tau;
+        int_flow[j] = job.weight() * (completion[j] - job.release);
+        let law_j = SpeedLaw::Growth { u0: k_j, rho };
+        builders[m].push(Segment::new(start, completion[j], Some(j), law_j));
+        avail[m] = completion[j];
+        history[m].push(*job);
+    }
+    let objective =
+        Objective { energy, frac_flow: frac_flow.iter().sum(), int_flow: int_flow.iter().sum() };
+    ParOutcome {
+        assignment,
+        objective,
+        per_job: PerJob { completion, frac_flow, int_flow },
+        schedules: builders.into_iter().map(|b| b.build().expect("timeline")).collect(),
+    }
+}
+
+/// Serial C-PAR whose greedy scan runs a fresh `run_c` for every probe of
+/// every machine, then runs Algorithm C per machine and merges in machine
+/// order.
+fn reference_c_par(inst: &Instance, law: PowerLaw, machines: usize) -> ParOutcome {
+    let n = inst.len();
+    let mut jobs_on: Vec<Vec<Job>> = vec![Vec::new(); machines];
+    let mut ids_on: Vec<Vec<usize>> = vec![Vec::new(); machines];
+    let mut assignment = Vec::with_capacity(n);
+    for (j, job) in inst.jobs().iter().enumerate() {
+        let mut best = 0usize;
+        let mut best_w = f64::INFINITY;
+        for (m, jobs) in jobs_on.iter().enumerate() {
+            let strictly_before = if jobs.is_empty() {
+                0.0
+            } else {
+                let run = run_c(&Instance::new(jobs.clone()).expect("machine"), law);
+                run.expect("probe run").remaining_weight_before(job.release)
+            };
+            let ties: f64 =
+                jobs.iter().filter(|i| i.release == job.release).map(Job::weight).sum();
+            let w = strictly_before + ties;
+            if w < best_w - 1e-12 {
+                best_w = w;
+                best = m;
+            }
+        }
+        assignment.push(best);
+        jobs_on[best].push(*job);
+        ids_on[best].push(j);
+    }
+    let mut objective = Objective::default();
+    let mut per_job =
+        PerJob { completion: vec![f64::NAN; n], frac_flow: vec![0.0; n], int_flow: vec![0.0; n] };
+    let mut schedules = Vec::with_capacity(machines);
+    for (jobs, ids) in jobs_on.iter().zip(&ids_on) {
+        let run = run_c(&Instance::new(jobs.clone()).expect("machine"), law).expect("machine run");
+        objective.energy += run.objective.energy;
+        objective.frac_flow += run.objective.frac_flow;
+        objective.int_flow += run.objective.int_flow;
+        for (local, &id) in ids.iter().enumerate() {
+            per_job.completion[id] = run.per_job.completion[local];
+            per_job.frac_flow[id] = run.per_job.frac_flow[local];
+            per_job.int_flow[id] = run.per_job.int_flow[local];
+        }
+        let segments = run
+            .schedule
+            .segments()
+            .iter()
+            .map(|s| Segment { job: s.job.map(|local| ids[local]), ..*s })
+            .collect();
+        schedules.push(Schedule::new(law, segments).expect("timeline"));
+    }
+    ParOutcome { assignment, objective, per_job, schedules }
+}
+
+#[test]
+fn shadow_dispatch_is_bitwise_the_history_rerun() {
+    for (si, suite) in [diverse_suite(), bursty_suite()].iter().enumerate() {
+        for (ii, inst) in suite.iter().enumerate() {
+            for alpha in [2.0, 2.75, 3.0] {
+                let law = PowerLaw::new(alpha).unwrap();
+                for &k in &KS {
+                    let ctx = format!("suite{si}/inst{ii} n={} k={k} a={alpha}", inst.len());
+                    let c_par = run_c_par(inst, law, k).expect("c-par");
+                    assert_bitwise(&reference_c_par(inst, law, k), &c_par, &format!("c-par {ctx}"));
+                    let nc_par = run_nc_par(inst, law, k).expect("nc-par");
+                    let want = reference_nc_par(inst, law, k);
+                    assert_bitwise(&want, &nc_par, &format!("nc-par {ctx}"));
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn shadow_read_order_holds_past_the_weight_resync() {
+    // 2,500 Poisson(4)/Exp(1) jobs on one machine make about 5,000 shadow
+    // events, past the 4,096-event exact resync of the shadow's total
+    // weight. A shadow that read W(r^-) before offering the job would count
+    // one extra zero-length event per release, resync on different events
+    // than the prefix re-run, and move the energy by a few ulps here.
+    let spec = WorkloadSpec::uniform(2_500, 4.0, VolumeDist::Exponential { mean: 1.0 });
+    let inst = spec.generate(14).expect("poisson instance");
+    let law = PowerLaw::new(3.0).unwrap();
+    let nc_par = run_nc_par(&inst, law, 1).expect("nc-par");
+    assert_bitwise(&reference_nc_par(&inst, law, 1), &nc_par, "nc-par n=2500 k=1 a=3");
 }
