@@ -31,11 +31,13 @@
 //! **buffer** the completions the sink emits, then drain the spill ring and
 //! feed each retired segment via [`IncrementalAudit::on_segment`], then
 //! feed the buffered completions via [`IncrementalAudit::on_complete`].
-//! Both streaming cores retire every segment of a completing job before (or
-//! at) the offer that emits its completion, so under this contract a job's
-//! full segment history always precedes its completion event. Feeding a
-//! completion before one of its segments shows up as lost volume — exactly
-//! what it would mean.
+//! [`IncrementalAudit::on_offer`] is that order, written once; every live
+//! feed (the CLI's `stream --audit 1`, the audited soak bench) goes
+//! through it. Both streaming cores retire every segment of a completing
+//! job before (or at) the offer that emits its completion, so under this
+//! contract a job's full segment history always precedes its completion
+//! event. Feeding a completion before one of its segments shows up as lost
+//! volume — exactly what it would mean.
 //!
 //! # Order dependence
 //!
@@ -812,6 +814,28 @@ impl IncrementalAudit {
         segs.clear();
         self.seg_pool.push(segs);
         trip
+    }
+
+    /// Feed one offer's retired `segments`, then the `completions` it
+    /// emitted as `(id, completion, frac_flow, int_flow)` — the feeding
+    /// contract's order, written once for every live feed. Every event is
+    /// fed even after a trip, so the engine's state stays whole; returns
+    /// the first trip.
+    pub fn on_offer(
+        &mut self,
+        segments: impl IntoIterator<Item = Segment>,
+        completions: impl IntoIterator<Item = (JobId, f64, f64, f64)>,
+    ) -> Option<Trip> {
+        let mut first = None;
+        for seg in segments {
+            let trip = self.on_segment(seg);
+            first = first.or(trip);
+        }
+        for (id, completion, frac_flow, int_flow) in completions {
+            let trip = self.on_complete(id, completion, frac_flow, int_flow);
+            first = first.or(trip);
+        }
+        first
     }
 
     /// Close the run against the stream's reported aggregate `objective`

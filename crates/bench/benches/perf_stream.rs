@@ -14,12 +14,12 @@
 //! per algorithm; `NCSS_BENCH_WARMUP`/`NCSS_BENCH_ITERS` override loop
 //! counts as for every other bench.
 
-use ncss_audit::{AuditConfig, AuditReport, IncrementalAudit, ScheduleAudit};
+use ncss_audit::{AuditConfig, AuditReport, IncrementalAudit, ScheduleAudit, Trip};
 use ncss_bench::harness::{black_box, AuditMode, Suite};
-use ncss_core::streaming::{CCompletion, CStream, NcStream, StreamConfig};
+use ncss_core::streaming::{CStream, NcStream, StreamConfig};
 use ncss_rng::{dist, Pcg64};
 use ncss_sim::{Evaluated, Instance, Job, PerJob, PowerLaw, ScheduleBuilder, Segment};
-use ncss_trace::{read_file, replay, Algo, Event, Recorder, TraceHeader, TraceSummary};
+use ncss_trace::{read_file, replay, Algo, Completion, Event, Recorder, Stream, TraceHeader};
 
 /// Poisson arrivals with exponential unit-mean volumes at density 1 — the
 /// same synthetic source as `ncss-cli stream --synthetic`.
@@ -60,46 +60,26 @@ fn rss_bytes() -> Option<u64> {
     Some(pages * 4096)
 }
 
-/// Run a retained (batch-config) streamed C pass over `jobs` and audit the
-/// rebuilt schedule against the stream's own reported objectives. The
-/// verdict gates the timed rows exactly as `run_checked` gates the batch
-/// benches.
-fn gate_c(jobs: &[Job], law: PowerLaw) -> AuditReport {
+/// Run a retained (batch-config) streamed pass of `algo` over `jobs` and
+/// audit the rebuilt schedule against the stream's own reported
+/// objectives. The verdict gates the timed rows exactly as `run_checked`
+/// gates the batch benches.
+fn gate(algo: Algo, jobs: &[Job], law: PowerLaw) -> AuditReport {
     let run = || -> Result<AuditReport, String> {
-        let mut stream = CStream::new(law, StreamConfig::batch());
+        let mut stream = Stream::new(algo, law, StreamConfig::batch());
+        let n = jobs.len();
         let mut per_job =
-            PerJob { completion: vec![f64::NAN; jobs.len()], frac_flow: vec![0.0; jobs.len()], int_flow: vec![0.0; jobs.len()] };
-        let mut sink = |c: ncss_core::CCompletion| {
-            per_job.completion[c.id] = c.completion;
-            per_job.frac_flow[c.id] = c.frac_flow;
-            per_job.int_flow[c.id] = c.int_flow;
+            PerJob { completion: vec![f64::NAN; n], frac_flow: vec![0.0; n], int_flow: vec![0.0; n] };
+        let mut sink = |c: Completion| {
+            let (id, completion, frac_flow, int_flow) = c.outcome();
+            per_job.completion[id] = completion;
+            per_job.frac_flow[id] = frac_flow;
+            per_job.int_flow[id] = int_flow;
         };
         for job in jobs {
             stream.offer(*job, &mut sink).map_err(|e| e.to_string())?;
         }
         let summary = stream.finish(&mut sink).map_err(|e| e.to_string())?;
-        let segments: Vec<Segment> = stream.spill_mut().drain().collect();
-        audit_rebuilt(jobs, law, segments, Evaluated { objective: summary.objective, per_job })
-    };
-    run().unwrap_or_else(placeholder)
-}
-
-/// Same gate for the non-clairvoyant uniform-density stream.
-fn gate_nc(jobs: &[Job], law: PowerLaw) -> AuditReport {
-    let run = || -> Result<AuditReport, String> {
-        let mut stream = NcStream::new(law, StreamConfig::batch());
-        let mut per_job =
-            PerJob { completion: vec![f64::NAN; jobs.len()], frac_flow: vec![0.0; jobs.len()], int_flow: vec![0.0; jobs.len()] };
-        for job in jobs {
-            stream
-                .offer(*job, &mut |c: ncss_core::NcCompletion| {
-                    per_job.completion[c.id] = c.completion;
-                    per_job.frac_flow[c.id] = c.frac_flow;
-                    per_job.int_flow[c.id] = c.int_flow;
-                })
-                .map_err(|e| e.to_string())?;
-        }
-        let summary = stream.finish().map_err(|e| e.to_string())?;
         let segments: Vec<Segment> = stream.spill_mut().drain().collect();
         audit_rebuilt(jobs, law, segments, Evaluated { objective: summary.objective, per_job })
     };
@@ -161,13 +141,14 @@ fn soak_nc(law: PowerLaw, n: usize, seed: u64, rate: f64) -> (f64, ncss_core::St
     (summary.objective.fractional(), stream.stats())
 }
 
-/// Streaming-mode C pass with an [`IncrementalAudit`] riding the stream:
-/// every release, retired segment, and completion feeds the auditor as it
-/// happens (O(segments of the job) per completion, O(active) state — the
-/// always-on audit must not reintroduce the O(n) memory the streaming mode
-/// exists to avoid). Returns the finalized report, the stream stats, and
-/// the auditor's peak active-job count.
-fn soak_c_audited(
+/// Streaming-mode pass of `algo` with an [`IncrementalAudit`] riding the
+/// stream: every release, retired segment, and completion feeds the
+/// auditor as it happens (O(segments of the job) per completion, O(active)
+/// state — the always-on audit must not reintroduce the O(n) memory the
+/// streaming mode exists to avoid). Returns the finalized report, the
+/// stream stats, and the auditor's peak active-job count.
+fn soak_audited(
+    algo: Algo,
     law: PowerLaw,
     n: usize,
     seed: u64,
@@ -175,88 +156,24 @@ fn soak_c_audited(
     config: AuditConfig,
 ) -> (AuditReport, ncss_core::StreamStats, usize) {
     let mut source = Poisson::new(seed, rate);
-    let mut stream = CStream::new(law, StreamConfig::streaming(SPILL_CAP));
+    let mut stream = Stream::new(algo, law, StreamConfig::streaming(SPILL_CAP));
     let mut audit = IncrementalAudit::new(law, config);
     let mut buf: Vec<(usize, f64, f64, f64)> = Vec::new();
     let mut audit_peak_active = 0usize;
+    let honest = |trip: Option<Trip>| {
+        if let Some(t) = trip {
+            panic!("honest soak tripped {}: {}", t.check, t.detail);
+        }
+    };
     for i in 0..n {
         let job = source.next_job();
         audit.on_release(i, job);
-        stream
-            .offer(job, &mut |c: ncss_core::CCompletion| {
-                buf.push((c.id, c.completion, c.frac_flow, c.int_flow));
-            })
-            .expect("stream offer");
-        for seg in stream.spill_mut().drain() {
-            if let Some(t) = audit.on_segment(seg) {
-                panic!("honest soak tripped {}: {}", t.check, t.detail);
-            }
-        }
-        for (id, completion, frac, int) in buf.drain(..) {
-            if let Some(t) = audit.on_complete(id, completion, frac, int) {
-                panic!("honest soak tripped {}: {}", t.check, t.detail);
-            }
-        }
+        stream.offer(job, &mut |c| buf.push(c.outcome())).expect("stream offer");
+        honest(audit.on_offer(stream.spill_mut().drain(), buf.drain(..)));
         audit_peak_active = audit_peak_active.max(audit.active_jobs());
     }
-    let summary = stream
-        .finish(&mut |c: ncss_core::CCompletion| {
-            buf.push((c.id, c.completion, c.frac_flow, c.int_flow));
-        })
-        .expect("stream finish");
-    for seg in stream.spill_mut().drain() {
-        if let Some(t) = audit.on_segment(seg) {
-            panic!("honest soak tripped {}: {}", t.check, t.detail);
-        }
-    }
-    for (id, completion, frac, int) in buf.drain(..) {
-        if let Some(t) = audit.on_complete(id, completion, frac, int) {
-            panic!("honest soak tripped {}: {}", t.check, t.detail);
-        }
-    }
-    let stats = stream.stats();
-    (audit.finalize(&summary.objective), stats, audit_peak_active)
-}
-
-/// Same audited pass for the non-clairvoyant uniform-density stream.
-fn soak_nc_audited(
-    law: PowerLaw,
-    n: usize,
-    seed: u64,
-    rate: f64,
-    config: AuditConfig,
-) -> (AuditReport, ncss_core::StreamStats, usize) {
-    let mut source = Poisson::new(seed, rate);
-    let mut stream = NcStream::new(law, StreamConfig::streaming(SPILL_CAP));
-    let mut audit = IncrementalAudit::new(law, config);
-    let mut buf: Vec<(usize, f64, f64, f64)> = Vec::new();
-    let mut audit_peak_active = 0usize;
-    for i in 0..n {
-        let job = source.next_job();
-        audit.on_release(i, job);
-        stream
-            .offer(job, &mut |c: ncss_core::NcCompletion| {
-                buf.push((c.id, c.completion, c.frac_flow, c.int_flow));
-            })
-            .expect("stream offer");
-        for seg in stream.spill_mut().drain() {
-            if let Some(t) = audit.on_segment(seg) {
-                panic!("honest soak tripped {}: {}", t.check, t.detail);
-            }
-        }
-        for (id, completion, frac, int) in buf.drain(..) {
-            if let Some(t) = audit.on_complete(id, completion, frac, int) {
-                panic!("honest soak tripped {}: {}", t.check, t.detail);
-            }
-        }
-        audit_peak_active = audit_peak_active.max(audit.active_jobs());
-    }
-    let summary = stream.finish().expect("stream finish");
-    for seg in stream.spill_mut().drain() {
-        if let Some(t) = audit.on_segment(seg) {
-            panic!("honest soak tripped {}: {}", t.check, t.detail);
-        }
-    }
+    let summary = stream.finish(&mut |c| buf.push(c.outcome())).expect("stream finish");
+    honest(audit.on_offer(stream.spill_mut().drain(), buf.drain(..)));
     let stats = stream.stats();
     (audit.finalize(&summary.objective), stats, audit_peak_active)
 }
@@ -301,49 +218,18 @@ fn record_soak_prefix(law: PowerLaw, seed: u64, rate: f64) -> Result<std::path::
         seed,
         format!("perf_stream soak prefix, rate {rate}"),
     );
-    let mut rec = Recorder::create(&path, &header).map_err(|e| e.to_string())?;
+    let err = |e: ncss_trace::TraceError| e.to_string();
+    let mut rec = Recorder::create(&path, &header).map_err(err)?;
     let mut source = Poisson::new(seed, rate);
-    let mut stream = CStream::new(law, StreamConfig::streaming(SPILL_CAP));
-    let append_all =
-        |rec: &mut Recorder<_>, stream: &mut CStream, pending: &mut Vec<CCompletion>| {
-            for c in pending.drain(..) {
-                rec.append(&Event::CompleteC {
-                    id: c.id as u64,
-                    completion: c.completion,
-                    frac_flow: c.frac_flow,
-                    int_flow: c.int_flow,
-                })
-                .map_err(|e| e.to_string())?;
-            }
-            for seg in stream.spill_mut().drain() {
-                rec.append(&Event::Segment(seg)).map_err(|e| e.to_string())?;
-            }
-            Ok::<(), String>(())
-        };
-    let mut pending: Vec<CCompletion> = Vec::new();
+    let mut stream = Stream::new(Algo::C, law, StreamConfig::streaming(SPILL_CAP));
     for i in 0..RECORD_PREFIX {
-        let job = source.next_job();
-        rec.append(&Event::Release { id: i as u64, job }).map_err(|e| e.to_string())?;
-        stream.offer(job, &mut |c| pending.push(c)).map_err(|e| e.to_string())?;
-        append_all(&mut rec, &mut stream, &mut pending)?;
+        rec.record_offer(&mut stream, source.next_job()).map_err(err)?;
         if (i + 1) % 512 == 0 {
-            rec.append(&Event::Checkpoint(Box::new(ncss_trace::Checkpoint::C(
-                stream.snapshot(),
-            ))))
-            .map_err(|e| e.to_string())?;
+            rec.append(&Event::Checkpoint(Box::new(stream.checkpoint()))).map_err(err)?;
         }
     }
-    let summary = stream.finish(&mut |c| pending.push(c)).map_err(|e| e.to_string())?;
-    append_all(&mut rec, &mut stream, &mut pending)?;
-    rec.finalize(&TraceSummary {
-        ingested: RECORD_PREFIX as u64,
-        completed: summary.completed as u64,
-        makespan: summary.makespan,
-        energy: summary.objective.energy,
-        frac_flow: summary.objective.frac_flow,
-        int_flow: summary.objective.int_flow,
-    })
-    .map_err(|e| e.to_string())?;
+    let summary = rec.record_finish(&mut stream).map_err(err)?;
+    rec.finalize(&summary).map_err(err)?;
     Ok(path)
 }
 
@@ -387,14 +273,14 @@ fn main() {
     // over the same arrivals.
     for n in [10_000usize, 100_000] {
         let jobs = Poisson::new(11, rate).take(n);
-        let r = gate_c(&jobs[..n.min(2_000)], law);
+        let r = gate(Algo::C, &jobs[..n.min(2_000)], law);
         suite.bench_report_with(&format!("stream_c/{n}"), Some(&r), 1, 10, || {
             let (obj, stats) = soak_c(law, n, 11, rate);
             black_box(obj);
             assert_flat("stream_c", &stats, n);
         });
 
-        let r = gate_nc(&jobs[..n.min(2_000)], law);
+        let r = gate(Algo::Nc, &jobs[..n.min(2_000)], law);
         suite.bench_report_with(&format!("stream_nc_uniform/{n}"), Some(&r), 1, 10, || {
             let (obj, stats) = soak_nc(law, n, 11, rate);
             black_box(obj);
@@ -425,7 +311,7 @@ fn main() {
     // n silently changed).
     let work_items = vec![("work_items".to_string(), soak_n as f64)];
 
-    let r = gate_c(&prefix, law);
+    let r = gate(Algo::C, &prefix, law);
     suite.bench_report_mode_metrics_with(
         "stream_c/soak",
         Some(&r),
@@ -440,7 +326,7 @@ fn main() {
         },
     );
 
-    let r = gate_nc(&prefix, law);
+    let r = gate(Algo::Nc, &prefix, law);
     suite.bench_report_mode_metrics_with(
         "stream_nc_uniform/soak",
         Some(&r),
@@ -467,7 +353,7 @@ fn main() {
     // ~100 ns closed-form, so the default stride 8 would triple the audit
     // cost for no additional coverage kind (see EXPERIMENTS.md).
     let soak_cfg = AuditConfig { cross_check_stride: 512, ..AuditConfig::default() };
-    let (r, _, _) = soak_c_audited(law, soak_n.min(50_000), 97, rate, soak_cfg);
+    let (r, _, _) = soak_audited(Algo::C, law, soak_n.min(50_000), 97, rate, soak_cfg);
     suite.bench_report_mode_metrics_with(
         "stream_c/soak_audited",
         Some(&r),
@@ -476,7 +362,8 @@ fn main() {
         0,
         1,
         || {
-            let (report, stats, audit_peak) = soak_c_audited(law, soak_n, 97, rate, soak_cfg);
+            let (report, stats, audit_peak) =
+                soak_audited(Algo::C, law, soak_n, 97, rate, soak_cfg);
             assert!(report.passed(), "audited soak failed:\n{}", report.render());
             assert_flat("stream_c/soak_audited", &stats, soak_n);
             assert!(
@@ -486,7 +373,7 @@ fn main() {
         },
     );
 
-    let (r, _, _) = soak_nc_audited(law, soak_n.min(50_000), 97, rate, soak_cfg);
+    let (r, _, _) = soak_audited(Algo::Nc, law, soak_n.min(50_000), 97, rate, soak_cfg);
     suite.bench_report_mode_metrics_with(
         "stream_nc_uniform/soak_audited",
         Some(&r),
@@ -495,7 +382,8 @@ fn main() {
         0,
         1,
         || {
-            let (report, stats, audit_peak) = soak_nc_audited(law, soak_n, 97, rate, soak_cfg);
+            let (report, stats, audit_peak) =
+                soak_audited(Algo::Nc, law, soak_n, 97, rate, soak_cfg);
             assert!(report.passed(), "audited soak failed:\n{}", report.render());
             assert_flat("stream_nc_uniform/soak_audited", &stats, soak_n);
             assert!(
@@ -521,10 +409,10 @@ fn main() {
         let _ = soak_nc(law, attr_n, 97, rate);
         suite.attach_phases("stream_nc_uniform/soak", &take_phase_report());
         enable_phase_profiling();
-        let _ = soak_c_audited(law, attr_n, 97, rate, soak_cfg);
+        let _ = soak_audited(Algo::C, law, attr_n, 97, rate, soak_cfg);
         suite.attach_phases("stream_c/soak_audited", &take_phase_report());
         enable_phase_profiling();
-        let _ = soak_nc_audited(law, attr_n, 97, rate, soak_cfg);
+        let _ = soak_audited(Algo::Nc, law, attr_n, 97, rate, soak_cfg);
         suite.attach_phases("stream_nc_uniform/soak_audited", &take_phase_report());
     }
 

@@ -11,7 +11,7 @@ use ncss_core::{
 use ncss_multi::{run_c_par, run_immediate_dispatch, run_nc_par, LeastCount};
 use ncss_sim::Evaluated;
 use ncss_opt::{solve_fractional_opt, SolverOptions};
-use ncss_sim::{Instance, Objective, PowerLaw, Schedule};
+use ncss_sim::{Instance, PowerLaw, Schedule};
 use ncss_workloads::{instance_from_csv, instance_to_csv, DensityDist, VolumeDist, WorkloadSpec};
 
 const HELP: &str = "\
@@ -167,29 +167,11 @@ fn cmd_generate(args: &ParsedArgs) -> Result<String, String> {
     Ok(instance_to_csv(&inst))
 }
 
-fn run_algorithm(name: &str, inst: &Instance, law: PowerLaw) -> Result<Objective, String> {
-    let err = |e: ncss_sim::SimError| e.to_string();
-    if let Some(speed) = name.strip_prefix("constant:") {
-        let s: f64 = speed.parse().map_err(|_| format!("bad speed '{speed}'"))?;
-        return Ok(run_constant_speed(inst, law, s).map_err(err)?.objective);
-    }
-    match name {
-        "c" => Ok(run_c(inst, law).map_err(err)?.objective),
-        "nc" => Ok(run_nc_uniform(inst, law).map_err(err)?.objective),
-        "nc-nonuniform" => Ok(run_nc_nonuniform(inst, law, NonUniformParams::recommended(law.alpha()))
-            .map_err(err)?
-            .objective),
-        "active-count" => Ok(run_active_count(inst, law).map_err(err)?.objective),
-        "newest-first" => Ok(run_newest_first(inst, law).map_err(err)?.objective),
-        _ => Err(format!("unknown algorithm '{name}'; see 'ncss help'")),
-    }
-}
-
 fn cmd_run(args: &ParsedArgs) -> Result<String, String> {
     let inst = load_instance(args)?;
     let law = law_of(args)?;
     let name = args.require("algorithm")?;
-    let o = run_algorithm(&name, &inst, law)?;
+    let (_, Evaluated { objective: o, .. }) = evaluated_of(&name, &inst, law)?;
     let mut t = Table::new(
         format!(
             "{name} on {} jobs (alpha = {}, kernel = {})",

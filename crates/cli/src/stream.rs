@@ -20,13 +20,15 @@
 //!   they are one engine (DESIGN.md §11).
 
 use crate::args::ParsedArgs;
+use crate::trace_cmd::algo_of;
 use ncss_analysis::{fmt_f, Table};
-use ncss_audit::{AuditConfig, IncrementalAudit, Trip};
-use ncss_core::streaming::{CStream, NcStream, StreamConfig};
+use ncss_audit::{AuditConfig, IncrementalAudit};
+use ncss_core::streaming::StreamConfig;
 use ncss_core::{run_c, run_nc_uniform};
 use ncss_rng::{dist, Pcg64};
 use ncss_sim::{Instance, Job, Objective, PowerLaw, SpillRing};
-use std::io::BufRead;
+use ncss_trace::{Algo, Completion, Stream};
+use std::io::{BufRead, Write};
 
 /// A source of released jobs, in non-decreasing release order. Shared with
 /// the trace subcommands (`record`/`resume`), which replay the same inputs.
@@ -155,49 +157,69 @@ impl JobSource {
     }
 }
 
-/// Per-run accounting shared by both algorithms.
-struct Tally {
-    offered: usize,
+/// `--emit completions --every N`: one line per N-th completion.
+struct Emitter<'a> {
+    /// Where lines go; `None` under `--emit summary`.
+    out: Option<&'a mut dyn Write>,
+    every: usize,
     emitted: usize,
 }
 
-/// Drain the spill ring after an offer. Unaudited runs discard the retired
-/// segments (the ring tracks its own peak/drop counters); audited runs
-/// follow the incremental feeding contract (DESIGN.md §11): retired
-/// segments first, then the completions the offer emitted. An eagerly
-/// tripped check becomes an immediate, named, non-zero exit.
-fn drain(
-    audit: Option<&mut IncrementalAudit>,
+impl Emitter<'_> {
+    fn take(&mut self, c: &Completion) -> Result<(), String> {
+        self.emitted += 1;
+        let Some(out) = self.out.as_mut() else { return Ok(()) };
+        if !self.emitted.is_multiple_of(self.every) {
+            return Ok(());
+        }
+        let (id, t, frac, int) = c.outcome();
+        match c {
+            Completion::C(_) => writeln!(out, "complete id={id} t={t} frac={frac} int={int}"),
+            Completion::Nc(nc) => {
+                writeln!(out, "complete id={id} t={t} frac={frac} int={int} base={}", nc.base_power)
+            }
+        }
+        .map_err(|e| format!("cannot write completions: {e}"))
+    }
+}
+
+/// Settle one stream step (an offer, or the final `finish`): emit the
+/// completions it produced, then either feed the live audit in the
+/// feeding contract's order ([`IncrementalAudit::on_offer`], DESIGN.md
+/// §11) or discard the retired segments (the ring tracks its own
+/// peak/drop counters). An eagerly tripped check becomes an immediate,
+/// named, non-zero exit.
+fn settle(
+    done: &mut Vec<Completion>,
     ring: &mut SpillRing,
-    completions: &mut Vec<(usize, f64, f64, f64)>,
+    audit: Option<&mut IncrementalAudit>,
+    emitter: &mut Emitter<'_>,
 ) -> Result<(), String> {
+    for c in done.iter() {
+        emitter.take(c)?;
+    }
     let Some(audit) = audit else {
+        done.clear();
         drop(ring.drain());
         return Ok(());
     };
-    let fail = |t: Trip| {
-        format!(
+    match audit.on_offer(ring.drain(), done.drain(..).map(|c| c.outcome())) {
+        None => Ok(()),
+        Some(t) => Err(format!(
             "incremental audit tripped {}: residual {:.3e} — {}",
             t.check, t.residual, t.detail
-        )
-    };
-    for seg in ring.drain() {
-        if let Some(t) = audit.on_segment(seg) {
-            return Err(fail(t));
-        }
+        )),
     }
-    for (id, completion, frac, int) in completions.drain(..) {
-        if let Some(t) = audit.on_complete(id, completion, frac, int) {
-            return Err(fail(t));
-        }
-    }
-    Ok(())
 }
 
-/// Entry point for `ncss stream`.
+/// Entry point for `ncss stream`: completion lines go to stdout.
 pub(crate) fn cmd_stream(args: &ParsedArgs) -> Result<String, String> {
+    stream_to(args, &mut std::io::stdout().lock())
+}
+
+/// `ncss stream`, writing `--emit completions` lines to `out`.
+fn stream_to(args: &ParsedArgs, out: &mut dyn Write) -> Result<String, String> {
     let law = PowerLaw::new(args.f64_or("alpha", 3.0)?).map_err(|e| e.to_string())?;
-    let algo = args.get_or("algorithm", "c");
     let emit = args.get_or("emit", "summary");
     if emit != "summary" && emit != "completions" {
         return Err(format!("--emit expects summary|completions, got '{emit}'"));
@@ -222,94 +244,35 @@ pub(crate) fn cmd_stream(args: &ParsedArgs) -> Result<String, String> {
     }
 
     let (mut source, _seed) = JobSource::from_args(args, "stream")?;
+    let algo = algo_of(args)?;
 
     // The batch cross-check needs every job retained (and an unbounded
     // ring, so no segment can drop); plain streaming keeps memory flat.
     let config =
         if check_batch { StreamConfig::batch() } else { StreamConfig::streaming(spill_cap) };
     let mut jobs: Vec<Job> = Vec::new(); // only filled for the batch cross-check
-    let mut tally = Tally { offered: 0, emitted: 0 };
-    // Always-on auditor + the per-offer completion buffer of its feeding
-    // contract (segments are fed before the completions they precede).
+    let mut offered = 0usize;
+    let mut emitter = Emitter { out: (emit == "completions").then_some(out), every, emitted: 0 };
+    // Always-on auditor, fed one settled step at a time.
     let mut inc = audit.then(|| IncrementalAudit::new(law, AuditConfig::default()));
-    let mut inc_buf: Vec<(usize, f64, f64, f64)> = Vec::new();
+    let mut stream = Stream::new(algo, law, config);
+    let mut done: Vec<Completion> = Vec::new();
 
     let err = |e: ncss_sim::SimError| e.to_string();
-    let (mut summary, stats) = match algo.as_str() {
-        "c" => {
-            let mut stream = CStream::new(law, config);
-            loop {
-                let Some(job) = source.next_job()? else { break };
-                if check_batch {
-                    jobs.push(job);
-                }
-                if let Some(a) = inc.as_mut() {
-                    a.on_release(tally.offered, job);
-                }
-                let mut sink = |c: ncss_core::CCompletion| {
-                    if audit {
-                        inc_buf.push((c.id, c.completion, c.frac_flow, c.int_flow));
-                    }
-                    tally.emitted += 1;
-                    if emit == "completions" && tally.emitted % every == 0 {
-                        println!(
-                            "complete id={} t={} frac={} int={}",
-                            c.id, c.completion, c.frac_flow, c.int_flow
-                        );
-                    }
-                };
-                stream.offer(job, &mut sink).map_err(err)?;
-                tally.offered += 1;
-                drain(inc.as_mut(), stream.spill_mut(), &mut inc_buf)?;
-            }
-            let mut sink = |c: ncss_core::CCompletion| {
-                if audit {
-                    inc_buf.push((c.id, c.completion, c.frac_flow, c.int_flow));
-                }
-                tally.emitted += 1;
-                if emit == "completions" && tally.emitted % every == 0 {
-                    println!(
-                        "complete id={} t={} frac={} int={}",
-                        c.id, c.completion, c.frac_flow, c.int_flow
-                    );
-                }
-            };
-            let summary = stream.finish(&mut sink).map_err(err)?;
-            drain(inc.as_mut(), stream.spill_mut(), &mut inc_buf)?;
-            (summary, stream.stats())
+    while let Some(job) = source.next_job()? {
+        if check_batch {
+            jobs.push(job);
         }
-        "nc" => {
-            let mut stream = NcStream::new(law, config);
-            loop {
-                let Some(job) = source.next_job()? else { break };
-                if check_batch {
-                    jobs.push(job);
-                }
-                if let Some(a) = inc.as_mut() {
-                    a.on_release(tally.offered, job);
-                }
-                let mut sink = |c: ncss_core::NcCompletion| {
-                    if audit {
-                        inc_buf.push((c.id, c.completion, c.frac_flow, c.int_flow));
-                    }
-                    tally.emitted += 1;
-                    if emit == "completions" && tally.emitted % every == 0 {
-                        println!(
-                            "complete id={} t={} frac={} int={} base={}",
-                            c.id, c.completion, c.frac_flow, c.int_flow, c.base_power
-                        );
-                    }
-                };
-                stream.offer(job, &mut sink).map_err(err)?;
-                tally.offered += 1;
-                drain(inc.as_mut(), stream.spill_mut(), &mut inc_buf)?;
-            }
-            let summary = stream.finish().map_err(err)?;
-            drain(inc.as_mut(), stream.spill_mut(), &mut inc_buf)?;
-            (summary, stream.stats())
+        if let Some(a) = inc.as_mut() {
+            a.on_release(offered, job);
         }
-        other => return Err(format!("stream supports --algorithm c|nc, got '{other}'")),
-    };
+        stream.offer(job, &mut |c| done.push(c)).map_err(err)?;
+        offered += 1;
+        settle(&mut done, stream.spill_mut(), inc.as_mut(), &mut emitter)?;
+    }
+    let mut summary = stream.finish(&mut |c| done.push(c)).map_err(err)?;
+    settle(&mut done, stream.spill_mut(), inc.as_mut(), &mut emitter)?;
+    let stats = stream.stats();
 
     if stats.peak_active > assert_active {
         return Err(format!(
@@ -354,21 +317,21 @@ pub(crate) fn cmd_stream(args: &ParsedArgs) -> Result<String, String> {
     }
     if check_batch {
         let inst = Instance::new(jobs).map_err(err)?;
-        let batch = match algo.as_str() {
-            "c" => run_c(&inst, law).map_err(err)?.objective,
-            _ => run_nc_uniform(&inst, law).map_err(err)?.objective,
+        let batch = match algo {
+            Algo::C => run_c(&inst, law).map_err(err)?.objective,
+            Algo::Nc => run_nc_uniform(&inst, law).map_err(err)?.objective,
         };
         check_bitwise(&summary.objective, &batch)?;
         extra_rows.push(("batch cross-check".into(), "bitwise equal".into()));
     }
 
     let mut t = Table::new(
-        format!("stream {} (alpha = {})", algo, law.alpha()),
+        format!("stream {} (alpha = {})", algo.name(), law.alpha()),
         &["metric", "value"],
     );
     let o = &summary.objective;
     for (k, v) in [
-        ("jobs offered", format!("{}", tally.offered)),
+        ("jobs offered", format!("{offered}")),
         ("jobs completed", format!("{}", summary.completed)),
         ("makespan", fmt_f(summary.makespan)),
         ("energy", fmt_f(o.energy)),
@@ -412,7 +375,10 @@ fn check_bitwise(stream: &Objective, batch: &Objective) -> Result<(), String> {
 
 #[cfg(test)]
 mod tests {
+    use crate::args::parse_args;
     use crate::run_cli;
+    use ncss_core::streaming::{CStream, NcStream, StreamConfig};
+    use ncss_sim::{Job, PowerLaw};
 
     fn v(parts: &[&str]) -> Vec<String> {
         parts.iter().map(|s| (*s).to_string()).collect()
@@ -524,5 +490,61 @@ mod tests {
         .unwrap_err();
         assert!(err.contains("--strict"), "{err}");
         assert!(err.contains("dropped from the spill ring"), "{err}");
+    }
+
+    #[test]
+    fn emit_completions_prints_every_nth_line_for_c_and_nc() {
+        let body = "release,volume,density\n0,1,1\n0.2,0.5,1\n0.3,2,1\n1.1,0.7,1\n\
+                    1.2,0.1,1\n2.5,1.3,1\n2.6,0.4,1\n4,0.9,1\n";
+        let p = write_csv("emit.csv", body);
+        let jobs: Vec<Job> = body
+            .lines()
+            .skip(1)
+            .map(|row| {
+                let f: Vec<f64> = row.split(',').map(|x| x.parse().unwrap()).collect();
+                Job::new(f[0], f[1], f[2])
+            })
+            .collect();
+        let law = PowerLaw::new(2.5).unwrap();
+
+        // Expected lines straight from the cores, in emission order.
+        let mut c_lines = Vec::new();
+        let mut c = CStream::new(law, StreamConfig::batch());
+        let mut sink = |c: ncss_core::CCompletion| {
+            c_lines.push(format!(
+                "complete id={} t={} frac={} int={}",
+                c.id, c.completion, c.frac_flow, c.int_flow
+            ));
+        };
+        for job in &jobs {
+            c.offer(*job, &mut sink).unwrap();
+        }
+        c.finish(&mut sink).unwrap();
+        let mut nc_lines = Vec::new();
+        let mut nc = NcStream::new(law, StreamConfig::batch());
+        for job in &jobs {
+            nc.offer(*job, &mut |c: ncss_core::NcCompletion| {
+                nc_lines.push(format!(
+                    "complete id={} t={} frac={} int={} base={}",
+                    c.id, c.completion, c.frac_flow, c.int_flow, c.base_power
+                ));
+            })
+            .unwrap();
+        }
+
+        for (algo, all) in [("c", c_lines), ("nc", nc_lines)] {
+            assert_eq!(all.len(), jobs.len(), "{algo}: every job completes once");
+            let args = parse_args(&v(&[
+                "stream", "--input", &p, "--alpha", "2.5", "--algorithm", algo, "--emit",
+                "completions", "--every", "3",
+            ]))
+            .unwrap();
+            let mut out = Vec::new();
+            let table = super::stream_to(&args, &mut out).unwrap();
+            assert!(table.contains("jobs completed"), "{algo}: {table}");
+            let want: String = all.iter().skip(2).step_by(3).map(|l| format!("{l}\n")).collect();
+            assert_eq!(String::from_utf8(out).unwrap(), want, "{algo}");
+            assert_eq!(want.lines().count(), 2, "{algo}: the 3rd and 6th of 8 completions");
+        }
     }
 }

@@ -20,15 +20,14 @@ use crate::args::ParsedArgs;
 use crate::stream::JobSource;
 use ncss_analysis::{fmt_f, Table};
 use ncss_audit::{AuditConfig, ScheduleAudit};
-use ncss_core::streaming::{
-    CCompletion, CStream, NcCompletion, NcStream, StreamConfig, StreamSummary,
-};
+use ncss_core::streaming::StreamConfig;
 use ncss_sim::{Evaluated, Instance, Job, PerJob, PowerLaw, ScheduleBuilder};
 use ncss_trace::{
-    format, reader, replay as trace_replay, tamper, Algo, Checkpoint, Event, Recorder, TraceError,
-    TraceHeader, TraceSummary,
+    format, reader, replay as trace_replay, tamper, Algo, Checkpoint, Event, Recorder, Stream,
+    TraceError, TraceHeader, TraceSummary,
 };
-use std::io::Write;
+use std::fs::File;
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 fn trace_err(e: TraceError) -> String {
@@ -47,7 +46,8 @@ fn trace_path(args: &ParsedArgs) -> Result<PathBuf, String> {
     Ok(PathBuf::from(args.require("trace")?))
 }
 
-fn algo_of(args: &ParsedArgs) -> Result<Algo, String> {
+/// The `--algorithm c|nc` of `stream`, `record` and `resume` (default `c`).
+pub(crate) fn algo_of(args: &ParsedArgs) -> Result<Algo, String> {
     match args.get_or("algorithm", "c").as_str() {
         "c" => Ok(Algo::C),
         "nc" => Ok(Algo::Nc),
@@ -55,80 +55,47 @@ fn algo_of(args: &ParsedArgs) -> Result<Algo, String> {
     }
 }
 
-fn summary_event(s: &StreamSummary, offered: usize) -> TraceSummary {
-    TraceSummary {
-        ingested: offered as u64,
-        completed: s.completed as u64,
-        makespan: s.makespan,
-        energy: s.objective.energy,
-        frac_flow: s.objective.frac_flow,
-        int_flow: s.objective.int_flow,
-    }
-}
-
-fn c_event(c: &CCompletion) -> Event {
-    Event::CompleteC {
-        id: c.id as u64,
-        completion: c.completion,
-        frac_flow: c.frac_flow,
-        int_flow: c.int_flow,
-    }
-}
-
-fn nc_event(c: &NcCompletion) -> Event {
-    Event::CompleteNc {
-        id: c.id as u64,
-        base_power: c.base_power,
-        start: c.start,
-        completion: c.completion,
-        frac_flow: c.frac_flow,
-        int_flow: c.int_flow,
-    }
+/// A fresh stream for a recording. The spill ring is drained into the
+/// recorder after every offer, so a modest cap can never drop segments.
+fn fresh_stream(algo: Algo, law: PowerLaw) -> Stream {
+    Stream::new(algo, law, StreamConfig::streaming(4096))
 }
 
 /// How a recording run ended.
 enum RunEnd {
-    /// Ran to completion and was finalized.
-    Finalized(StreamSummary),
+    /// Ran to completion and was finalized with this tally.
+    Finalized(TraceSummary),
     /// Deliberately killed after this many offers (unfinalized trace).
     Killed(usize),
 }
 
-/// Shared record loop: offer jobs from `source` (skipping the first `skip`,
-/// which a resume has already replayed from its checkpoint), appending
-/// every event to `rec`, checkpointing every `every` offers, optionally
-/// stopping after `kill_after` *new* offers without finalizing.
-#[allow(clippy::too_many_arguments)]
+impl RunEnd {
+    /// Jobs offered in total, including a resume's replayed prefix.
+    fn offered(&self) -> usize {
+        match self {
+            RunEnd::Finalized(summary) => summary.ingested as usize,
+            RunEnd::Killed(at) => *at,
+        }
+    }
+}
+
+/// Shared record loop: offer jobs from `source` to `stream` (skipping the
+/// first `skip`, which a resume has already replayed from its checkpoint),
+/// logging every offer to `rec`, checkpointing every `every` offers, and
+/// finalizing at the end — or stopping after `kill_after` *new* offers
+/// without finalizing.
 fn drive(
-    algo: Algo,
-    law: PowerLaw,
+    mut stream: Stream,
     source: &mut JobSource,
-    rec: &mut Recorder<std::io::BufWriter<std::fs::File>>,
-    restore: Option<Checkpoint>,
+    mut rec: Recorder<BufWriter<File>>,
     skip: usize,
     every: usize,
     kill_after: usize,
     trace_jobs: &[Job],
-) -> Result<(RunEnd, usize), String> {
-    // Restore or construct the stream. The spill ring is drained into the
-    // recorder after every offer, so a modest cap can never drop segments.
-    let config = StreamConfig::streaming(4096);
-    let (mut c_stream, mut nc_stream) = match (algo, restore) {
-        (Algo::C, Some(Checkpoint::C(s))) => {
-            (Some(CStream::from_snapshot(s).map_err(sim_err)?), None)
-        }
-        (Algo::Nc, Some(Checkpoint::Nc(s))) => {
-            (None, Some(NcStream::from_snapshot(s).map_err(sim_err)?))
-        }
-        (_, Some(_)) => return Err("checkpoint algorithm disagrees with --algorithm".to_string()),
-        (Algo::C, None) => (Some(CStream::new(law, config)), None),
-        (Algo::Nc, None) => (None, Some(NcStream::new(law, config))),
-    };
-
+) -> Result<RunEnd, String> {
     let mut offered = skip;
     let mut skipped = 0usize;
-    loop {
-        let Some(job) = source.next_job()? else { break };
+    while let Some(job) = source.next_job()? {
         if skipped < skip {
             // The resume path re-reads the original input; the skipped
             // prefix must agree with what the trace recorded, or the input
@@ -144,66 +111,23 @@ fn drive(
             skipped += 1;
             continue;
         }
-        let id = offered as u64;
-        rec.append(&Event::Release { id, job }).map_err(trace_err)?;
-        if let Some(stream) = c_stream.as_mut() {
-            let mut pending: Vec<CCompletion> = Vec::new();
-            stream.offer(job, &mut |c| pending.push(c)).map_err(sim_err)?;
-            for c in &pending {
-                rec.append(&c_event(c)).map_err(trace_err)?;
-            }
-            for seg in stream.spill_mut().drain() {
-                rec.append(&Event::Segment(seg)).map_err(trace_err)?;
-            }
-        }
-        if let Some(stream) = nc_stream.as_mut() {
-            let mut pending: Vec<NcCompletion> = Vec::new();
-            stream.offer(job, &mut |c| pending.push(c)).map_err(sim_err)?;
-            for c in &pending {
-                rec.append(&nc_event(c)).map_err(trace_err)?;
-            }
-            for seg in stream.spill_mut().drain() {
-                rec.append(&Event::Segment(seg)).map_err(trace_err)?;
-            }
-        }
+        rec.record_offer(&mut stream, job).map_err(trace_err)?;
         offered += 1;
-        if every > 0 && offered % every == 0 {
-            let cp = match (&c_stream, &nc_stream) {
-                (Some(s), _) => Checkpoint::C(s.snapshot()),
-                (_, Some(s)) => Checkpoint::Nc(s.snapshot()),
-                _ => unreachable!("one stream is always live"),
-            };
-            rec.append(&Event::Checkpoint(Box::new(cp))).map_err(trace_err)?;
+        if every > 0 && offered.is_multiple_of(every) {
+            let cp = Box::new(stream.checkpoint());
+            rec.append(&Event::Checkpoint(cp)).map_err(trace_err)?;
             // A checkpoint is a durability point: everything up to it must
             // survive a crash right after.
             rec.flush().map_err(trace_err)?;
         }
         if kill_after > 0 && offered - skip >= kill_after {
             rec.flush().map_err(trace_err)?;
-            return Ok((RunEnd::Killed(offered), offered));
+            return Ok(RunEnd::Killed(offered));
         }
     }
-
-    let summary = if let Some(stream) = c_stream.as_mut() {
-        let mut pending: Vec<CCompletion> = Vec::new();
-        let summary = stream.finish(&mut |c| pending.push(c)).map_err(sim_err)?;
-        for c in &pending {
-            rec.append(&c_event(c)).map_err(trace_err)?;
-        }
-        for seg in stream.spill_mut().drain() {
-            rec.append(&Event::Segment(seg)).map_err(trace_err)?;
-        }
-        summary
-    } else if let Some(stream) = nc_stream.as_mut() {
-        let summary = stream.finish().map_err(sim_err)?;
-        for seg in stream.spill_mut().drain() {
-            rec.append(&Event::Segment(seg)).map_err(trace_err)?;
-        }
-        summary
-    } else {
-        unreachable!("one stream is always live")
-    };
-    Ok((RunEnd::Finalized(summary), offered))
+    let summary = rec.record_finish(&mut stream).map_err(trace_err)?;
+    rec.finalize(&summary).map_err(trace_err)?;
+    Ok(RunEnd::Finalized(summary))
 }
 
 /// Entry point for `ncss record`.
@@ -218,30 +142,26 @@ pub(crate) fn cmd_record(args: &ParsedArgs) -> Result<String, String> {
     let note = args.get_or("note", "");
 
     let header = TraceHeader::new(algo, law.alpha(), seed, note);
-    let mut rec = Recorder::create(&out, &header).map_err(trace_err)?;
-    let (end, offered) =
-        drive(algo, law, &mut source, &mut rec, None, 0, every, kill_after, &[])?;
+    let rec = Recorder::create(&out, &header).map_err(trace_err)?;
+    let end = drive(fresh_stream(algo, law), &mut source, rec, 0, every, kill_after, &[])?;
 
     let mut t = Table::new(
         format!("record {} (alpha = {})", algo.name(), law.alpha()),
         &["metric", "value"],
     );
     t.row(vec!["trace".into(), out.display().to_string()]);
-    t.row(vec!["jobs offered".into(), format!("{offered}")]);
+    t.row(vec!["jobs offered".into(), format!("{}", end.offered())]);
     match end {
         RunEnd::Finalized(summary) => {
-            let bytes = rec.finalize(&summary_event(&summary, offered)).map_err(trace_err)?;
-            drop(bytes);
             t.row(vec!["finalized".into(), "yes".into()]);
             t.row(vec!["makespan".into(), fmt_f(summary.makespan)]);
-            t.row(vec!["energy".into(), fmt_f(summary.objective.energy)]);
-            t.row(vec!["frac flow".into(), fmt_f(summary.objective.frac_flow)]);
-            t.row(vec!["int flow".into(), fmt_f(summary.objective.int_flow)]);
+            t.row(vec!["energy".into(), fmt_f(summary.energy)]);
+            t.row(vec!["frac flow".into(), fmt_f(summary.frac_flow)]);
+            t.row(vec!["int flow".into(), fmt_f(summary.int_flow)]);
         }
         RunEnd::Killed(at) => {
             // Simulated crash: no summary frame. Optionally leave a torn
             // half-frame at the tail, as a real kill mid-append would.
-            drop(rec);
             if torn_bytes > 0 {
                 let (k, payload) =
                     format::encode_event(u64::MAX, &Event::Release { id: u64::MAX, job: Job::unit_density(0.0, 1.0) });
@@ -282,7 +202,6 @@ pub(crate) fn cmd_resume(args: &ParsedArgs) -> Result<String, String> {
 
     let header = recovery.trace.header.clone();
     let law = PowerLaw::new(header.alpha).map_err(sim_err)?;
-    let algo = header.algorithm;
     let trace_jobs = recovery.trace.jobs();
 
     // Resume point: the last checkpoint. Events up to and including it are
@@ -302,26 +221,19 @@ pub(crate) fn cmd_resume(args: &ParsedArgs) -> Result<String, String> {
     }
 
     let (mut source, _seed) = JobSource::from_args(args, "resume")?;
-    let (end, offered) = drive(
-        algo,
-        law,
-        &mut source,
-        &mut rec,
-        restore,
-        skip,
-        every,
-        kill_after,
-        &trace_jobs,
-    )?;
-    t.row(vec!["jobs offered (total)".into(), format!("{offered}")]);
+    let stream = match restore {
+        Some(cp) => Stream::restore(cp).map_err(sim_err)?,
+        None => fresh_stream(header.algorithm, law),
+    };
+    let end = drive(stream, &mut source, rec, skip, every, kill_after, &trace_jobs)?;
+    t.row(vec!["jobs offered (total)".into(), format!("{}", end.offered())]);
     match end {
         RunEnd::Finalized(summary) => {
-            rec.finalize(&summary_event(&summary, offered)).map_err(trace_err)?;
             t.row(vec!["finalized".into(), "yes".into()]);
             t.row(vec!["out".into(), out.display().to_string()]);
-            t.row(vec!["energy".into(), fmt_f(summary.objective.energy)]);
-            t.row(vec!["frac flow".into(), fmt_f(summary.objective.frac_flow)]);
-            t.row(vec!["int flow".into(), fmt_f(summary.objective.int_flow)]);
+            t.row(vec!["energy".into(), fmt_f(summary.energy)]);
+            t.row(vec!["frac flow".into(), fmt_f(summary.frac_flow)]);
+            t.row(vec!["int flow".into(), fmt_f(summary.int_flow)]);
         }
         RunEnd::Killed(at) => {
             t.row(vec!["finalized".into(), format!("no (killed again after {at} offers)")]);
@@ -375,15 +287,10 @@ pub(crate) fn cmd_replay(args: &ParsedArgs) -> Result<String, String> {
             frac_flow: vec![0.0; n],
             int_flow: vec![0.0; n],
         };
-        for c in &report.completions_c {
-            per_job.completion[c.id] = c.completion;
-            per_job.frac_flow[c.id] = c.frac_flow;
-            per_job.int_flow[c.id] = c.int_flow;
-        }
-        for c in &report.completions_nc {
-            per_job.completion[c.id] = c.completion;
-            per_job.frac_flow[c.id] = c.frac_flow;
-            per_job.int_flow[c.id] = c.int_flow;
+        for (id, completion, frac_flow, int_flow) in report.completions().map(|c| c.outcome()) {
+            per_job.completion[id] = completion;
+            per_job.frac_flow[id] = frac_flow;
+            per_job.int_flow[id] = int_flow;
         }
         let objective = ncss_sim::Objective {
             energy: report.recorded.energy,
@@ -453,7 +360,7 @@ fn check_equivalent(a: &reader::TraceFile, b: &reader::TraceFile) -> Result<(), 
         return fail(format!("event counts: {} vs {}", ca.len(), cb.len()));
     }
     for (i, (x, y)) in ca.iter().zip(&cb).enumerate() {
-        if x != y {
+        if format::encode_event(0, x) != format::encode_event(0, y) {
             return fail(format!("event #{i}: {x:?} vs {y:?}"));
         }
     }
@@ -547,6 +454,33 @@ mod tests {
             "replay", "--trace", &resumed, "--audit", "1", "--check-against", &full,
         ]))
         .unwrap();
+        assert!(replay.contains("bitwise equal"), "{replay}");
+    }
+
+    #[test]
+    fn nc_kill_resume_equals_uninterrupted_run() {
+        let full = tmp("nc_kr_full.nct");
+        let torn = tmp("nc_kr_torn.nct");
+        let resumed = tmp("nc_kr_resumed.nct");
+        record(&full, &["--algorithm", "nc"]);
+        let killed =
+            record(&torn, &["--algorithm", "nc", "--kill-after", "29", "--torn-bytes", "11"]);
+        assert!(killed.contains("killed after 29 offers"), "{killed}");
+        let res = run_cli(&v(&[
+            "resume", "--trace", &torn, "--synthetic", "50", "--rate", "1.2", "--seed", "11",
+            "--checkpoint-every", "8", "--out", &resumed,
+        ]))
+        .unwrap();
+        let from_24 = res
+            .lines()
+            .any(|l| l.contains("resume from offer") && l.trim_end().ends_with(" 24"));
+        assert!(from_24, "{res}");
+        let replay = run_cli(&v(&[
+            "replay", "--trace", &resumed, "--audit", "1", "--check-against", &full,
+        ]))
+        .unwrap();
+        let nc = replay.lines().any(|l| l.contains("algorithm") && l.trim_end().ends_with(" nc"));
+        assert!(nc, "{replay}");
         assert!(replay.contains("bitwise equal"), "{replay}");
     }
 

@@ -34,11 +34,13 @@ use ncss_sim::spill::{SpillRing, SpillSnapshot};
 use ncss_sim::{Job, JobId, Objective, PowerLaw, Segment, SimError, SimResult, SpeedLaw};
 use std::collections::BinaryHeap;
 
-/// Initial capacity of the active-job heap. One stream exists per run (the
-/// fleet layer replays dispatch logs rather than nesting streams), so a
-/// generous pre-size trades a few KiB for an allocation-free steady state;
-/// streams whose active set outgrows it just fall back to amortized
-/// doubling.
+/// Initial capacity of the active-job heap: a generous pre-size trades a
+/// few KiB per stream for an allocation-free steady state, and streams
+/// whose active set outgrows it fall back to amortized doubling. A run can
+/// hold many streams — NC embeds a shadow C stream, and the fleet
+/// dispatcher builds one clairvoyant shadow per used machine (which C-PAR
+/// clones into its cached timelines) — and each new or restored one pays
+/// the pre-size.
 const HEAP_PRESIZE: usize = 1024;
 
 /// Exact total-weight resync cadence. `W(t)` is maintained incrementally

@@ -8,7 +8,8 @@
 //! lower bound): look-alike jobs cannot be load-balanced.
 
 use crate::c_par::ParOutcome;
-use crate::nc_par::run_nc_with_assignment;
+use crate::fleet::run_immediate_dispatch_sharded;
+use ncss_pool::Pool;
 use ncss_sim::{Instance, PowerLaw, SimResult};
 
 /// A deterministic (or seeded-random) immediate-dispatch policy.
@@ -112,7 +113,8 @@ pub fn collect_assignment(
 }
 
 /// Run a policy end-to-end: dispatch every job at release, then run
-/// per-machine Algorithm NC under the resulting assignment.
+/// per-machine Algorithm NC under the resulting assignment — the sharded
+/// runner on one worker.
 ///
 /// The machine count is validated **before** the policy sees it: policies
 /// assume `machines ≥ 1` (round-robin and random both reduce modulo the
@@ -124,9 +126,7 @@ pub fn run_immediate_dispatch(
     machines: usize,
     policy: &mut dyn ImmediateDispatch,
 ) -> SimResult<ParOutcome> {
-    crate::c_par::validate_machines(machines)?;
-    let assignment = collect_assignment(instance, machines, policy);
-    run_nc_with_assignment(instance, law, &assignment, machines)
+    run_immediate_dispatch_sharded(instance, law, machines, policy, &Pool::with_threads(1))
 }
 
 #[cfg(test)]

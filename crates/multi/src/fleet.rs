@@ -15,8 +15,9 @@
 //! per-machine shadow stream, so recording is linear in the jobs. The
 //! replays run one pool task per machine over the persistent worker pool
 //! (`ncss-pool`) and merge per-machine results in a fixed order. The
-//! serial runners [`crate::run_c_par`] and [`crate::run_nc_par`] are a log
-//! replayed on one worker, so each loop exists once, and because
+//! serial runners [`crate::run_c_par`], [`crate::run_nc_par`],
+//! [`crate::run_immediate_dispatch`] and [`crate::run_nc_with_assignment`]
+//! are a log replayed on one worker, so each loop exists once, and because
 //! [`ncss_pool::Pool::map`] is order-preserving and interleaving-free,
 //! every pool width gives the same bits (DESIGN.md §12), property-tested
 //! in `tests/fleet_identity.rs`. That contract is what makes
@@ -250,12 +251,12 @@ impl DispatchLog {
 // Sharded executors
 // ---------------------------------------------------------------------------
 
-/// Split by the log's assignment and run one pool task per machine, merging
+/// Split by `assignment` and run one pool task per machine, merging
 /// objectives / per-job vectors / schedules in machine order. `run` must be
 /// pure (no interior mutability observable across calls): that, plus the
 /// pool's order preservation, makes the merged result the same bits at
-/// every pool width.
-fn replay_split(
+/// every pool width. Every fixed-assignment runner is this fold.
+pub(crate) fn replay_split(
     instance: &Instance,
     assignment: &[usize],
     machines: usize,
@@ -263,6 +264,9 @@ fn replay_split(
     run: impl Fn(&Instance) -> SimResult<(Objective, PerJob, Schedule)> + Sync,
     what: &'static str,
 ) -> SimResult<ParOutcome> {
+    if assignment.len() != instance.len() {
+        return Err(SimError::InvalidInstance { reason: "assignment length mismatch" });
+    }
     let parts = split_by_assignment(instance, assignment, machines)?;
     let results = pool.map(&parts, |(inst, _)| run(inst));
     let mut objective = Objective::default();
@@ -306,7 +310,7 @@ pub fn replay_c(
 
 /// Replay a dispatch log with per-machine **Algorithm NC** event queues
 /// (each machine restarts NC over its own queue, ignoring recorded starts)
-/// — the sharded form of [`crate::run_nc_with_assignment`], used for the
+/// — [`crate::run_nc_with_assignment`] on a pool, used for the
 /// [`ImmediateDispatch`] policies and the lower-bound game.
 pub fn replay_nc_assigned(
     instance: &Instance,

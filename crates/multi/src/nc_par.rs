@@ -17,10 +17,10 @@
 //! assignment is *identical* to clairvoyant C-PAR's, which is what lets the
 //! single-machine Lemmas 3 and 4 lift to Theorem 17.
 
-use crate::c_par::{merge_per_job, remap_schedule, split_by_assignment, ParOutcome};
-use crate::fleet::{replay_nc, DispatchLog};
+use crate::c_par::ParOutcome;
+use crate::fleet::{replay_nc, replay_nc_assigned, replay_split, DispatchLog};
 use ncss_pool::Pool;
-use ncss_sim::{Instance, Objective, PerJob, PowerLaw, Schedule, SimError, SimResult};
+use ncss_sim::{Instance, Objective, PerJob, PowerLaw, Schedule, SimResult};
 
 /// Run NC-PAR on `machines` identical machines (uniform densities only,
 /// matching the paper's Theorem 17 setting): record the global-FIFO
@@ -33,31 +33,16 @@ pub fn run_nc_par(instance: &Instance, law: PowerLaw, machines: usize) -> SimRes
 }
 
 /// Run per-machine Algorithm NC under a **fixed** assignment (used by the
-/// immediate-dispatch policies and the lower-bound game).
+/// immediate-dispatch policies and the lower-bound game): the assignment
+/// as a [`DispatchLog`], replayed by [`replay_nc_assigned`] on one worker.
 pub fn run_nc_with_assignment(
     instance: &Instance,
     law: PowerLaw,
     assignment: &[usize],
     machines: usize,
 ) -> SimResult<ParOutcome> {
-    if assignment.len() != instance.len() {
-        return Err(SimError::InvalidInstance { reason: "assignment length mismatch" });
-    }
-    let parts = split_by_assignment(instance, assignment, machines)?;
-    let mut objective = Objective::default();
-    let mut per_machine = Vec::with_capacity(machines);
-    let mut schedules = Vec::with_capacity(machines);
-    for (inst, ids) in &parts {
-        let run = ncss_core::run_nc_uniform(inst, law)?;
-        objective.energy += run.objective.energy;
-        objective.frac_flow += run.objective.frac_flow;
-        objective.int_flow += run.objective.int_flow;
-        per_machine.push(run.per_job);
-        schedules.push(remap_schedule(&run.schedule, ids)?);
-    }
-    let per_job = merge_per_job(instance.len(), &parts, &per_machine);
-    let objective = objective.validated("run_nc_with_assignment: objective")?;
-    Ok(ParOutcome { assignment: assignment.to_vec(), objective, per_job, schedules })
+    let log = DispatchLog::from_assignment(instance, assignment, machines)?;
+    replay_nc_assigned(instance, law, &log, &Pool::with_threads(1))
 }
 
 /// Run per-machine **non-uniform** Algorithm NC under a fixed assignment —
@@ -70,29 +55,22 @@ pub fn run_nonuniform_with_assignment(
     machines: usize,
     params: ncss_core::NonUniformParams,
 ) -> SimResult<ParOutcome> {
-    if assignment.len() != instance.len() {
-        return Err(SimError::InvalidInstance { reason: "assignment length mismatch" });
-    }
-    let parts = split_by_assignment(instance, assignment, machines)?;
-    let mut objective = Objective::default();
-    let mut per_machine = Vec::with_capacity(machines);
-    let mut schedules = Vec::with_capacity(machines);
-    for (inst, ids) in &parts {
+    let run = |inst: &Instance| {
         if inst.is_empty() {
-            per_machine.push(PerJob { completion: vec![], frac_flow: vec![], int_flow: vec![] });
-            schedules.push(Schedule::new(law, vec![])?);
-            continue;
+            let empty = PerJob { completion: vec![], frac_flow: vec![], int_flow: vec![] };
+            return Ok((Objective::default(), empty, Schedule::new(law, vec![])?));
         }
-        let run = ncss_core::run_nc_nonuniform(inst, law, params)?;
-        objective.energy += run.objective.energy;
-        objective.frac_flow += run.objective.frac_flow;
-        objective.int_flow += run.objective.int_flow;
-        per_machine.push(run.per_job);
-        schedules.push(remap_schedule(&run.schedule, ids)?);
-    }
-    let per_job = merge_per_job(instance.len(), &parts, &per_machine);
-    let objective = objective.validated("run_nonuniform_with_assignment: objective")?;
-    Ok(ParOutcome { assignment: assignment.to_vec(), objective, per_job, schedules })
+        let r = ncss_core::run_nc_nonuniform(inst, law, params)?;
+        Ok((r.objective, r.per_job, r.schedule))
+    };
+    replay_split(
+        instance,
+        assignment,
+        machines,
+        &Pool::with_threads(1),
+        run,
+        "run_nonuniform_with_assignment: objective",
+    )
 }
 
 #[cfg(test)]

@@ -397,50 +397,58 @@ pub fn decode_header(payload: &[u8]) -> Result<TraceHeader, String> {
 pub fn encode_event(seq: u64, event: &Event) -> (u8, Vec<u8>) {
     let mut out = Vec::with_capacity(64);
     put_u64(&mut out, seq);
+    let frame_kind = put_event(&mut out, event);
+    (frame_kind, out)
+}
+
+/// Append an event's payload after its `seq` to `out` and return its frame
+/// kind. Every `f64` goes in by `to_bits`, so two events with equal kind
+/// and bytes are equal bit for bit (what replay compares).
+pub(crate) fn put_event(out: &mut Vec<u8>, event: &Event) -> u8 {
     match event {
         Event::Release { id, job } => {
-            put_u64(&mut out, *id);
-            put_f64(&mut out, job.release);
-            put_f64(&mut out, job.volume);
-            put_f64(&mut out, job.density);
-            (kind::RELEASE, out)
+            put_u64(out, *id);
+            put_f64(out, job.release);
+            put_f64(out, job.volume);
+            put_f64(out, job.density);
+            kind::RELEASE
         }
         Event::CompleteC { id, completion, frac_flow, int_flow } => {
-            put_u64(&mut out, *id);
-            put_f64(&mut out, *completion);
-            put_f64(&mut out, *frac_flow);
-            put_f64(&mut out, *int_flow);
-            (kind::COMPLETE_C, out)
+            put_u64(out, *id);
+            put_f64(out, *completion);
+            put_f64(out, *frac_flow);
+            put_f64(out, *int_flow);
+            kind::COMPLETE_C
         }
         Event::CompleteNc { id, base_power, start, completion, frac_flow, int_flow } => {
-            put_u64(&mut out, *id);
-            put_f64(&mut out, *base_power);
-            put_f64(&mut out, *start);
-            put_f64(&mut out, *completion);
-            put_f64(&mut out, *frac_flow);
-            put_f64(&mut out, *int_flow);
-            (kind::COMPLETE_NC, out)
+            put_u64(out, *id);
+            put_f64(out, *base_power);
+            put_f64(out, *start);
+            put_f64(out, *completion);
+            put_f64(out, *frac_flow);
+            put_f64(out, *int_flow);
+            kind::COMPLETE_NC
         }
         Event::Segment(seg) => {
-            put_segment(&mut out, seg);
-            (kind::SEGMENT, out)
+            put_segment(out, seg);
+            kind::SEGMENT
         }
         Event::Checkpoint(cp) => {
-            cp.encode_into(&mut out);
-            (kind::CHECKPOINT, out)
+            cp.encode_into(out);
+            kind::CHECKPOINT
         }
         Event::Audit(snap) => {
-            put_audit(&mut out, snap);
-            (kind::AUDIT, out)
+            put_audit(out, snap);
+            kind::AUDIT
         }
         Event::Summary(s) => {
-            put_u64(&mut out, s.ingested);
-            put_u64(&mut out, s.completed);
-            put_f64(&mut out, s.makespan);
-            put_f64(&mut out, s.energy);
-            put_f64(&mut out, s.frac_flow);
-            put_f64(&mut out, s.int_flow);
-            (kind::SUMMARY, out)
+            put_u64(out, s.ingested);
+            put_u64(out, s.completed);
+            put_f64(out, s.makespan);
+            put_f64(out, s.energy);
+            put_f64(out, s.frac_flow);
+            put_f64(out, s.int_flow);
+            kind::SUMMARY
         }
     }
 }

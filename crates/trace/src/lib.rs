@@ -24,44 +24,24 @@
 //!
 //! # Examples
 //!
-//! Record a short C run into memory, read it back strictly, and replay it:
+//! Record a short C run into memory, read it back strictly, and replay it.
+//! [`Stream`] picks the core; [`Recorder::record_offer`] logs each offer in
+//! WAL order:
 //!
 //! ```
-//! use ncss_core::streaming::{CStream, StreamConfig};
+//! use ncss_core::streaming::StreamConfig;
 //! use ncss_sim::{Job, PowerLaw};
-//! use ncss_trace::{Algo, Event, Recorder, TraceHeader, TraceSummary};
+//! use ncss_trace::{Algo, Recorder, Stream, TraceHeader};
 //!
 //! let law = PowerLaw::new(2.0).unwrap();
-//! let mut stream = CStream::new(law, StreamConfig::batch());
+//! let mut stream = Stream::new(Algo::C, law, StreamConfig::batch());
 //! let mut rec = Recorder::new(Vec::new(), &TraceHeader::new(Algo::C, 2.0, 0, "doc")).unwrap();
 //!
-//! for (i, job) in [Job::unit_density(0.0, 1.0), Job::unit_density(0.5, 2.0)].iter().enumerate() {
-//!     rec.append(&Event::Release { id: i as u64, job: *job }).unwrap();
-//!     let mut sink = |c: ncss_core::streaming::CCompletion| {};
-//!     stream.offer(*job, &mut sink).unwrap();
+//! for job in [Job::unit_density(0.0, 1.0), Job::unit_density(0.5, 2.0)] {
+//!     rec.record_offer(&mut stream, job).unwrap();
 //! }
-//! let mut completions = Vec::new();
-//! let mut sink = |c: ncss_core::streaming::CCompletion| completions.push(c);
-//! let summary = stream.finish(&mut sink).unwrap();
-//! for c in &completions {
-//!     rec.append(&Event::CompleteC {
-//!         id: c.id as u64,
-//!         completion: c.completion,
-//!         frac_flow: c.frac_flow,
-//!         int_flow: c.int_flow,
-//!     }).unwrap();
-//! }
-//! for seg in stream.spill_mut().drain() {
-//!     rec.append(&Event::Segment(seg)).unwrap();
-//! }
-//! let bytes = rec.finalize(&TraceSummary {
-//!     ingested: 2,
-//!     completed: completions.len() as u64,
-//!     makespan: summary.makespan,
-//!     energy: summary.objective.energy,
-//!     frac_flow: summary.objective.frac_flow,
-//!     int_flow: summary.objective.int_flow,
-//! }).unwrap();
+//! let summary = rec.record_finish(&mut stream).unwrap();
+//! let bytes = rec.finalize(&summary).unwrap();
 //!
 //! let trace = ncss_trace::read_bytes(&bytes).unwrap();
 //! let report = ncss_trace::replay(&trace).unwrap();
@@ -76,6 +56,7 @@ pub mod reader;
 pub mod recorder;
 pub mod replay;
 pub mod snapshot;
+pub mod stream;
 pub mod tamper;
 
 pub use format::{Algo, Event, TraceHeader, TraceSummary, MAGIC, MAX_FRAME_LEN, VERSION};
@@ -83,6 +64,7 @@ pub use reader::{read_bytes, read_file, recover_bytes, recover_file, Recovery, T
 pub use recorder::Recorder;
 pub use replay::{replay, ReplayReport};
 pub use snapshot::Checkpoint;
+pub use stream::{Completion, Stream};
 pub use tamper::Tamper;
 
 use ncss_sim::SimError;

@@ -7,12 +7,17 @@
 //! crash mid-append leaves at most one torn frame at the tail — exactly the
 //! damage [`crate::reader::recover_bytes`] is specified to truncate away.
 //!
-//! [`Recorder::finalize`] appends the [`TraceSummary`] frame and flushes;
-//! a trace without a terminal summary is *unfinalized* and is rejected by
-//! strict reads (the replay gate) while remaining recoverable for resume.
+//! [`Recorder::record_offer`] and [`Recorder::record_finish`] drive a
+//! [`Stream`] and append what each step produced in the one WAL order every
+//! recording uses. [`Recorder::finalize`] appends the [`TraceSummary`]
+//! frame and flushes; a trace without a terminal summary is *unfinalized*
+//! and is rejected by strict reads (the replay gate) while remaining
+//! recoverable for resume.
 
 use crate::format::{encode_event, encode_frame, encode_header, kind, Event, TraceHeader, TraceSummary, MAGIC};
+use crate::stream::{Completion, Stream};
 use crate::TraceError;
+use ncss_sim::{Job, SimResult};
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
@@ -65,6 +70,52 @@ impl<W: Write> Recorder<W> {
             self.finalized = true;
         }
         Ok(seq)
+    }
+
+    /// Offer `job` to `stream` and log the offer: its release frame, then
+    /// the completions the offer emitted, then the segments it retired.
+    /// The release id is the stream's arrival index.
+    pub fn record_offer(&mut self, stream: &mut Stream, job: Job) -> Result<(), TraceError> {
+        let id = stream.stats().ingested as u64;
+        self.append(&Event::Release { id, job })?;
+        self.record_step(stream, |s, sink| s.offer(job, sink).map(drop))
+    }
+
+    /// Finish `stream` and log what finishing retired, as
+    /// [`Recorder::record_offer`] does; returns the tally to
+    /// [`Recorder::finalize`] with.
+    pub fn record_finish(&mut self, stream: &mut Stream) -> Result<TraceSummary, TraceError> {
+        let summary = self.record_step(stream, |s, sink| s.finish(sink))?;
+        Ok(TraceSummary {
+            ingested: stream.stats().ingested as u64,
+            completed: summary.completed as u64,
+            makespan: summary.makespan,
+            energy: summary.objective.energy,
+            frac_flow: summary.objective.frac_flow,
+            int_flow: summary.objective.int_flow,
+        })
+    }
+
+    /// The WAL order of one stream step, written once for every recording:
+    /// each completion the step emits, appended as it is emitted, then
+    /// every segment the step retired.
+    fn record_step<T>(
+        &mut self,
+        stream: &mut Stream,
+        step: impl FnOnce(&mut Stream, &mut dyn FnMut(Completion)) -> SimResult<T>,
+    ) -> Result<T, TraceError> {
+        let mut appended = Ok(());
+        let out = step(stream, &mut |c| {
+            if appended.is_ok() {
+                appended = self.append(&c.event()).map(drop);
+            }
+        });
+        appended?;
+        let out = out?;
+        for seg in stream.spill_mut().drain() {
+            self.append(&Event::Segment(seg))?;
+        }
+        Ok(out)
     }
 
     /// Append the terminal summary frame, flush, and return the sink.

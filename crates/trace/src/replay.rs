@@ -2,26 +2,27 @@
 //! run to bitwise account.
 //!
 //! A trace is *evidence* of a run; replay re-executes the releases through
-//! the same streaming core and compares every completion, every retired
-//! segment, and the final objectives against the recorded frames with
-//! [`f64::to_bits`] equality — the same bitwise contract the batch-vs-stream
-//! tests enforce. Checkpoints are verified in passing: the replaying
+//! the same streaming core ([`Stream`]) and compares every completion,
+//! every retired segment, and the final objectives against the recorded
+//! frames with [`f64::to_bits`] equality — the same bitwise contract the
+//! batch-vs-stream tests enforce. Completions and segments are compared
+//! kind by kind, each in emission order, through the wire codec, so `0.0`
+//! and `-0.0` differ. Checkpoints are verified in passing: the replaying
 //! stream's state must agree with each recorded checkpoint on every
 //! layout-independent field, and the checkpoint must actually restore
-//! through `from_snapshot` (heap *layout* may legitimately differ between a
-//! resumed recording and an uninterrupted replay, so raw snapshot bytes are
-//! deliberately not compared).
+//! (heap *layout* may legitimately differ between a resumed recording and
+//! an uninterrupted replay, so raw snapshot bytes are deliberately not
+//! compared).
 //!
 //! Any disagreement is a named [`TraceError::ReplayDivergence`] — replay
 //! never "mostly matches".
 
-use crate::format::{Algo, Event, TraceHeader, TraceSummary};
+use crate::format::{put_event, Event, TraceHeader, TraceSummary};
 use crate::reader::TraceFile;
 use crate::snapshot::Checkpoint;
+use crate::stream::{Completion, Stream};
 use crate::TraceError;
-use ncss_core::streaming::{
-    CCompletion, CStream, NcCompletion, NcStream, StreamConfig, StreamSummary,
-};
+use ncss_core::streaming::{CCompletion, NcCompletion, StreamConfig, StreamSummary};
 use ncss_sim::{Job, PowerLaw, Segment};
 
 /// Everything a verified replay produced — enough for a downstream audit
@@ -46,31 +47,120 @@ pub struct ReplayReport {
     pub checkpoints_verified: usize,
 }
 
-fn same_bits(a: f64, b: f64) -> bool {
-    a.to_bits() == b.to_bits()
-}
-
 fn diverged(what: String) -> TraceError {
     TraceError::ReplayDivergence { what }
 }
 
-fn check_bits(what: &str, recorded: f64, replayed: f64) -> Result<(), TraceError> {
-    if same_bits(recorded, replayed) {
+fn check_bits(
+    what: impl FnOnce() -> String,
+    recorded: f64,
+    replayed: f64,
+) -> Result<(), TraceError> {
+    if recorded.to_bits() == replayed.to_bits() {
         Ok(())
     } else {
-        Err(diverged(format!("{what}: recorded {recorded:?} vs replayed {replayed:?}")))
+        Err(diverged(format!("{}: recorded {recorded:?} vs replayed {replayed:?}", what())))
+    }
+}
+
+fn check_count(what: &str, recorded: usize, replayed: usize) -> Result<(), TraceError> {
+    if recorded == replayed {
+        Ok(())
+    } else {
+        Err(diverged(format!("{what} count: recorded {recorded} vs replayed {replayed}")))
     }
 }
 
 /// Replay a finalized trace, verifying it bitwise along the way.
 pub fn replay(trace: &TraceFile) -> Result<ReplayReport, TraceError> {
-    let Some(recorded_summary) = trace.summary() else {
+    let Some(recorded) = trace.summary() else {
         return Err(TraceError::MissingSummary);
     };
     let law = PowerLaw::new(trace.header.alpha)?;
-    match trace.header.algorithm {
-        Algo::C => replay_c(trace, law, recorded_summary),
-        Algo::Nc => replay_nc(trace, law, recorded_summary),
+    let mut stream = Stream::new(trace.header.algorithm, law, StreamConfig::batch());
+    let mut jobs = Vec::new();
+    let mut completions_c = Vec::new();
+    let mut completions_nc = Vec::new();
+    let mut sink = |c| match c {
+        Completion::C(c) => completions_c.push(c),
+        Completion::Nc(c) => completions_nc.push(c),
+    };
+    let (mut recorded_completions, mut recorded_segments) = (0, 0);
+    let mut checkpoints_verified = 0;
+
+    for event in &trace.events {
+        match event {
+            Event::Release { job, .. } => {
+                stream.offer(*job, &mut sink)?;
+                jobs.push(*job);
+            }
+            Event::Segment(_) => recorded_segments += 1,
+            e if is_completion(e) => recorded_completions += 1,
+            Event::Checkpoint(cp) => {
+                verify_checkpoint(cp, &stream, jobs.len())?;
+                checkpoints_verified += 1;
+            }
+            _ => {}
+        }
+    }
+    let replayed = stream.finish(&mut sink)?;
+    let report = ReplayReport {
+        header: trace.header.clone(),
+        recorded,
+        replayed,
+        segments: stream.spill_mut().drain().collect(),
+        jobs,
+        completions_c,
+        completions_nc,
+        checkpoints_verified,
+    };
+
+    // Kind by kind: the n-th recorded completion (segment) frame against
+    // the n-th replayed one, whatever the frames' interleaving.
+    let mut scratch = [Vec::new(), Vec::new()];
+    let replayed_completions = report.completions_c.len() + report.completions_nc.len();
+    check_count("completion", recorded_completions, replayed_completions)?;
+    let frames = trace.events.iter().filter(|e| is_completion(e));
+    for (i, (frame, c)) in frames.zip(report.completions()).enumerate() {
+        check_frame(&mut scratch, || format!("completion #{i}"), frame, &c.event())?;
+    }
+    check_count("segment", recorded_segments, report.segments.len())?;
+    let frames = trace.events.iter().filter(|e| matches!(e, Event::Segment(_)));
+    for (i, (frame, seg)) in frames.zip(&report.segments).enumerate() {
+        check_frame(&mut scratch, || format!("segment #{i}"), frame, &Event::Segment(*seg))?;
+    }
+    verify_summary(recorded, &report.replayed, report.jobs.len())?;
+    Ok(report)
+}
+
+impl ReplayReport {
+    /// Every replayed completion, whichever core emitted it, in emission
+    /// order.
+    pub fn completions(&self) -> impl Iterator<Item = Completion> + '_ {
+        let c = self.completions_c.iter().map(|&c| Completion::C(c));
+        c.chain(self.completions_nc.iter().map(|&c| Completion::Nc(c)))
+    }
+}
+
+fn is_completion(e: &Event) -> bool {
+    matches!(e, Event::CompleteC { .. } | Event::CompleteNc { .. })
+}
+
+/// Require two frames to encode to the same kind and bytes — every field
+/// equal by `to_bits`.
+fn check_frame(
+    scratch: &mut [Vec<u8>; 2],
+    what: impl FnOnce() -> String,
+    recorded: &Event,
+    replayed: &Event,
+) -> Result<(), TraceError> {
+    let [a, b] = scratch;
+    a.clear();
+    b.clear();
+    if put_event(a, recorded) == put_event(b, replayed) && a == b {
+        Ok(())
+    } else {
+        Err(diverged(format!("{}: recorded {recorded:?} vs replayed {replayed:?}", what())))
     }
 }
 
@@ -85,207 +175,65 @@ fn verify_summary(
             recorded.ingested, recorded.completed, jobs, replayed.completed
         )));
     }
-    check_bits("summary.makespan", recorded.makespan, replayed.makespan)?;
-    check_bits("summary.energy", recorded.energy, replayed.objective.energy)?;
-    check_bits("summary.frac_flow", recorded.frac_flow, replayed.objective.frac_flow)?;
-    check_bits("summary.int_flow", recorded.int_flow, replayed.objective.int_flow)
-}
-
-fn verify_segments(recorded: &[Segment], replayed: &[Segment]) -> Result<(), TraceError> {
-    if recorded.len() != replayed.len() {
-        return Err(diverged(format!(
-            "segment count: recorded {} vs replayed {}",
-            recorded.len(),
-            replayed.len()
-        )));
-    }
-    for (i, (a, b)) in recorded.iter().zip(replayed).enumerate() {
-        if a != b {
-            return Err(diverged(format!("segment #{i}: recorded {a:?} vs replayed {b:?}")));
-        }
+    let o = &replayed.objective;
+    for (name, r, p) in [
+        ("makespan", recorded.makespan, replayed.makespan),
+        ("energy", recorded.energy, o.energy),
+        ("frac_flow", recorded.frac_flow, o.frac_flow),
+        ("int_flow", recorded.int_flow, o.int_flow),
+    ] {
+        check_bits(|| format!("summary.{name}"), r, p)?;
     }
     Ok(())
 }
 
-fn replay_c(
-    trace: &TraceFile,
-    law: PowerLaw,
-    recorded_summary: TraceSummary,
-) -> Result<ReplayReport, TraceError> {
-    let mut stream = CStream::new(law, StreamConfig::batch());
-    let mut jobs = Vec::new();
-    let mut completions: Vec<CCompletion> = Vec::new();
-    let mut recorded_segments = Vec::new();
-    let mut recorded_completions = Vec::new();
-    let mut checkpoints_verified = 0;
-
-    for event in &trace.events {
-        match event {
-            Event::Release { job, .. } => {
-                let mut sink = |c: CCompletion| completions.push(c);
-                stream.offer(*job, &mut sink)?;
-                jobs.push(*job);
-            }
-            Event::CompleteC { id, completion, frac_flow, int_flow } => {
-                recorded_completions.push((*id, *completion, *frac_flow, *int_flow));
-            }
-            Event::Segment(seg) => recorded_segments.push(*seg),
-            Event::Checkpoint(cp) => {
-                verify_checkpoint_c(cp, &stream, jobs.len())?;
-                checkpoints_verified += 1;
-            }
-            Event::CompleteNc { .. } | Event::Audit(_) | Event::Summary(_) => {}
-        }
+/// A checkpoint's layout-independent state: five accumulators and one
+/// count, by name.
+fn scalars(cp: &Checkpoint) -> ([(&'static str, f64); 5], (&'static str, usize)) {
+    match cp {
+        Checkpoint::C(s) => (
+            [
+                ("t", s.t),
+                ("total_w", s.total_w),
+                ("energy", s.energy),
+                ("frac_done", s.frac_done),
+                ("int_done", s.int_done),
+            ],
+            ("completed", s.completed),
+        ),
+        Checkpoint::Nc(s) => (
+            [
+                ("t_free", s.t_free),
+                ("energy", s.energy),
+                ("frac_sum", s.frac_sum),
+                ("int_sum", s.int_sum),
+                ("makespan", s.makespan),
+            ],
+            ("ingested", s.ingested),
+        ),
     }
-    let mut sink = |c: CCompletion| completions.push(c);
-    let replayed = stream.finish(&mut sink)?;
-    let segments: Vec<Segment> = stream.spill_mut().drain().collect();
-
-    if recorded_completions.len() != completions.len() {
-        return Err(diverged(format!(
-            "completion count: recorded {} vs replayed {}",
-            recorded_completions.len(),
-            completions.len()
-        )));
-    }
-    for (i, ((rid, rt, rf, ri), c)) in recorded_completions.iter().zip(&completions).enumerate() {
-        if *rid != c.id as u64 {
-            return Err(diverged(format!("completion #{i}: id {rid} vs {}", c.id)));
-        }
-        check_bits(&format!("completion #{i} time"), *rt, c.completion)?;
-        check_bits(&format!("completion #{i} frac_flow"), *rf, c.frac_flow)?;
-        check_bits(&format!("completion #{i} int_flow"), *ri, c.int_flow)?;
-    }
-    verify_segments(&recorded_segments, &segments)?;
-    verify_summary(recorded_summary, &replayed, jobs.len())?;
-
-    Ok(ReplayReport {
-        header: trace.header.clone(),
-        recorded: recorded_summary,
-        replayed,
-        jobs,
-        segments,
-        completions_c: completions,
-        completions_nc: Vec::new(),
-        checkpoints_verified,
-    })
 }
 
-fn replay_nc(
-    trace: &TraceFile,
-    law: PowerLaw,
-    recorded_summary: TraceSummary,
-) -> Result<ReplayReport, TraceError> {
-    let mut stream = NcStream::new(law, StreamConfig::batch());
-    let mut jobs = Vec::new();
-    let mut completions: Vec<NcCompletion> = Vec::new();
-    let mut recorded_segments = Vec::new();
-    let mut recorded_completions = Vec::new();
-    let mut checkpoints_verified = 0;
-
-    for event in &trace.events {
-        match event {
-            Event::Release { job, .. } => {
-                let mut sink = |c: NcCompletion| completions.push(c);
-                stream.offer(*job, &mut sink)?;
-                jobs.push(*job);
-            }
-            Event::CompleteNc { id, base_power, start, completion, frac_flow, int_flow } => {
-                recorded_completions
-                    .push((*id, *base_power, *start, *completion, *frac_flow, *int_flow));
-            }
-            Event::Segment(seg) => recorded_segments.push(*seg),
-            Event::Checkpoint(cp) => {
-                verify_checkpoint_nc(cp, &stream, jobs.len())?;
-                checkpoints_verified += 1;
-            }
-            Event::CompleteC { .. } | Event::Audit(_) | Event::Summary(_) => {}
-        }
-    }
-    let replayed = stream.finish()?;
-    let segments: Vec<Segment> = stream.spill_mut().drain().collect();
-
-    if recorded_completions.len() != completions.len() {
-        return Err(diverged(format!(
-            "completion count: recorded {} vs replayed {}",
-            recorded_completions.len(),
-            completions.len()
-        )));
-    }
-    for (i, ((rid, rb, rs, rt, rf, ri), c)) in
-        recorded_completions.iter().zip(&completions).enumerate()
-    {
-        if *rid != c.id as u64 {
-            return Err(diverged(format!("completion #{i}: id {rid} vs {}", c.id)));
-        }
-        check_bits(&format!("completion #{i} base_power"), *rb, c.base_power)?;
-        check_bits(&format!("completion #{i} start"), *rs, c.start)?;
-        check_bits(&format!("completion #{i} time"), *rt, c.completion)?;
-        check_bits(&format!("completion #{i} frac_flow"), *rf, c.frac_flow)?;
-        check_bits(&format!("completion #{i} int_flow"), *ri, c.int_flow)?;
-    }
-    verify_segments(&recorded_segments, &segments)?;
-    verify_summary(recorded_summary, &replayed, jobs.len())?;
-
-    Ok(ReplayReport {
-        header: trace.header.clone(),
-        recorded: recorded_summary,
-        replayed,
-        jobs,
-        segments,
-        completions_c: Vec::new(),
-        completions_nc: completions,
-        checkpoints_verified,
-    })
-}
-
-fn verify_checkpoint_c(
-    cp: &Checkpoint,
-    stream: &CStream,
-    releases: usize,
-) -> Result<(), TraceError> {
-    let Checkpoint::C(snap) = cp else {
-        // The reader already enforces algorithm agreement; defend anyway.
-        return Err(diverged("NC checkpoint in a C trace".into()));
-    };
-    let mine = stream.snapshot();
+fn verify_checkpoint(cp: &Checkpoint, stream: &Stream, releases: usize) -> Result<(), TraceError> {
     let at = format!("checkpoint after {releases} releases");
-    check_bits(&format!("{at}: t"), snap.t, mine.t)?;
-    check_bits(&format!("{at}: total_w"), snap.total_w, mine.total_w)?;
-    check_bits(&format!("{at}: energy"), snap.energy, mine.energy)?;
-    check_bits(&format!("{at}: frac_done"), snap.frac_done, mine.frac_done)?;
-    check_bits(&format!("{at}: int_done"), snap.int_done, mine.int_done)?;
-    if snap.completed != mine.completed {
+    let mine = stream.checkpoint();
+    if cp.algo() != mine.algo() {
+        // The reader already enforces algorithm agreement; defend anyway.
         return Err(diverged(format!(
-            "{at}: completed {} vs {}",
-            snap.completed, mine.completed
+            "{at}: {} checkpoint in a {} trace",
+            cp.algo().name(),
+            mine.algo().name()
         )));
+    }
+    let ((recorded, (count, n)), (replayed, (_, m))) = (scalars(cp), scalars(&mine));
+    for ((name, r), (_, p)) in recorded.into_iter().zip(replayed) {
+        check_bits(|| format!("{at}: {name}"), r, p)?;
+    }
+    if n != m {
+        return Err(diverged(format!("{at}: {count} {n} vs {m}")));
     }
     // Prove the recorded checkpoint is actually restorable.
-    CStream::from_snapshot(snap.clone())
-        .map_err(|e| TraceError::BadCheckpoint { frame: 0, what: e.to_string() })?;
-    Ok(())
-}
-
-fn verify_checkpoint_nc(
-    cp: &Checkpoint,
-    stream: &NcStream,
-    releases: usize,
-) -> Result<(), TraceError> {
-    let Checkpoint::Nc(snap) = cp else {
-        return Err(diverged("C checkpoint in an NC trace".into()));
-    };
-    let mine = stream.snapshot();
-    let at = format!("checkpoint after {releases} releases");
-    check_bits(&format!("{at}: t_free"), snap.t_free, mine.t_free)?;
-    check_bits(&format!("{at}: energy"), snap.energy, mine.energy)?;
-    check_bits(&format!("{at}: frac_sum"), snap.frac_sum, mine.frac_sum)?;
-    check_bits(&format!("{at}: int_sum"), snap.int_sum, mine.int_sum)?;
-    check_bits(&format!("{at}: makespan"), snap.makespan, mine.makespan)?;
-    if snap.ingested != mine.ingested {
-        return Err(diverged(format!("{at}: ingested {} vs {}", snap.ingested, mine.ingested)));
-    }
-    NcStream::from_snapshot(snap.clone())
+    Stream::restore(cp.clone())
         .map_err(|e| TraceError::BadCheckpoint { frame: 0, what: e.to_string() })?;
     Ok(())
 }

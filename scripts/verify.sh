@@ -43,10 +43,15 @@
 #      mode, or metric flips; with NCSS_SOAK=1 the full ≥10M-release
 #      flat-memory + audited-throughput soak bench runs too (off by
 #      default), bench-diffed against the committed baseline
-#   9. bench-diff smoke: each committed BENCH_*.json self-compares to
+#   9. replay gate: every committed golden trace replays bitwise and
+#      passes the audit, and re-recording the goldens with
+#      scripts/generate_golden.sh gives the committed bytes; a tampered
+#      golden must go red; for C and NC, a record → kill → resume chain
+#      must equal the uninterrupted recording
+#  10. bench-diff smoke: each committed BENCH_*.json self-compares to
 #      zero regressions (exercises the JSON parser + diff engine on the
 #      real artifacts), and the tool's exit-code contract is probed
-#  10. warning-clean `cargo doc --no-deps`
+#  11. warning-clean `cargo doc --no-deps`
 #
 # Run from anywhere; it cd's to the repo root.
 
@@ -227,6 +232,17 @@ for golden in traces/*.nct; do
         || { echo "FAIL: golden $golden does not replay bitwise" >&2; exit 1; }
 done
 echo "replayed $golden_count golden traces bitwise"
+# Byte identity: the generator, run into a temporary directory with its own
+# argument lists, must reproduce every committed golden exactly.
+golden_dir="$(mktemp -d /tmp/ncss_verify_golden.XXXXXX)"
+sh scripts/generate_golden.sh "$golden_dir" > /dev/null \
+    || { echo "FAIL: scripts/generate_golden.sh could not re-record the goldens" >&2; rm -rf "$golden_dir"; exit 1; }
+for golden in traces/*.nct; do
+    cmp -s "$golden" "$golden_dir/$(basename "$golden")" \
+        || { echo "FAIL: $golden does not re-record byte-identically" >&2; rm -rf "$golden_dir"; exit 1; }
+done
+rm -rf "$golden_dir"
+echo "re-recorded $golden_count golden traces byte-identically"
 # Mandatory-red probe: a tampered golden must be rejected with a named
 # trace error and a non-zero exit. Silent acceptance fails the gate.
 nct_tmp="$(mktemp /tmp/ncss_verify_tamper.XXXXXX.nct)"
@@ -237,24 +253,26 @@ for kind in bit-flip truncate duplicate-frame reorder-frames bad-length stale-ve
         rm -f "$nct_tmp"; exit 1
     fi
 done
-# Crash chain: record, kill mid-run leaving a torn tail, resume from the
-# last checkpoint, and require the resumed trace to equal an uninterrupted
-# recording event-for-event.
+# Crash chain, per algorithm: record, kill mid-run leaving a torn tail,
+# resume from the last checkpoint, and require the resumed trace to equal
+# an uninterrupted recording event-for-event.
 full_tmp="$(mktemp /tmp/ncss_verify_full.XXXXXX.nct)"
 torn_tmp="$(mktemp /tmp/ncss_verify_torn.XXXXXX.nct)"
 res_tmp="$(mktemp /tmp/ncss_verify_resumed.XXXXXX.nct)"
 cleanup_nct() { rm -f "$nct_tmp" "$full_tmp" "$torn_tmp" "$res_tmp"; }
-"$cli" record --synthetic 64 --rate 1.3 --seed 4242 --algorithm c --alpha 2.5 \
-    --checkpoint-every 9 --out "$full_tmp" > /dev/null \
-    || { echo "FAIL: record could not write a trace" >&2; cleanup_nct; exit 1; }
-"$cli" record --synthetic 64 --rate 1.3 --seed 4242 --algorithm c --alpha 2.5 \
-    --checkpoint-every 9 --kill-after 37 --torn-bytes 17 --out "$torn_tmp" > /dev/null \
-    || { echo "FAIL: kill-after recording failed" >&2; cleanup_nct; exit 1; }
-"$cli" resume --trace "$torn_tmp" --synthetic 64 --rate 1.3 --seed 4242 \
-    --checkpoint-every 9 --out "$res_tmp" > /dev/null \
-    || { echo "FAIL: resume could not recover the torn trace" >&2; cleanup_nct; exit 1; }
-"$cli" replay --trace "$res_tmp" --audit 1 --check-against "$full_tmp" > /dev/null \
-    || { echo "FAIL: resumed trace is not bitwise-equal to the uninterrupted run" >&2; cleanup_nct; exit 1; }
+for algo in c nc; do
+    "$cli" record --synthetic 64 --rate 1.3 --seed 4242 --algorithm "$algo" --alpha 2.5 \
+        --checkpoint-every 9 --out "$full_tmp" > /dev/null \
+        || { echo "FAIL: record $algo could not write a trace" >&2; cleanup_nct; exit 1; }
+    "$cli" record --synthetic 64 --rate 1.3 --seed 4242 --algorithm "$algo" --alpha 2.5 \
+        --checkpoint-every 9 --kill-after 37 --torn-bytes 17 --out "$torn_tmp" > /dev/null \
+        || { echo "FAIL: kill-after recording ($algo) failed" >&2; cleanup_nct; exit 1; }
+    "$cli" resume --trace "$torn_tmp" --synthetic 64 --rate 1.3 --seed 4242 \
+        --checkpoint-every 9 --out "$res_tmp" > /dev/null \
+        || { echo "FAIL: resume could not recover the torn $algo trace" >&2; cleanup_nct; exit 1; }
+    "$cli" replay --trace "$res_tmp" --audit 1 --check-against "$full_tmp" > /dev/null \
+        || { echo "FAIL: resumed $algo trace is not bitwise-equal to the uninterrupted run" >&2; cleanup_nct; exit 1; }
+done
 cleanup_nct
 echo "replay gate passed"
 

@@ -11,15 +11,16 @@
 //!
 //! The checkpoint is serialized and deserialized at every kill point, so a
 //! codec bug that perturbs even one mantissa bit of scheduler state fails
-//! here, not just a snapshot/restore bug.
+//! here, not just a snapshot/restore bug. Both cores run through
+//! `ncss::trace::Stream`.
 
 use ncss::audit::{AuditConfig, ScheduleAudit};
-use ncss::core::{CStream, NcStream, StreamConfig};
+use ncss::core::StreamConfig;
 use ncss::sim::{
     Evaluated, Instance, Job, Objective, PerJob, PowerLaw, ScheduleBuilder, Segment,
 };
 use ncss::trace::format::{decode_event, encode_event};
-use ncss::trace::{Checkpoint, Event};
+use ncss::trace::{Algo, Checkpoint, Completion, Event, Stream};
 use ncss::workloads::{DensityDist, VolumeDist, WorkloadSpec};
 
 const ALPHAS: [f64; 2] = [2.0, 2.75];
@@ -73,105 +74,33 @@ struct RunTrace {
     checkpoints: Vec<(Checkpoint, usize)>,
 }
 
-fn full_c(jobs: &[Job], law: PowerLaw) -> RunTrace {
-    let mut stream = CStream::new(law, StreamConfig::batch());
+/// Offer `jobs` to `stream` and finish it, checkpointing after every offer.
+fn run(mut stream: Stream, jobs: &[Job]) -> RunTrace {
     let mut completions = Vec::new();
     let mut checkpoints = Vec::new();
     for &job in jobs {
-        stream
-            .offer(job, &mut |c: ncss::core::CCompletion| {
-                completions.push((c.id, c.completion, c.frac_flow, c.int_flow));
-            })
-            .expect("offer");
-        checkpoints.push((Checkpoint::C(stream.snapshot()), completions.len()));
+        stream.offer(job, &mut |c: Completion| completions.push(c.outcome())).expect("offer");
+        checkpoints.push((stream.checkpoint(), completions.len()));
     }
-    let summary = stream
-        .finish(&mut |c: ncss::core::CCompletion| {
-            completions.push((c.id, c.completion, c.frac_flow, c.int_flow));
-        })
-        .expect("finish");
-    let segments = stream.spill_mut().drain().collect();
+    let summary =
+        stream.finish(&mut |c: Completion| completions.push(c.outcome())).expect("finish");
     RunTrace {
         completions,
-        segments,
+        segments: stream.spill_mut().drain().collect(),
         objective: summary.objective,
         makespan: summary.makespan,
         checkpoints,
     }
 }
 
-fn resume_c(cp: Checkpoint, jobs: &[Job], law: PowerLaw) -> RunTrace {
-    let Checkpoint::C(snap) = roundtrip(cp) else { panic!("wrong checkpoint algo") };
-    let skip = snap.ingested;
-    let mut stream = CStream::from_snapshot(snap).expect("restore");
-    assert_eq!(stream.clock(), stream.clock(), "restored stream usable");
-    let mut completions = Vec::new();
-    for &job in &jobs[skip..] {
-        stream
-            .offer(job, &mut |c: ncss::core::CCompletion| {
-                completions.push((c.id, c.completion, c.frac_flow, c.int_flow));
-            })
-            .expect("resumed offer");
-    }
-    let summary = stream
-        .finish(&mut |c: ncss::core::CCompletion| {
-            completions.push((c.id, c.completion, c.frac_flow, c.int_flow));
-        })
-        .expect("resumed finish");
-    let _ = law;
-    RunTrace {
-        completions,
-        segments: stream.spill_mut().drain().collect(),
-        objective: summary.objective,
-        makespan: summary.makespan,
-        checkpoints: Vec::new(),
-    }
-}
-
-fn full_nc(jobs: &[Job], law: PowerLaw) -> RunTrace {
-    let mut stream = NcStream::new(law, StreamConfig::batch());
-    let mut completions = Vec::new();
-    let mut checkpoints = Vec::new();
-    for &job in jobs {
-        stream
-            .offer(job, &mut |c: ncss::core::NcCompletion| {
-                completions.push((c.id, c.completion, c.frac_flow, c.int_flow));
-            })
-            .expect("offer");
-        checkpoints.push((Checkpoint::Nc(stream.snapshot()), completions.len()));
-    }
-    let summary = stream.finish().expect("finish");
-    let segments = stream.spill_mut().drain().collect();
-    RunTrace {
-        completions,
-        segments,
-        objective: summary.objective,
-        makespan: summary.makespan,
-        checkpoints,
-    }
-}
-
-fn resume_nc(cp: Checkpoint, jobs: &[Job], law: PowerLaw) -> RunTrace {
-    let Checkpoint::Nc(snap) = roundtrip(cp) else { panic!("wrong checkpoint algo") };
-    let skip = snap.ingested;
-    let mut stream = NcStream::from_snapshot(snap).expect("restore");
-    let mut completions = Vec::new();
-    for &job in &jobs[skip..] {
-        stream
-            .offer(job, &mut |c: ncss::core::NcCompletion| {
-                completions.push((c.id, c.completion, c.frac_flow, c.int_flow));
-            })
-            .expect("resumed offer");
-    }
-    let summary = stream.finish().expect("resumed finish");
-    let _ = law;
-    RunTrace {
-        completions,
-        segments: stream.spill_mut().drain().collect(),
-        objective: summary.objective,
-        makespan: summary.makespan,
-        checkpoints: Vec::new(),
-    }
+/// Restore the codec-round-tripped checkpoint and offer the jobs it has
+/// not seen.
+fn resume(cp: Checkpoint, jobs: &[Job]) -> RunTrace {
+    let cp = roundtrip(cp);
+    let skip = cp.ingested();
+    let mut resumed = run(Stream::restore(cp).expect("restore"), &jobs[skip..]);
+    resumed.checkpoints.clear();
+    resumed
 }
 
 /// Audit a run's rebuilt schedule; returns `(name, passed)` per check.
@@ -201,18 +130,12 @@ fn audit_verdicts(jobs: &[Job], law: PowerLaw, run: &RunTrace) -> Vec<(&'static 
 
 /// The oracle: kill at every offer index, resume, demand bitwise equality
 /// with the uninterrupted run — completions, segments, objectives, audit.
-fn oracle(
-    name: &str,
-    jobs: &[Job],
-    law: PowerLaw,
-    full: RunTrace,
-    resume: impl Fn(Checkpoint, &[Job], PowerLaw) -> RunTrace,
-) {
+fn oracle(name: &str, jobs: &[Job], law: PowerLaw, full: RunTrace) {
     let full_audit = audit_verdicts(jobs, law, &full);
     for (k, (cp, emitted)) in full.checkpoints.iter().enumerate() {
         let ctx = format!("{name} α={} kill@{k}", law.alpha());
         assert_eq!(cp.ingested(), k + 1, "{ctx}: checkpoint ingest count");
-        let resumed = resume(cp.clone(), jobs, law);
+        let resumed = resume(cp.clone(), jobs);
 
         // The resumed run regenerates exactly the completions the full run
         // emitted after the kill point.
@@ -229,7 +152,8 @@ fn oracle(
         // the full retired-segment history, identical segment for segment.
         assert_eq!(resumed.segments.len(), full.segments.len(), "{ctx}: segment count");
         for (r, f) in resumed.segments.iter().zip(&full.segments) {
-            assert_eq!(r, f, "{ctx}: segment diverged");
+            let bits = |s: &Segment| encode_event(0, &Event::Segment(*s));
+            assert_eq!(bits(r), bits(f), "{ctx}: segment diverged: {r:?} vs {f:?}");
         }
 
         assert_bits(&ctx, "energy", resumed.objective.energy, full.objective.energy);
@@ -261,9 +185,9 @@ fn c_stream_kill_resume_is_bitwise_deterministic() {
     for alpha in ALPHAS {
         let law = PowerLaw::new(alpha).unwrap();
         for (name, _, jobs) in suites() {
-            let full = full_c(&jobs, law);
+            let full = run(Stream::new(Algo::C, law, StreamConfig::batch()), &jobs);
             assert_eq!(full.checkpoints.len(), jobs.len());
-            oracle(&format!("C/{name}"), &jobs, law, full, resume_c);
+            oracle(&format!("C/{name}"), &jobs, law, full);
         }
     }
 }
@@ -276,8 +200,8 @@ fn nc_stream_kill_resume_is_bitwise_deterministic() {
             if !uniform {
                 continue; // NC's streaming core is the uniform-density algorithm
             }
-            let full = full_nc(&jobs, law);
-            oracle(&format!("NC/{name}"), &jobs, law, full, resume_nc);
+            let full = run(Stream::new(Algo::Nc, law, StreamConfig::batch()), &jobs);
+            oracle(&format!("NC/{name}"), &jobs, law, full);
         }
     }
 }

@@ -103,50 +103,30 @@ fn oracle_confirms_lemma3_independently() {
 
 use ncss::core::streaming::{CStream, NcStream, StreamConfig};
 use ncss::sim::{Evaluated, PerJob, ScheduleBuilder};
+use ncss::trace::{Algo, Completion, Stream};
 use ncss::workloads::suite::{nonuniform_suite, tiny_suite, uniform_suite};
 
-/// Drive `CStream` in streaming mode (tiny spill ring, drained after every
-/// offer) and return (objective, completions by job id).
-fn stream_c(inst: &Instance, law: PowerLaw) -> (Objective, Vec<f64>, PerJob) {
+/// Drive the `algo` core in streaming mode (tiny spill ring, drained after
+/// every offer) and return (objective, completion times in emission order,
+/// per-job outcomes by id).
+fn streamed(algo: Algo, inst: &Instance, law: PowerLaw) -> (Objective, Vec<f64>, PerJob) {
     let n = inst.len();
     let mut per_job =
         PerJob { completion: vec![f64::NAN; n], frac_flow: vec![0.0; n], int_flow: vec![0.0; n] };
-    let mut stream = CStream::new(law, StreamConfig::streaming(8));
+    let mut stream = Stream::new(algo, law, StreamConfig::streaming(8));
     let mut order = Vec::new();
-    let mut sink = |c: ncss::core::CCompletion| {
-        order.push(c.completion);
-        per_job.completion[c.id] = c.completion;
-        per_job.frac_flow[c.id] = c.frac_flow;
-        per_job.int_flow[c.id] = c.int_flow;
+    let mut sink = |c: Completion| {
+        let (id, completion, frac_flow, int_flow) = c.outcome();
+        order.push(completion);
+        per_job.completion[id] = completion;
+        per_job.frac_flow[id] = frac_flow;
+        per_job.int_flow[id] = int_flow;
     };
     for job in inst.jobs() {
         stream.offer(*job, &mut sink).expect("offer");
         stream.spill_mut().drain().for_each(drop);
     }
     let summary = stream.finish(&mut sink).expect("finish");
-    assert_eq!(order.len(), n, "stream must complete every job");
-    (summary.objective, order, per_job)
-}
-
-/// Same for `NcStream` (uniform-density instances only).
-fn stream_nc(inst: &Instance, law: PowerLaw) -> (Objective, Vec<f64>, PerJob) {
-    let n = inst.len();
-    let mut per_job =
-        PerJob { completion: vec![f64::NAN; n], frac_flow: vec![0.0; n], int_flow: vec![0.0; n] };
-    let mut stream = NcStream::new(law, StreamConfig::streaming(8));
-    let mut order = Vec::new();
-    for job in inst.jobs() {
-        stream
-            .offer(*job, &mut |c: ncss::core::NcCompletion| {
-                order.push(c.completion);
-                per_job.completion[c.id] = c.completion;
-                per_job.frac_flow[c.id] = c.frac_flow;
-                per_job.int_flow[c.id] = c.int_flow;
-            })
-            .expect("offer");
-        stream.spill_mut().drain().for_each(drop);
-    }
-    let summary = stream.finish().expect("finish");
     assert_eq!(order.len(), n, "stream must complete every job");
     (summary.objective, order, per_job)
 }
@@ -182,7 +162,7 @@ fn stream_c_is_bitwise_equal_to_batch_everywhere() {
         for (i, inst) in suites.iter().enumerate() {
             let tag = format!("alpha {alpha}, instance {i} (n={})", inst.len());
             let batch = run_c(inst, law).expect("batch C");
-            let (obj, _, per_job) = stream_c(inst, law);
+            let (obj, _, per_job) = streamed(Algo::C, inst, law);
             assert_bitwise(&tag, &obj, &batch.objective);
             for j in 0..inst.len() {
                 assert_eq!(
@@ -208,7 +188,7 @@ fn stream_nc_is_bitwise_equal_to_batch_on_uniform_suites() {
         for (i, inst) in suites.iter().enumerate() {
             let tag = format!("alpha {alpha}, instance {i} (n={})", inst.len());
             let batch = run_nc_uniform(inst, law).expect("batch NC");
-            let (obj, _, per_job) = stream_nc(inst, law);
+            let (obj, _, per_job) = streamed(Algo::Nc, inst, law);
             assert_bitwise(&tag, &obj, &batch.objective);
             for j in 0..inst.len() {
                 assert_eq!(

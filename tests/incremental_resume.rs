@@ -14,10 +14,10 @@
 //! detail text.
 
 use ncss::audit::{AuditConfig, AuditReport, IncrementalAudit, IncrementalSnapshot};
-use ncss::core::{CStream, NcStream, StreamConfig};
-use ncss::sim::{Job, PowerLaw, SpillRing};
+use ncss::core::StreamConfig;
+use ncss::sim::{Job, Objective, PowerLaw};
 use ncss::trace::format::{decode_event, encode_event};
-use ncss::trace::{Checkpoint, Event};
+use ncss::trace::{Algo, Checkpoint, Completion, Event, Stream};
 use ncss::workloads::{DensityDist, VolumeDist, WorkloadSpec};
 
 const ALPHAS: [f64; 2] = [2.0, 2.75];
@@ -40,22 +40,6 @@ fn suites() -> Vec<(&'static str, bool, Vec<Job>)> {
         Job::unit_density(1.1, 0.5),
     ];
     vec![("uniform", true, uniform), ("nonuniform", false, nonuniform), ("tiny", true, tiny)]
-}
-
-/// Drain retired segments and buffered completions into the auditor — the
-/// same feeding contract the `stream` CLI uses. Verdicts are deferred to
-/// `finalize` here; the oracle compares full reports, not eager trips.
-fn feed(
-    audit: &mut IncrementalAudit,
-    ring: &mut SpillRing,
-    buf: &mut Vec<(usize, f64, f64, f64)>,
-) {
-    for seg in ring.drain() {
-        let _ = audit.on_segment(seg);
-    }
-    for (id, completion, frac, int) in buf.drain(..) {
-        let _ = audit.on_complete(id, completion, frac, int);
-    }
 }
 
 /// Round-trip a stream checkpoint and an auditor snapshot through the trace
@@ -81,101 +65,47 @@ struct AuditedRun {
     checkpoints: Vec<(Checkpoint, IncrementalSnapshot)>,
 }
 
-fn full_c(jobs: &[Job], law: PowerLaw) -> AuditedRun {
-    let mut stream = CStream::new(law, StreamConfig::batch());
-    let mut audit = IncrementalAudit::new(law, AuditConfig::default());
-    let mut buf = Vec::new();
-    let mut checkpoints = Vec::new();
-    for (id, &job) in jobs.iter().enumerate() {
-        audit.on_release(id, job);
-        stream
-            .offer(job, &mut |c: ncss::core::CCompletion| {
-                buf.push((c.id, c.completion, c.frac_flow, c.int_flow));
-            })
-            .expect("offer");
-        feed(&mut audit, stream.spill_mut(), &mut buf);
-        checkpoints.push((Checkpoint::C(stream.snapshot()), audit.snapshot()));
-    }
-    let summary = stream
-        .finish(&mut |c: ncss::core::CCompletion| {
-            buf.push((c.id, c.completion, c.frac_flow, c.int_flow));
-        })
-        .expect("finish");
-    feed(&mut audit, stream.spill_mut(), &mut buf);
-    AuditedRun { report: audit.finalize(&summary.objective), checkpoints }
-}
-
-fn resume_c(cp: Checkpoint, snap: IncrementalSnapshot, jobs: &[Job], law: PowerLaw) -> AuditReport {
-    let (cp, snap) = roundtrip(cp, snap);
-    let Checkpoint::C(stream_snap) = cp else { panic!("wrong checkpoint algo") };
-    let skip = stream_snap.ingested;
-    let mut stream = CStream::from_snapshot(stream_snap).expect("restore stream");
-    let mut audit = IncrementalAudit::from_snapshot(snap).expect("restore auditor");
-    let _ = law;
-    let mut buf = Vec::new();
-    for (id, &job) in jobs.iter().enumerate().skip(skip) {
-        audit.on_release(id, job);
-        stream
-            .offer(job, &mut |c: ncss::core::CCompletion| {
-                buf.push((c.id, c.completion, c.frac_flow, c.int_flow));
-            })
-            .expect("resumed offer");
-        feed(&mut audit, stream.spill_mut(), &mut buf);
-    }
-    let summary = stream
-        .finish(&mut |c: ncss::core::CCompletion| {
-            buf.push((c.id, c.completion, c.frac_flow, c.int_flow));
-        })
-        .expect("resumed finish");
-    feed(&mut audit, stream.spill_mut(), &mut buf);
-    audit.finalize(&summary.objective)
-}
-
-fn full_nc(jobs: &[Job], law: PowerLaw) -> AuditedRun {
-    let mut stream = NcStream::new(law, StreamConfig::batch());
-    let mut audit = IncrementalAudit::new(law, AuditConfig::default());
-    let mut buf = Vec::new();
-    let mut checkpoints = Vec::new();
-    for (id, &job) in jobs.iter().enumerate() {
-        audit.on_release(id, job);
-        stream
-            .offer(job, &mut |c: ncss::core::NcCompletion| {
-                buf.push((c.id, c.completion, c.frac_flow, c.int_flow));
-            })
-            .expect("offer");
-        feed(&mut audit, stream.spill_mut(), &mut buf);
-        checkpoints.push((Checkpoint::Nc(stream.snapshot()), audit.snapshot()));
-    }
-    let summary = stream.finish().expect("finish");
-    feed(&mut audit, stream.spill_mut(), &mut buf);
-    AuditedRun { report: audit.finalize(&summary.objective), checkpoints }
-}
-
-fn resume_nc(
-    cp: Checkpoint,
-    snap: IncrementalSnapshot,
+/// Feed `jobs` (arrival ids from `first`) through `stream` with `audit`
+/// attached — the `stream` CLI's feeding order, `IncrementalAudit::on_offer`
+/// — and finish. Verdicts are deferred to `finalize` here; the oracle
+/// compares full reports, not eager trips. With `checkpoints`, snapshot
+/// both after every offer.
+fn run(
+    stream: &mut Stream,
+    audit: &mut IncrementalAudit,
     jobs: &[Job],
-    law: PowerLaw,
-) -> AuditReport {
-    let (cp, snap) = roundtrip(cp, snap);
-    let Checkpoint::Nc(stream_snap) = cp else { panic!("wrong checkpoint algo") };
-    let skip = stream_snap.ingested;
-    let mut stream = NcStream::from_snapshot(stream_snap).expect("restore stream");
-    let mut audit = IncrementalAudit::from_snapshot(snap).expect("restore auditor");
-    let _ = law;
+    first: usize,
+    mut checkpoints: Option<&mut Vec<(Checkpoint, IncrementalSnapshot)>>,
+) -> Objective {
     let mut buf = Vec::new();
-    for (id, &job) in jobs.iter().enumerate().skip(skip) {
-        audit.on_release(id, job);
-        stream
-            .offer(job, &mut |c: ncss::core::NcCompletion| {
-                buf.push((c.id, c.completion, c.frac_flow, c.int_flow));
-            })
-            .expect("resumed offer");
-        feed(&mut audit, stream.spill_mut(), &mut buf);
+    for (id, &job) in jobs.iter().enumerate() {
+        audit.on_release(first + id, job);
+        stream.offer(job, &mut |c: Completion| buf.push(c.outcome())).expect("offer");
+        let _ = audit.on_offer(stream.spill_mut().drain(), buf.drain(..));
+        if let Some(cps) = checkpoints.as_mut() {
+            cps.push((stream.checkpoint(), audit.snapshot()));
+        }
     }
-    let summary = stream.finish().expect("resumed finish");
-    feed(&mut audit, stream.spill_mut(), &mut buf);
-    audit.finalize(&summary.objective)
+    let summary = stream.finish(&mut |c: Completion| buf.push(c.outcome())).expect("finish");
+    let _ = audit.on_offer(stream.spill_mut().drain(), buf.drain(..));
+    summary.objective
+}
+
+fn full(algo: Algo, jobs: &[Job], law: PowerLaw) -> AuditedRun {
+    let mut stream = Stream::new(algo, law, StreamConfig::batch());
+    let mut audit = IncrementalAudit::new(law, AuditConfig::default());
+    let mut checkpoints = Vec::new();
+    let objective = run(&mut stream, &mut audit, jobs, 0, Some(&mut checkpoints));
+    AuditedRun { report: audit.finalize(&objective), checkpoints }
+}
+
+fn resume(cp: Checkpoint, snap: IncrementalSnapshot, jobs: &[Job]) -> AuditReport {
+    let (cp, snap) = roundtrip(cp, snap);
+    let skip = cp.ingested();
+    let mut stream = Stream::restore(cp).expect("restore stream");
+    let mut audit = IncrementalAudit::from_snapshot(snap).expect("restore auditor");
+    let objective = run(&mut stream, &mut audit, &jobs[skip..], skip, None);
+    audit.finalize(&objective)
 }
 
 /// Bitwise report equality: names, order, verdicts, residual bits, detail.
@@ -198,13 +128,7 @@ fn assert_reports_bitwise(full: &AuditReport, resumed: &AuditReport, ctx: &str) 
 
 /// The oracle: kill at every offer index, resume stream + auditor from the
 /// codec-round-tripped frames, demand a bitwise-identical final report.
-fn oracle(
-    name: &str,
-    jobs: &[Job],
-    law: PowerLaw,
-    full: AuditedRun,
-    resume: impl Fn(Checkpoint, IncrementalSnapshot, &[Job], PowerLaw) -> AuditReport,
-) {
+fn oracle(name: &str, jobs: &[Job], law: PowerLaw, full: AuditedRun) {
     assert!(
         full.report.passed(),
         "{name} α={}: honest audited run failed:\n{}",
@@ -214,7 +138,7 @@ fn oracle(
     for (k, (cp, snap)) in full.checkpoints.iter().enumerate() {
         let ctx = format!("{name} α={} kill@{k}", law.alpha());
         assert_eq!(snap.released, (k + 1) as u64, "{ctx}: auditor release count");
-        let resumed = resume(cp.clone(), snap.clone(), jobs, law);
+        let resumed = resume(cp.clone(), snap.clone(), jobs);
         assert_reports_bitwise(&full.report, &resumed, &ctx);
     }
 }
@@ -224,7 +148,7 @@ fn c_stream_audit_survives_kill_at_every_offer() {
     for alpha in ALPHAS {
         let law = PowerLaw::new(alpha).expect("valid alpha");
         for (name, _, jobs) in suites() {
-            oracle(name, &jobs, law, full_c(&jobs, law), resume_c);
+            oracle(name, &jobs, law, full(Algo::C, &jobs, law));
         }
     }
 }
@@ -237,7 +161,7 @@ fn nc_stream_audit_survives_kill_at_every_offer() {
             if !uniform {
                 continue;
             }
-            oracle(name, &jobs, law, full_nc(&jobs, law), resume_nc);
+            oracle(name, &jobs, law, full(Algo::Nc, &jobs, law));
         }
     }
 }

@@ -12,68 +12,69 @@
 //!   as clean, because recovery-mode truncation is reserved for *tail*
 //!   damage: CRC-valid-but-wrong frames in the interior are tampering, not
 //!   tearing.
+//!
+//! Past the reader, replay holds a CRC-valid trace to the bits: a single
+//! re-encoded field edit, down to one ulp or the sign of a zero, must come
+//! back as `ReplayDivergence` for both algorithms.
 
 use ncss::core::{CStream, StreamConfig};
 use ncss::sim::{Job, PowerLaw};
 use ncss::trace::{
-    read_bytes, recover_bytes, replay, tamper::apply, Algo, Checkpoint, Event, Recorder, Tamper,
-    TraceHeader, TraceSummary,
+    read_bytes, recover_bytes, replay, tamper::apply, Algo, Checkpoint, Event, Recorder, Stream,
+    Tamper, TraceError, TraceHeader,
 };
 use ncss_rng::{dist, Pcg64};
 
-/// Record a complete, finalized C trace over `n` Poisson arrivals into a
-/// byte buffer — the same event stream `ncss-cli record` writes.
-fn recorded_trace(n: usize, seed: u64) -> Vec<u8> {
-    let law = PowerLaw::new(2.5).unwrap();
-    let header = TraceHeader::new(Algo::C, law.alpha(), seed, "wal robustness test");
-    let mut rec = Recorder::new(Vec::new(), &header).expect("recorder");
+/// `n` Poisson arrivals at rate 1.5 with exponential unit-mean volumes.
+fn poisson_jobs(n: usize, seed: u64) -> Vec<Job> {
     let mut rng = Pcg64::seed_from_u64(seed);
     let mut clock = 0.0;
-    let mut stream = CStream::new(law, StreamConfig::streaming(64));
-    let mut pending = Vec::new();
-    for i in 0..n {
-        clock += dist::poisson_gap(&mut rng, 1.5);
-        let job = Job::unit_density(clock, dist::exponential(&mut rng, 1.0));
-        rec.append(&Event::Release { id: i as u64, job }).unwrap();
-        stream.offer(job, &mut |c: ncss::core::CCompletion| pending.push(c)).unwrap();
-        for c in pending.drain(..) {
-            rec.append(&Event::CompleteC {
-                id: c.id as u64,
-                completion: c.completion,
-                frac_flow: c.frac_flow,
-                int_flow: c.int_flow,
-            })
-            .unwrap();
-        }
-        for seg in stream.spill_mut().drain() {
-            rec.append(&Event::Segment(seg)).unwrap();
-        }
-        if (i + 1) % 7 == 0 {
-            rec.append(&Event::Checkpoint(Box::new(Checkpoint::C(stream.snapshot())))).unwrap();
-        }
-    }
-    let summary = stream.finish(&mut |c| pending.push(c)).unwrap();
-    for c in pending.drain(..) {
-        rec.append(&Event::CompleteC {
-            id: c.id as u64,
-            completion: c.completion,
-            frac_flow: c.frac_flow,
-            int_flow: c.int_flow,
+    (0..n)
+        .map(|_| {
+            clock += dist::poisson_gap(&mut rng, 1.5);
+            Job::unit_density(clock, dist::exponential(&mut rng, 1.0))
         })
-        .unwrap();
+        .collect()
+}
+
+/// Record a complete, finalized trace of `algo` over `jobs` into a byte
+/// buffer — the same event stream `ncss-cli record` writes, with a
+/// checkpoint every 7 offers.
+fn record(algo: Algo, jobs: &[Job], seed: u64) -> Vec<u8> {
+    let law = PowerLaw::new(2.5).unwrap();
+    let header = TraceHeader::new(algo, law.alpha(), seed, "wal robustness test");
+    let mut rec = Recorder::new(Vec::new(), &header).expect("recorder");
+    let mut stream = Stream::new(algo, law, StreamConfig::streaming(64));
+    for (i, job) in jobs.iter().enumerate() {
+        rec.record_offer(&mut stream, *job).unwrap();
+        if (i + 1) % 7 == 0 {
+            rec.append(&Event::Checkpoint(Box::new(stream.checkpoint()))).unwrap();
+        }
     }
-    for seg in stream.spill_mut().drain() {
-        rec.append(&Event::Segment(seg)).unwrap();
+    let summary = rec.record_finish(&mut stream).unwrap();
+    rec.finalize(&summary).expect("finalize")
+}
+
+/// A finalized C trace over `n` Poisson arrivals.
+fn recorded_trace(n: usize, seed: u64) -> Vec<u8> {
+    record(Algo::C, &poisson_jobs(n, seed), seed)
+}
+
+/// Re-encode a trace through a fresh `Recorder` — valid CRCs, valid
+/// sequence numbers — after `edit` has changed its events (the summary
+/// included), so only replay can tell.
+fn reencode(bytes: &[u8], edit: impl FnOnce(&mut Vec<Event>)) -> Vec<u8> {
+    let trace = read_bytes(bytes).expect("clean trace reads strictly");
+    let mut events = trace.events.clone();
+    edit(&mut events);
+    let Some(Event::Summary(summary)) = events.pop() else {
+        panic!("a finalized trace ends in its summary")
+    };
+    let mut rec = Recorder::new(Vec::new(), &trace.header).unwrap();
+    for event in &events {
+        rec.append(event).unwrap();
     }
-    rec.finalize(&TraceSummary {
-        ingested: n as u64,
-        completed: summary.completed as u64,
-        makespan: summary.makespan,
-        energy: summary.objective.energy,
-        frac_flow: summary.objective.frac_flow,
-        int_flow: summary.objective.int_flow,
-    })
-    .expect("finalize")
+    rec.finalize(&summary).unwrap()
 }
 
 #[test]
@@ -193,6 +194,67 @@ fn torn_tail_recovery_keeps_checkpoints_usable() {
                 assert_eq!(stream.stats().ingested, cp.ingested());
             }
             Checkpoint::Nc(_) => unreachable!("C trace"),
+        }
+    }
+}
+
+/// First event matching `pick`, for in-place editing.
+fn first(events: &mut [Event], pick: impl Fn(&Event) -> bool) -> &mut Event {
+    events.iter_mut().find(|e| pick(e)).expect("the trace has such a frame")
+}
+
+#[test]
+fn single_field_edits_are_replay_divergences_for_both_algorithms() {
+    type Edit = fn(&mut Vec<Event>);
+    let edits: [(&str, Edit); 4] = [
+        ("completion time +1 ulp", |events| {
+            match first(events, |e| matches!(e, Event::CompleteC { .. } | Event::CompleteNc { .. }))
+            {
+                Event::CompleteC { completion, .. } | Event::CompleteNc { completion, .. } => {
+                    *completion = completion.next_up();
+                }
+                _ => unreachable!(),
+            }
+        }),
+        ("first segment start 0.0 -> -0.0", |events| {
+            let Event::Segment(seg) = first(events, |e| matches!(e, Event::Segment(_))) else {
+                unreachable!()
+            };
+            assert_eq!(seg.start.to_bits(), 0.0f64.to_bits(), "first segment starts at +0.0");
+            seg.start = -0.0;
+        }),
+        ("checkpoint energy +1 ulp", |events| {
+            let Event::Checkpoint(cp) = first(events, |e| matches!(e, Event::Checkpoint(_))) else {
+                unreachable!()
+            };
+            match cp.as_mut() {
+                Checkpoint::C(s) => s.energy = s.energy.next_up(),
+                Checkpoint::Nc(s) => s.energy = s.energy.next_up(),
+            }
+        }),
+        ("summary energy +1 ulp", |events| {
+            let Some(Event::Summary(s)) = events.last_mut() else { unreachable!() };
+            s.energy = s.energy.next_up();
+        }),
+    ];
+    for algo in [Algo::C, Algo::Nc] {
+        // A job released at 0.0 opens the schedule with a segment at +0.0.
+        let mut jobs = vec![Job::unit_density(0.0, 1.0)];
+        jobs.extend(poisson_jobs(20, 29));
+        let clean = record(algo, &jobs, 29);
+        assert_eq!(reencode(&clean, |_| {}), clean, "{algo:?}: re-encoding is the identity");
+        replay(&read_bytes(&clean).unwrap()).expect("clean trace replays");
+
+        for (what, edit) in edits {
+            let edited = reencode(&clean, edit);
+            assert_ne!(edited, clean, "{algo:?} {what}: edit was a no-op");
+            let trace = read_bytes(&edited)
+                .unwrap_or_else(|e| panic!("{algo:?} {what}: reader refused [{}] {e}", e.name()));
+            match replay(&trace) {
+                Err(TraceError::ReplayDivergence { .. }) => {}
+                Err(e) => panic!("{algo:?} {what}: want ReplayDivergence, got [{}] {e}", e.name()),
+                Ok(_) => panic!("{algo:?} {what}: replayed clean"),
+            }
         }
     }
 }
