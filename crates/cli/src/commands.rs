@@ -95,13 +95,15 @@ commands:
            optionally leaving B bytes of a torn half-written frame at the
            tail — feed the result to 'resume'
   replay   --trace X.nct [--audit 0|1] [--check-against Y.nct]
-           strict-read a trace, re-run its releases through a fresh
-           scheduler and require bitwise-identical completions, segments,
-           checkpoints, and objectives; --audit 1 additionally rebuilds
-           the schedule and runs the independent audit; --check-against
-           compares two finalized traces event-by-event (e.g. a resumed
-           run vs its uninterrupted twin). Exits non-zero on any
-           divergence or corruption, naming the trace error
+           strict-read a trace frame by frame, re-run its releases
+           through a fresh scheduler and require bitwise-identical
+           completions, segments, whole checkpoints, and objectives, in
+           memory bounded by the jobs active at once; --audit 1
+           additionally rebuilds the schedule and runs the independent
+           audit; --check-against compares two finalized traces
+           event-by-event (e.g. a resumed run vs its uninterrupted twin).
+           Exits non-zero on any divergence or corruption, naming the
+           trace error
   resume   --trace TORN.nct --out X.nct (--input ... as for record)
            [--checkpoint-every N]
            recover a torn/killed trace (truncating tail damage, reporting

@@ -9,10 +9,12 @@
 //!   checkpoint, re-offers the remaining input, and writes a finalized
 //!   trace whose completions and objectives are **bitwise identical** to an
 //!   uninterrupted run.
-//! * `replay` strict-reads a trace, re-executes its releases, and verifies
-//!   every completion, segment, checkpoint, and the final objectives down
-//!   to the bit; `--audit 1` additionally rebuilds the schedule and runs
-//!   the independent audit; `--check-against` compares two traces.
+//! * `replay` reads a trace frame by frame, re-executes its releases, and
+//!   verifies every completion, segment, checkpoint, and the final
+//!   objectives down to the bit, in memory bounded by the jobs active at
+//!   once; `--audit 1` additionally collects the run, rebuilds the
+//!   schedule and runs the independent audit; `--check-against` compares
+//!   two traces frame by frame.
 //! * `tamper` applies one seeded corruption pattern — the verify gate
 //!   records a golden trace, tampers it, and requires replay to go red.
 
@@ -23,8 +25,8 @@ use ncss_audit::{AuditConfig, ScheduleAudit};
 use ncss_core::streaming::StreamConfig;
 use ncss_sim::{Evaluated, Instance, Job, PerJob, PowerLaw, ScheduleBuilder};
 use ncss_trace::{
-    format, reader, replay as trace_replay, tamper, Algo, Checkpoint, Event, Recorder, Stream,
-    TraceError, TraceHeader, TraceSummary,
+    format, reader, replay_frames, tamper, Algo, Checkpoint, Event, Frame, Frames, Recorder,
+    Stream, TraceError, TraceHeader, TraceSummary,
 };
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -55,10 +57,12 @@ pub(crate) fn algo_of(args: &ParsedArgs) -> Result<Algo, String> {
     }
 }
 
-/// A fresh stream for a recording. The spill ring is drained into the
-/// recorder after every offer, so a modest cap can never drop segments.
+/// A fresh stream for a recording. Its spill ring is unbounded and drained
+/// into the recorder after every offer, as replay runs it, so it holds one
+/// offer's segments at a time and never drops any, however many one offer
+/// retires.
 fn fresh_stream(algo: Algo, law: PowerLaw) -> Stream {
-    Stream::new(algo, law, StreamConfig::streaming(4096))
+    Stream::new(algo, law, StreamConfig::batch())
 }
 
 /// How a recording run ended.
@@ -247,8 +251,10 @@ pub(crate) fn cmd_replay(args: &ParsedArgs) -> Result<String, String> {
     let path = trace_path(args)?;
     let audit = args.usize_or("audit", 0)? == 1;
 
-    let trace = reader::read_file(&path).map_err(trace_err)?;
-    let report = trace_replay(&trace).map_err(trace_err)?;
+    let frames = Frames::open(&path).map_err(trace_err)?;
+    let header = frames.header().clone();
+    let frames = frames.map(|f| f.map(|f| (f.index, f.event)));
+    let report = replay_frames(&header, frames, audit).map_err(trace_err)?;
 
     let mut t = Table::new(format!("replay of {}", path.display()), &["metric", "value"]);
     let h = &report.header;
@@ -258,8 +264,8 @@ pub(crate) fn cmd_replay(args: &ParsedArgs) -> Result<String, String> {
     if !h.note.is_empty() {
         t.row(vec!["note".into(), h.note.clone()]);
     }
-    t.row(vec!["jobs".into(), format!("{}", report.jobs.len())]);
-    t.row(vec!["segments".into(), format!("{}", report.segments.len())]);
+    t.row(vec!["jobs".into(), format!("{}", report.recorded.ingested)]);
+    t.row(vec!["segments".into(), format!("{}", report.segments_verified)]);
     t.row(vec!["checkpoints verified".into(), format!("{}", report.checkpoints_verified)]);
     t.row(vec!["recorded == replayed".into(), "bitwise".into()]);
     t.row(vec!["energy".into(), fmt_f(report.recorded.energy)]);
@@ -267,9 +273,7 @@ pub(crate) fn cmd_replay(args: &ParsedArgs) -> Result<String, String> {
     t.row(vec!["int flow".into(), fmt_f(report.recorded.int_flow)]);
 
     if let Some(other) = args.options.get("check-against") {
-        let other_path = Path::new(other);
-        let other_trace = reader::read_file(other_path).map_err(trace_err)?;
-        check_equivalent(&trace, &other_trace)?;
+        check_equivalent(&path, Path::new(other))?;
         t.row(vec!["check-against".into(), format!("{other}: bitwise equal")]);
     }
 
@@ -315,56 +319,63 @@ pub(crate) fn cmd_replay(args: &ParsedArgs) -> Result<String, String> {
     Ok(t.render())
 }
 
-/// Bitwise equivalence of two finalized traces: same provenance-relevant
-/// header fields, same releases, same completions, same objectives. Used to
-/// prove a resumed run equals its uninterrupted twin. (Checkpoint frames
-/// are *not* compared: heap layout may differ across a resume boundary
-/// while remaining semantically identical — replay verifies each trace's
-/// checkpoints on its own.)
-fn check_equivalent(a: &reader::TraceFile, b: &reader::TraceFile) -> Result<(), String> {
+/// Bitwise equivalence of two finalized traces, read frame by frame in
+/// lockstep: the same algorithm and α, then the same release, completion
+/// and summary frames in the same order, compared by their encoded bytes.
+/// Used to prove a resumed run equals its uninterrupted twin. (Checkpoint
+/// frames are *not* compared: heap layout may differ across a resume
+/// boundary while remaining semantically identical — replay verifies each
+/// trace's checkpoints on its own.)
+fn check_equivalent(a: &Path, b: &Path) -> Result<(), String> {
     let fail = |what: String| Err(format!("traces differ: {what}"));
-    if a.header.algorithm != b.header.algorithm {
+    let mut fa = Frames::open(a).map_err(trace_err)?;
+    let mut fb = Frames::open(b).map_err(trace_err)?;
+    let (ha, hb) = (fa.header(), fb.header());
+    if ha.algorithm != hb.algorithm {
         return fail("algorithm".into());
     }
-    if a.header.alpha.to_bits() != b.header.alpha.to_bits() {
+    if ha.alpha.to_bits() != hb.alpha.to_bits() {
         return fail("alpha".into());
     }
-    let (sa, sb) = (a.summary(), b.summary());
-    let (Some(sa), Some(sb)) = (sa, sb) else {
-        return fail("one trace is not finalized".into());
-    };
-    for (name, x, y) in [
-        ("makespan", sa.makespan, sb.makespan),
-        ("energy", sa.energy, sb.energy),
-        ("frac_flow", sa.frac_flow, sb.frac_flow),
-        ("int_flow", sa.int_flow, sb.int_flow),
-    ] {
-        if x.to_bits() != y.to_bits() {
-            return fail(format!("summary {name}: {x:?} vs {y:?}"));
+    let (mut xs, mut ys) = ((&mut fa).filter(compared), (&mut fb).filter(compared));
+    let mut i = 0;
+    let (x, y) = loop {
+        let x = xs.next().transpose().map_err(trace_err)?;
+        let y = ys.next().transpose().map_err(trace_err)?;
+        let (Some(fx), Some(fy)) = (&x, &y) else { break (x, y) };
+        if format::encode_event(0, &fx.event) != format::encode_event(0, &fy.event) {
+            return fail(format!("event #{i}: {:?} vs {:?}", fx.event, fy.event));
         }
-    }
-    let completions = |t: &reader::TraceFile| -> Vec<Event> {
-        t.events
-            .iter()
-            .filter(|e| {
-                matches!(
-                    e,
-                    Event::CompleteC { .. } | Event::CompleteNc { .. } | Event::Release { .. }
-                )
-            })
-            .cloned()
-            .collect()
+        i += 1;
     };
-    let (ca, cb) = (completions(a), completions(b));
-    if ca.len() != cb.len() {
-        return fail(format!("event counts: {} vs {}", ca.len(), cb.len()));
+    let (na, nb) = (i + count(x, xs)?, i + count(y, ys)?);
+    if !(fa.finalized() && fb.finalized()) {
+        return Err(trace_err(TraceError::MissingSummary));
     }
-    for (i, (x, y)) in ca.iter().zip(&cb).enumerate() {
-        if format::encode_event(0, x) != format::encode_event(0, y) {
-            return fail(format!("event #{i}: {x:?} vs {y:?}"));
-        }
+    if na != nb {
+        return fail(format!("event counts: {na} vs {nb}"));
     }
     Ok(())
+}
+
+/// The frames `--check-against` compares: releases, completions and the
+/// summary.
+fn compared(frame: &Result<Frame, TraceError>) -> bool {
+    !matches!(
+        frame,
+        Ok(Frame { event: Event::Segment(_) | Event::Checkpoint(_) | Event::Audit(_), .. })
+    )
+}
+
+/// The frame in hand, if any, plus every frame left in `rest`.
+fn count(
+    first: Option<Frame>,
+    rest: impl Iterator<Item = Result<Frame, TraceError>>,
+) -> Result<usize, String> {
+    match first {
+        None => Ok(0),
+        Some(_) => rest.map(|f| f.map_err(trace_err)).try_fold(1, |n, f| f.map(|_| n + 1)),
+    }
 }
 
 /// Entry point for `ncss tamper`.
@@ -432,6 +443,28 @@ mod tests {
         ]))
         .unwrap();
         let replay = run_cli(&v(&["replay", "--trace", &path, "--audit", "1"])).unwrap();
+        assert!(replay.contains("PASS"), "{replay}");
+    }
+
+    #[test]
+    fn one_offer_retiring_thousands_of_segments_records_them_all() {
+        // 5,000 tiny jobs at time 0, then one at 1000: offering the last
+        // job retires all 5,000 of their segments at once, and finishing
+        // retires its own.
+        let input = tmp("burst.csv");
+        let mut rows = String::from("release,volume,density\n");
+        rows.push_str(&"0,0.001,1\n".repeat(5000));
+        rows.push_str("1000,1,1\n");
+        std::fs::write(&input, rows).unwrap();
+        let path = tmp("burst.nct");
+        let out = run_cli(&v(&[
+            "record", "--algorithm", "c", "--alpha", "3", "--input", &input, "--out", &path,
+        ]))
+        .unwrap();
+        assert!(out.contains("finalized") && out.contains("yes"), "{out}");
+        let replay = run_cli(&v(&["replay", "--trace", &path, "--audit", "1"])).unwrap();
+        let all = replay.lines().any(|l| l.contains("segments") && l.trim_end().ends_with(" 5001"));
+        assert!(all, "{replay}");
         assert!(replay.contains("PASS"), "{replay}");
     }
 

@@ -307,16 +307,26 @@ impl<'a> Cursor<'a> {
 /// Sentinel for `Segment::job == None` (idle segment).
 const NO_JOB: u64 = u64::MAX;
 
-pub(crate) fn put_segment(out: &mut Vec<u8>, seg: &Segment) {
-    put_f64(out, seg.start);
-    put_f64(out, seg.end);
-    put_u64(out, seg.job.map_or(NO_JOB, |j| j as u64));
-    let (tag, a, b) = match seg.law {
-        SpeedLaw::Idle => (0u8, 0.0, 0.0),
+/// A segment's job as its wire value ([`NO_JOB`] when idle).
+pub(crate) fn job_tag(seg: &Segment) -> u64 {
+    seg.job.map_or(NO_JOB, |j| j as u64)
+}
+
+/// A speed law as its wire tag and its two parameters (zero when unused).
+pub(crate) fn law_parts(law: SpeedLaw) -> (u8, f64, f64) {
+    match law {
+        SpeedLaw::Idle => (0, 0.0, 0.0),
         SpeedLaw::Constant { speed } => (1, speed, 0.0),
         SpeedLaw::Decay { w0, rho } => (2, w0, rho),
         SpeedLaw::Growth { u0, rho } => (3, u0, rho),
-    };
+    }
+}
+
+pub(crate) fn put_segment(out: &mut Vec<u8>, seg: &Segment) {
+    put_f64(out, seg.start);
+    put_f64(out, seg.end);
+    put_u64(out, job_tag(seg));
+    let (tag, a, b) = law_parts(seg.law);
     put_u8(out, tag);
     put_f64(out, a);
     put_f64(out, b);

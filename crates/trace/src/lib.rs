@@ -60,9 +60,11 @@ pub mod stream;
 pub mod tamper;
 
 pub use format::{Algo, Event, TraceHeader, TraceSummary, MAGIC, MAX_FRAME_LEN, VERSION};
-pub use reader::{read_bytes, read_file, recover_bytes, recover_file, Recovery, TraceFile};
+pub use reader::{
+    read_bytes, read_file, recover_bytes, recover_file, Frame, Frames, Recovery, TraceFile,
+};
 pub use recorder::Recorder;
-pub use replay::{replay, ReplayReport};
+pub use replay::{replay, replay_frames, ReplayReport};
 pub use snapshot::Checkpoint;
 pub use stream::{Completion, Stream};
 pub use tamper::Tamper;

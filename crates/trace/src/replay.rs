@@ -3,16 +3,28 @@
 //!
 //! A trace is *evidence* of a run; replay re-executes the releases through
 //! the same streaming core ([`Stream`]) and compares every completion,
-//! every retired segment, and the final objectives against the recorded
-//! frames with [`f64::to_bits`] equality — the same bitwise contract the
-//! batch-vs-stream tests enforce. Completions and segments are compared
-//! kind by kind, each in emission order, through the wire codec, so `0.0`
-//! and `-0.0` differ. Checkpoints are verified in passing: the replaying
-//! stream's state must agree with each recorded checkpoint on every
-//! layout-independent field, and the checkpoint must actually restore
-//! (heap *layout* may legitimately differ between a resumed recording and
-//! an uninterrupted replay, so raw snapshot bytes are deliberately not
-//! compared).
+//! every retired segment, every checkpoint, and the final objectives
+//! against the recorded frames with [`f64::to_bits`] equality — the same
+//! bitwise contract the batch-vs-stream tests enforce. Completions and
+//! segments are compared kind by kind, each in emission order, through the
+//! wire codec, so `0.0` and `-0.0` differ.
+//!
+//! Replay is one pass over the frames, in [`replay_frames`]. The stream
+//! runs on an unbounded spill ring drained after every offer, as `record`
+//! runs it: a capped ring would drop the segments a lossy recording
+//! dropped and replay that recording clean. Each replayed completion or
+//! segment is compared with the next recorded frame of its kind as soon as
+//! both exist, so what waits for a counterpart is at most one offer deep,
+//! plus the finish tail, and memory stays bounded by the jobs active at
+//! once. Collecting the jobs, segments and completions for an audit is
+//! opt-in.
+//!
+//! Each checkpoint is compared whole with the replaying stream's own
+//! state, through [`Checkpoint`]'s canonical form: live arena rows keyed
+//! by job id, heap entries as a sorted set, and every scalar, NC's shadow
+//! and tie state included. The form does not depend on memory layout,
+//! which a resume may permute, and it leaves out only the spill ring's
+//! contents and capacity. The checkpoint must then also restore.
 //!
 //! Any disagreement is a named [`TraceError::ReplayDivergence`] — replay
 //! never "mostly matches".
@@ -24,6 +36,8 @@ use crate::stream::{Completion, Stream};
 use crate::TraceError;
 use ncss_core::streaming::{CCompletion, NcCompletion, StreamConfig, StreamSummary};
 use ncss_sim::{Job, PowerLaw, Segment};
+use std::borrow::Borrow;
+use std::collections::VecDeque;
 
 /// Everything a verified replay produced — enough for a downstream audit
 /// (jobs + segments rebuild the schedule, completions give per-job flows).
@@ -35,102 +49,19 @@ pub struct ReplayReport {
     pub recorded: TraceSummary,
     /// The replayed final tally (bitwise-equal objectives to `recorded`).
     pub replayed: StreamSummary,
-    /// Released jobs in arrival order.
+    /// Released jobs in arrival order (collected runs only).
     pub jobs: Vec<Job>,
-    /// Replayed schedule segments in retirement order.
+    /// Replayed schedule segments in retirement order (collected runs
+    /// only).
     pub segments: Vec<Segment>,
-    /// Replayed C completions (empty for an NC trace).
+    /// Replayed C completions (collected runs of a C trace only).
     pub completions_c: Vec<CCompletion>,
-    /// Replayed NC completions (empty for a C trace).
+    /// Replayed NC completions (collected runs of an NC trace only).
     pub completions_nc: Vec<NcCompletion>,
+    /// Segment frames verified, whether or not they were collected.
+    pub segments_verified: usize,
     /// Checkpoints verified against the replaying stream's state.
     pub checkpoints_verified: usize,
-}
-
-fn diverged(what: String) -> TraceError {
-    TraceError::ReplayDivergence { what }
-}
-
-fn check_bits(
-    what: impl FnOnce() -> String,
-    recorded: f64,
-    replayed: f64,
-) -> Result<(), TraceError> {
-    if recorded.to_bits() == replayed.to_bits() {
-        Ok(())
-    } else {
-        Err(diverged(format!("{}: recorded {recorded:?} vs replayed {replayed:?}", what())))
-    }
-}
-
-fn check_count(what: &str, recorded: usize, replayed: usize) -> Result<(), TraceError> {
-    if recorded == replayed {
-        Ok(())
-    } else {
-        Err(diverged(format!("{what} count: recorded {recorded} vs replayed {replayed}")))
-    }
-}
-
-/// Replay a finalized trace, verifying it bitwise along the way.
-pub fn replay(trace: &TraceFile) -> Result<ReplayReport, TraceError> {
-    let Some(recorded) = trace.summary() else {
-        return Err(TraceError::MissingSummary);
-    };
-    let law = PowerLaw::new(trace.header.alpha)?;
-    let mut stream = Stream::new(trace.header.algorithm, law, StreamConfig::batch());
-    let mut jobs = Vec::new();
-    let mut completions_c = Vec::new();
-    let mut completions_nc = Vec::new();
-    let mut sink = |c| match c {
-        Completion::C(c) => completions_c.push(c),
-        Completion::Nc(c) => completions_nc.push(c),
-    };
-    let (mut recorded_completions, mut recorded_segments) = (0, 0);
-    let mut checkpoints_verified = 0;
-
-    for event in &trace.events {
-        match event {
-            Event::Release { job, .. } => {
-                stream.offer(*job, &mut sink)?;
-                jobs.push(*job);
-            }
-            Event::Segment(_) => recorded_segments += 1,
-            e if is_completion(e) => recorded_completions += 1,
-            Event::Checkpoint(cp) => {
-                verify_checkpoint(cp, &stream, jobs.len())?;
-                checkpoints_verified += 1;
-            }
-            _ => {}
-        }
-    }
-    let replayed = stream.finish(&mut sink)?;
-    let report = ReplayReport {
-        header: trace.header.clone(),
-        recorded,
-        replayed,
-        segments: stream.spill_mut().drain().collect(),
-        jobs,
-        completions_c,
-        completions_nc,
-        checkpoints_verified,
-    };
-
-    // Kind by kind: the n-th recorded completion (segment) frame against
-    // the n-th replayed one, whatever the frames' interleaving.
-    let mut scratch = [Vec::new(), Vec::new()];
-    let replayed_completions = report.completions_c.len() + report.completions_nc.len();
-    check_count("completion", recorded_completions, replayed_completions)?;
-    let frames = trace.events.iter().filter(|e| is_completion(e));
-    for (i, (frame, c)) in frames.zip(report.completions()).enumerate() {
-        check_frame(&mut scratch, || format!("completion #{i}"), frame, &c.event())?;
-    }
-    check_count("segment", recorded_segments, report.segments.len())?;
-    let frames = trace.events.iter().filter(|e| matches!(e, Event::Segment(_)));
-    for (i, (frame, seg)) in frames.zip(&report.segments).enumerate() {
-        check_frame(&mut scratch, || format!("segment #{i}"), frame, &Event::Segment(*seg))?;
-    }
-    verify_summary(recorded, &report.replayed, report.jobs.len())?;
-    Ok(report)
 }
 
 impl ReplayReport {
@@ -142,25 +73,202 @@ impl ReplayReport {
     }
 }
 
-fn is_completion(e: &Event) -> bool {
-    matches!(e, Event::CompleteC { .. } | Event::CompleteNc { .. })
+fn diverged(what: String) -> TraceError {
+    TraceError::ReplayDivergence { what }
 }
 
-/// Require two frames to encode to the same kind and bytes — every field
-/// equal by `to_bits`.
-fn check_frame(
-    scratch: &mut [Vec<u8>; 2],
-    what: impl FnOnce() -> String,
-    recorded: &Event,
-    replayed: &Event,
-) -> Result<(), TraceError> {
-    let [a, b] = scratch;
-    a.clear();
-    b.clear();
-    if put_event(a, recorded) == put_event(b, replayed) && a == b {
+/// Replay a finalized trace, verifying it bitwise along the way, and
+/// collect its jobs, segments and completions.
+pub fn replay(trace: &TraceFile) -> Result<ReplayReport, TraceError> {
+    let frames = trace.events.iter().zip(1..).map(|(event, index)| Ok((index, event)));
+    replay_frames(&trace.header, frames, true)
+}
+
+/// The replay loop: verify a trace's event frames, given in file order
+/// with their frame indices (the header is frame 0), as they arrive.
+/// A reader error ends the replay with that error. With `collect` the
+/// report holds the jobs, segments and completions; without it, memory
+/// stays bounded by the jobs active at once.
+pub fn replay_frames<E: Borrow<Event>>(
+    header: &TraceHeader,
+    frames: impl IntoIterator<Item = Result<(usize, E), TraceError>>,
+    collect: bool,
+) -> Result<ReplayReport, TraceError> {
+    let law = PowerLaw::new(header.alpha)?;
+    let mut stream = Stream::new(header.algorithm, law, StreamConfig::batch());
+    let mut run = Run::new(collect);
+    let mut summary = None;
+    let mut released = 0;
+    let mut checkpoints_verified = 0;
+
+    for frame in frames {
+        let (index, event) = frame?;
+        match event.borrow() {
+            Event::Release { job, .. } => {
+                run.offer(&mut stream, *job)?;
+                released += 1;
+            }
+            e @ Event::Segment(_) => run.segments.recorded(e)?,
+            e @ (Event::CompleteC { .. } | Event::CompleteNc { .. }) => {
+                run.completions.recorded(e)?;
+            }
+            Event::Checkpoint(cp) => {
+                verify_checkpoint(index, cp, &stream, released)?;
+                checkpoints_verified += 1;
+            }
+            Event::Audit(_) => {}
+            Event::Summary(s) => summary = Some(*s),
+        }
+    }
+    let Some(recorded) = summary else {
+        return Err(TraceError::MissingSummary);
+    };
+    let replayed = run.finish(&mut stream)?;
+    verify_summary(recorded, &replayed, released)?;
+    Ok(ReplayReport {
+        header: header.clone(),
+        recorded,
+        replayed,
+        jobs: run.jobs,
+        segments_verified: run.segments.matched,
+        segments: run.collected_segments,
+        completions_c: run.completions_c,
+        completions_nc: run.completions_nc,
+        checkpoints_verified,
+    })
+}
+
+/// The replayed side of a run: what each stream step emitted, compared
+/// with the recorded frames as it arrives, and collected when asked.
+struct Run {
+    collect: bool,
+    /// Completions of the step in hand, in emission order.
+    done: Vec<Completion>,
+    completions: Pending,
+    segments: Pending,
+    jobs: Vec<Job>,
+    collected_segments: Vec<Segment>,
+    completions_c: Vec<CCompletion>,
+    completions_nc: Vec<NcCompletion>,
+}
+
+impl Run {
+    fn new(collect: bool) -> Self {
+        Self {
+            collect,
+            done: Vec::new(),
+            completions: Pending::new("completion"),
+            segments: Pending::new("segment"),
+            jobs: Vec::new(),
+            collected_segments: Vec::new(),
+            completions_c: Vec::new(),
+            completions_nc: Vec::new(),
+        }
+    }
+
+    fn offer(&mut self, stream: &mut Stream, job: Job) -> Result<(), TraceError> {
+        stream.offer(job, &mut |c| self.done.push(c))?;
+        if self.collect {
+            self.jobs.push(job);
+        }
+        self.settle(stream)
+    }
+
+    /// Finish the stream, compare its tail, and require every frame to
+    /// have met its counterpart.
+    fn finish(&mut self, stream: &mut Stream) -> Result<StreamSummary, TraceError> {
+        let summary = stream.finish(&mut |c| self.done.push(c))?;
+        self.settle(stream)?;
+        self.completions.finish()?;
+        self.segments.finish()?;
+        Ok(summary)
+    }
+
+    /// Compare what the last stream step emitted — its completions, then
+    /// the segments it retired — and drain the ring.
+    fn settle(&mut self, stream: &mut Stream) -> Result<(), TraceError> {
+        for c in self.done.drain(..) {
+            self.completions.replayed(c.event())?;
+            if self.collect {
+                match c {
+                    Completion::C(c) => self.completions_c.push(c),
+                    Completion::Nc(c) => self.completions_nc.push(c),
+                }
+            }
+        }
+        for seg in stream.spill_mut().drain() {
+            self.segments.replayed(Event::Segment(seg))?;
+            if self.collect {
+                self.collected_segments.push(seg);
+            }
+        }
         Ok(())
-    } else {
-        Err(diverged(format!("{}: recorded {recorded:?} vs replayed {replayed:?}", what())))
+    }
+}
+
+/// Frames of one kind — completions or segments — waiting for their
+/// counterpart: recorded frames the replay has not produced yet, or
+/// replayed ones the trace has not shown yet. Each arrival is compared
+/// with the oldest frame waiting on the other side, so at most one side
+/// waits.
+struct Pending {
+    what: &'static str,
+    waiting: VecDeque<Event>,
+    /// Whether `waiting` holds recorded frames (else replayed ones).
+    recorded_waits: bool,
+    /// Pairs compared so far.
+    matched: usize,
+    scratch: [Vec<u8>; 2],
+}
+
+impl Pending {
+    fn new(what: &'static str) -> Self {
+        let scratch = [Vec::new(), Vec::new()];
+        Self { what, waiting: VecDeque::new(), recorded_waits: false, matched: 0, scratch }
+    }
+
+    fn recorded(&mut self, event: &Event) -> Result<(), TraceError> {
+        self.arrive(true, event.clone())
+    }
+
+    fn replayed(&mut self, event: Event) -> Result<(), TraceError> {
+        self.arrive(false, event)
+    }
+
+    fn arrive(&mut self, recorded: bool, event: Event) -> Result<(), TraceError> {
+        if self.waiting.is_empty() || self.recorded_waits == recorded {
+            self.recorded_waits = recorded;
+            self.waiting.push_back(event);
+            return Ok(());
+        }
+        let other = self.waiting.pop_front().expect("the other side waits");
+        let (rec, rep) = if recorded { (&event, &other) } else { (&other, &event) };
+        let [a, b] = &mut self.scratch;
+        a.clear();
+        b.clear();
+        // Same kind and same bytes: every field equal by `to_bits`.
+        if put_event(a, rec) != put_event(b, rep) || a != b {
+            return Err(diverged(format!(
+                "{} #{}: recorded {rec:?} vs replayed {rep:?}",
+                self.what, self.matched
+            )));
+        }
+        self.matched += 1;
+        Ok(())
+    }
+
+    /// Every frame must have met its counterpart.
+    fn finish(&self) -> Result<(), TraceError> {
+        let (mut recorded, mut replayed) = (self.matched, self.matched);
+        if self.recorded_waits {
+            recorded += self.waiting.len();
+        } else {
+            replayed += self.waiting.len();
+        }
+        if recorded == replayed {
+            return Ok(());
+        }
+        Err(diverged(format!("{} count: recorded {recorded} vs replayed {replayed}", self.what)))
     }
 }
 
@@ -182,58 +290,45 @@ fn verify_summary(
         ("frac_flow", recorded.frac_flow, o.frac_flow),
         ("int_flow", recorded.int_flow, o.int_flow),
     ] {
-        check_bits(|| format!("summary.{name}"), r, p)?;
+        if r.to_bits() != p.to_bits() {
+            return Err(diverged(format!("summary.{name}: recorded {r:?} vs replayed {p:?}")));
+        }
     }
     Ok(())
 }
 
-/// A checkpoint's layout-independent state: five accumulators and one
-/// count, by name.
-fn scalars(cp: &Checkpoint) -> ([(&'static str, f64); 5], (&'static str, usize)) {
-    match cp {
-        Checkpoint::C(s) => (
-            [
-                ("t", s.t),
-                ("total_w", s.total_w),
-                ("energy", s.energy),
-                ("frac_done", s.frac_done),
-                ("int_done", s.int_done),
-            ],
-            ("completed", s.completed),
-        ),
-        Checkpoint::Nc(s) => (
-            [
-                ("t_free", s.t_free),
-                ("energy", s.energy),
-                ("frac_sum", s.frac_sum),
-                ("int_sum", s.int_sum),
-                ("makespan", s.makespan),
-            ],
-            ("ingested", s.ingested),
-        ),
-    }
-}
-
-fn verify_checkpoint(cp: &Checkpoint, stream: &Stream, releases: usize) -> Result<(), TraceError> {
-    let at = format!("checkpoint after {releases} releases");
+/// Compare checkpoint frame `frame` whole with the replaying stream's
+/// state, then prove it restores.
+fn verify_checkpoint(
+    frame: usize,
+    cp: &Checkpoint,
+    stream: &Stream,
+    releases: usize,
+) -> Result<(), TraceError> {
+    let at = || format!("checkpoint at frame {frame}, after {releases} releases");
     let mine = stream.checkpoint();
     if cp.algo() != mine.algo() {
         // The reader already enforces algorithm agreement; defend anyway.
         return Err(diverged(format!(
-            "{at}: {} checkpoint in a {} trace",
+            "{}: {} checkpoint in a {} trace",
+            at(),
             cp.algo().name(),
             mine.algo().name()
         )));
     }
-    let ((recorded, (count, n)), (replayed, (_, m))) = (scalars(cp), scalars(&mine));
-    for ((name, r), (_, p)) in recorded.into_iter().zip(replayed) {
-        check_bits(|| format!("{at}: {name}"), r, p)?;
+    let (recorded, replayed) = (cp.canonical(), mine.canonical());
+    if let Some((r, p)) = recorded.iter().zip(&replayed).find(|(r, p)| r != p) {
+        return Err(diverged(format!("{}: recorded {r} vs replayed {p}", at())));
     }
-    if n != m {
-        return Err(diverged(format!("{at}: {count} {n} vs {m}")));
+    if recorded.len() != replayed.len() {
+        return Err(diverged(format!(
+            "{}: {} recorded values vs {} replayed",
+            at(),
+            recorded.len(),
+            replayed.len()
+        )));
     }
-    // Prove the recorded checkpoint is actually restorable.
     Stream::restore(cp.clone())
-        .map_err(|e| TraceError::BadCheckpoint { frame: 0, what: e.to_string() })?;
+        .map_err(|e| TraceError::BadCheckpoint { frame, what: e.to_string() })?;
     Ok(())
 }

@@ -13,13 +13,17 @@
 //! [`ncss_core::NcStream::from_snapshot`], which reject mismatched counts,
 //! out-of-range slots, and bad exponents. Both layers report errors — a
 //! tampered checkpoint must never panic or restore silently wrong.
+//! Whether a checkpoint holds the *right* state is replay's question; it
+//! compares each one with its own stream's through
+//! `Checkpoint::canonical`, a form that does not depend on layout.
 
 use crate::format::{
-    put_bool, put_f64, put_segment, put_u8, put_u64, put_usize, take_segment, Algo, Cursor,
+    job_tag, law_parts, put_bool, put_f64, put_segment, put_u8, put_u64, put_usize,
+    take_segment, Algo, Cursor,
 };
 use ncss_audit::IncrementalSnapshot;
 use ncss_core::streaming::{CStreamSnapshot, HeapEntry, NcStreamSnapshot};
-use ncss_sim::{ArenaSnapshot, SpillSnapshot};
+use ncss_sim::{ArenaSnapshot, JobId, SpillSnapshot};
 
 /// A decoded checkpoint: the state of one streaming core.
 #[derive(Debug, Clone, PartialEq)]
@@ -287,6 +291,179 @@ fn take_nc(c: &mut Cursor<'_>) -> Result<NcStreamSnapshot, String> {
 }
 
 // ---------------------------------------------------------------------------
+// Canonical form: what replay compares a recorded checkpoint by.
+// ---------------------------------------------------------------------------
+
+/// One value of a checkpoint's canonical form (see [`Checkpoint::canonical`]).
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct Field {
+    /// The state the value belongs to: `c`, `nc` or `nc.shadow`.
+    scope: &'static str,
+    /// The field's name within that state.
+    name: &'static str,
+    /// The job an arena row or a heap entry belongs to.
+    job: Option<JobId>,
+    /// `f64::to_bits` of a float, or the integer itself.
+    bits: u64,
+    float: bool,
+}
+
+impl std::fmt::Display for Field {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}.{}", self.scope, self.name)?;
+        if let Some(job) = self.job {
+            write!(f, " of job {job}")?;
+        }
+        if self.float {
+            write!(f, " = {:?}", f64::from_bits(self.bits))
+        } else {
+            write!(f, " = {}", self.bits)
+        }
+    }
+}
+
+impl Checkpoint {
+    /// The checkpoint's canonical form: every value of the state, as bits,
+    /// in an order that does not depend on memory layout. Live arena rows
+    /// come keyed by job id, heap entries as a sorted set with the job id
+    /// their slot holds, and every scalar follows, NC's shadow and tie
+    /// state included. Two checkpoints of the same run state have equal
+    /// forms however their arenas, free lists and heaps are laid out.
+    ///
+    /// Left out are the spill ring's resident segments and capacity: the
+    /// recorder drains the ring after every offer, and the capacity is the
+    /// recorder's setting, not the run's state. Retired arena slots are
+    /// left out too; they hold no job.
+    pub(crate) fn canonical(&self) -> Vec<Field> {
+        let mut out = Vec::new();
+        match self {
+            Checkpoint::C(s) => canonical_c(&mut out, "c", s),
+            Checkpoint::Nc(s) => {
+                let mut put = Canon { out: &mut out, scope: "nc" };
+                put.f("alpha", s.alpha);
+                put.spill(&s.spill);
+                put.f("t_free", s.t_free);
+                put.u("has_density0", u64::from(s.density0.is_some()));
+                put.f("density0", s.density0.unwrap_or(0.0));
+                put.f("tie_release", s.tie_release);
+                put.f("tie_weight", s.tie_weight);
+                put.f("watermark", s.watermark);
+                put.u("ingested", s.ingested as u64);
+                put.f("energy", s.energy);
+                put.f("frac_sum", s.frac_sum);
+                put.f("int_sum", s.int_sum);
+                put.f("makespan", s.makespan);
+                canonical_c(&mut out, "nc.shadow", &s.shadow);
+            }
+        }
+        out
+    }
+}
+
+/// Appends the fields of one state to a canonical form.
+struct Canon<'a> {
+    out: &'a mut Vec<Field>,
+    scope: &'static str,
+}
+
+impl Canon<'_> {
+    fn push(&mut self, name: &'static str, job: Option<JobId>, bits: u64, float: bool) {
+        self.out.push(Field { scope: self.scope, name, job, bits, float });
+    }
+
+    fn f(&mut self, name: &'static str, v: f64) {
+        self.push(name, None, v.to_bits(), true);
+    }
+
+    fn u(&mut self, name: &'static str, v: u64) {
+        self.push(name, None, v, false);
+    }
+
+    fn spill(&mut self, s: &SpillSnapshot) {
+        self.u("spill.dropped", s.dropped);
+        self.u("spill.total", s.total);
+        self.u("spill.peak", s.peak as u64);
+    }
+}
+
+fn canonical_c(out: &mut Vec<Field>, scope: &'static str, s: &CStreamSnapshot) {
+    let mut put = Canon { out, scope };
+    put.f("alpha", s.alpha);
+    put.u("keep_segments", u64::from(s.keep_segments));
+    put.spill(&s.spill);
+    put.f("t", s.t);
+    put.f("watermark", s.watermark);
+    put.f("total_w", s.total_w);
+    put.u("events_since_sync", u64::from(s.events_since_sync));
+    put.u("has_last_seg", u64::from(s.last_seg.is_some()));
+    if let Some(seg) = &s.last_seg {
+        let (tag, a, b) = law_parts(seg.law);
+        put.f("last_seg.start", seg.start);
+        put.f("last_seg.end", seg.end);
+        put.u("last_seg.job", job_tag(seg));
+        put.u("last_seg.law", u64::from(tag));
+        put.f("last_seg.a", a);
+        put.f("last_seg.b", b);
+        put.f("last_seg.scale", seg.scale);
+    }
+    put.u("ingested", s.ingested as u64);
+    put.u("completed", s.completed as u64);
+    put.f("energy", s.energy);
+    put.f("frac_done", s.frac_done);
+    put.f("int_done", s.int_done);
+
+    // Live arena rows, keyed by job id.
+    let a = &s.arena;
+    let slots = [&a.release, &a.volume, &a.density, &a.remaining, &a.frac_flow, &a.acc_t]
+        .iter()
+        .map(|col| col.len())
+        .fold(a.id.len(), usize::min);
+    let mut live = vec![true; slots];
+    for &slot in &a.free {
+        if let Some(l) = live.get_mut(slot) {
+            *l = false;
+        }
+    }
+    let mut rows: Vec<usize> = (0..slots).filter(|&slot| live[slot]).collect();
+    rows.sort_by_key(|&slot| a.id[slot]);
+    put.u("arena.live", a.live as u64);
+    put.u("arena.peak_live", a.peak_live as u64);
+    put.u("arena.rows", rows.len() as u64);
+    for slot in rows {
+        let job = Some(a.id[slot]);
+        for (name, col) in [
+            ("arena.release", &a.release),
+            ("arena.volume", &a.volume),
+            ("arena.density", &a.density),
+            ("arena.remaining", &a.remaining),
+            ("arena.frac_flow", &a.frac_flow),
+            ("arena.acc_t", &a.acc_t),
+        ] {
+            put.push(name, job, col[slot].to_bits(), true);
+        }
+    }
+
+    // Heap entries as a sorted set, each with the job its slot holds (none
+    // for a retired or out-of-range slot).
+    let holder = |slot: usize| match live.get(slot) {
+        Some(true) => a.id[slot] as u64,
+        _ => u64::MAX,
+    };
+    let mut heap: Vec<(JobId, u64, u64, u64)> = s
+        .heap
+        .iter()
+        .map(|e| (e.id, e.density.to_bits(), e.release.to_bits(), holder(e.slot)))
+        .collect();
+    heap.sort_unstable();
+    put.u("heap.len", heap.len() as u64);
+    for (id, density, release, slot_job) in heap {
+        put.push("heap.density", Some(id), density, true);
+        put.push("heap.release", Some(id), release, true);
+        put.push("heap.slot_job", Some(id), slot_job, false);
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Incremental-auditor snapshot codec (the `kind::AUDIT` frame body).
 // ---------------------------------------------------------------------------
 
@@ -527,6 +704,45 @@ mod tests {
                 "cut at {cut}: decode accepted a truncated checkpoint"
             );
         }
+    }
+
+    #[test]
+    fn canonical_form_ignores_layout_but_not_values() {
+        let snap = populated_c();
+        assert!(snap.heap.len() >= 2, "the fixture holds several live jobs");
+        let base = Checkpoint::C(snap.clone()).canonical();
+
+        // The same state laid out differently: heap entries in another
+        // order, two arena slots swapped, and another ring capacity.
+        let mut moved = snap.clone();
+        moved.heap.reverse();
+        moved.spill.capacity += 1;
+        let a = &mut moved.arena;
+        let (i, j) = (0, a.id.len() - 1);
+        for col in [
+            &mut a.release,
+            &mut a.volume,
+            &mut a.density,
+            &mut a.remaining,
+            &mut a.frac_flow,
+            &mut a.acc_t,
+        ] {
+            col.swap(i, j);
+        }
+        a.id.swap(i, j);
+        let relabel = |s: usize| if s == i { j } else if s == j { i } else { s };
+        for slot in &mut a.free {
+            *slot = relabel(*slot);
+        }
+        for e in &mut moved.heap {
+            e.slot = relabel(e.slot);
+        }
+        CStream::from_snapshot(moved.clone()).unwrap();
+        assert_eq!(Checkpoint::C(moved).canonical(), base);
+
+        let mut edited = snap;
+        edited.heap[0].release = edited.heap[0].release.next_up();
+        assert_ne!(Checkpoint::C(edited).canonical(), base);
     }
 
     fn populated_audit_snapshot() -> IncrementalSnapshot {

@@ -6,7 +6,7 @@
 //! | kind             | detection layer                                    |
 //! |------------------|----------------------------------------------------|
 //! | `BitFlip`        | frame CRC (or magic check if the flip lands there) |
-//! | `Truncate`       | tail scan / missing-summary rule                   |
+//! | `Truncate`       | torn-frame check / missing-summary rule            |
 //! | `DuplicateFrame` | sequential `seq` numbers                           |
 //! | `ReorderFrames`  | sequential `seq` numbers                           |
 //! | `BadLength`      | length sanity bound (before CRC, before alloc)     |
@@ -19,7 +19,7 @@
 
 use crate::crc::crc32;
 use crate::format::{MAGIC, MAX_FRAME_LEN, VERSION};
-use crate::reader::scan;
+use crate::reader::Frames;
 use std::str::FromStr;
 
 /// A corruption pattern (see the module docs for what each exercises).
@@ -96,20 +96,20 @@ impl SplitMix {
 
 /// Apply `kind` to a pristine trace, returning the corrupted copy.
 ///
-/// Refuses damaged inputs (tampering must start from a valid trace, or the
-/// resulting error could be pre-existing) and traces too small for the
-/// requested pattern.
+/// Refuses damaged or invalid inputs — anything the frame reader rejects —
+/// because tampering must start from a valid trace, or the resulting error
+/// could be pre-existing; refuses traces too small for the requested
+/// pattern too.
 pub fn apply(bytes: &[u8], kind: Tamper, seed: u64) -> Result<Vec<u8>, String> {
-    let (frames, _valid, damage) = scan(bytes);
-    if let Some(err) = damage {
-        return Err(format!("refusing to tamper an already-damaged trace: {err}"));
+    let damaged = |err| format!("refusing to tamper an already-damaged trace: {err}");
+    // Frame byte ranges: (start, total length), the header first. Total =
+    // kind + len + payload + crc; each frame ends where the next begins.
+    let mut starts = vec![MAGIC.len()];
+    for frame in Frames::new(bytes).map_err(damaged)? {
+        starts.push(frame.map_err(damaged)?.offset as usize);
     }
-    if frames.is_empty() {
-        return Err("refusing to tamper an empty trace".to_string());
-    }
-    // Frame byte ranges: (start, total length). Total = kind + len + payload + crc.
-    let spans: Vec<(usize, usize)> =
-        frames.iter().map(|f| (f.offset as usize, 9 + f.payload.len())).collect();
+    starts.push(bytes.len());
+    let spans: Vec<(usize, usize)> = starts.windows(2).map(|w| (w[0], w[1] - w[0])).collect();
     let mut rng = SplitMix(seed ^ 0xA076_1D64_78BD_642F);
     let mut out = bytes.to_vec();
 

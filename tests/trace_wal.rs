@@ -15,8 +15,10 @@
 //!
 //! Past the reader, replay holds a CRC-valid trace to the bits: a single
 //! re-encoded field edit, down to one ulp or the sign of a zero, must come
-//! back as `ReplayDivergence` for both algorithms.
+//! back as `ReplayDivergence` for both algorithms — inside a checkpoint
+//! too, where a checkpoint that does not restore is named at its frame.
 
+use ncss::core::streaming::{CStreamSnapshot, NcStreamSnapshot};
 use ncss::core::{CStream, StreamConfig};
 use ncss::sim::{Job, PowerLaw};
 use ncss::trace::{
@@ -203,11 +205,42 @@ fn first(events: &mut [Event], pick: impl Fn(&Event) -> bool) -> &mut Event {
     events.iter_mut().find(|e| pick(e)).expect("the trace has such a frame")
 }
 
+/// The clairvoyant state inside a checkpoint: C's own, or NC's shadow.
+fn c_state(cp: &mut Checkpoint) -> &mut CStreamSnapshot {
+    match cp {
+        Checkpoint::C(s) => s,
+        Checkpoint::Nc(s) => &mut s.shadow,
+    }
+}
+
+/// The first checkpoint frame whose clairvoyant state holds a live job.
+fn live_checkpoint(events: &mut [Event]) -> &mut Checkpoint {
+    let Event::Checkpoint(cp) = first(events, |e| match e {
+        Event::Checkpoint(cp) => match cp.as_ref() {
+            Checkpoint::C(s) => !s.heap.is_empty(),
+            Checkpoint::Nc(s) => !s.shadow.heap.is_empty(),
+        },
+        _ => false,
+    }) else {
+        unreachable!()
+    };
+    cp
+}
+
+/// The NC state of the first checkpoint frame.
+fn nc_checkpoint(events: &mut [Event]) -> &mut NcStreamSnapshot {
+    match live_checkpoint(events) {
+        Checkpoint::Nc(s) => s,
+        Checkpoint::C(_) => unreachable!("NC-only edit"),
+    }
+}
+
 #[test]
 fn single_field_edits_are_replay_divergences_for_both_algorithms() {
     type Edit = fn(&mut Vec<Event>);
-    let edits: [(&str, Edit); 4] = [
-        ("completion time +1 ulp", |events| {
+    // (what, whether the edit applies to C traces, the edit)
+    let edits: [(&str, bool, Edit); 8] = [
+        ("completion time +1 ulp", true, |events| {
             match first(events, |e| matches!(e, Event::CompleteC { .. } | Event::CompleteNc { .. }))
             {
                 Event::CompleteC { completion, .. } | Event::CompleteNc { completion, .. } => {
@@ -216,14 +249,14 @@ fn single_field_edits_are_replay_divergences_for_both_algorithms() {
                 _ => unreachable!(),
             }
         }),
-        ("first segment start 0.0 -> -0.0", |events| {
+        ("first segment start 0.0 -> -0.0", true, |events| {
             let Event::Segment(seg) = first(events, |e| matches!(e, Event::Segment(_))) else {
                 unreachable!()
             };
             assert_eq!(seg.start.to_bits(), 0.0f64.to_bits(), "first segment starts at +0.0");
             seg.start = -0.0;
         }),
-        ("checkpoint energy +1 ulp", |events| {
+        ("checkpoint energy +1 ulp", true, |events| {
             let Event::Checkpoint(cp) = first(events, |e| matches!(e, Event::Checkpoint(_))) else {
                 unreachable!()
             };
@@ -232,7 +265,24 @@ fn single_field_edits_are_replay_divergences_for_both_algorithms() {
                 Checkpoint::Nc(s) => s.energy = s.energy.next_up(),
             }
         }),
-        ("summary energy +1 ulp", |events| {
+        ("checkpoint live arena row: remaining halved", true, |events| {
+            let arena = &mut c_state(live_checkpoint(events)).arena;
+            let slot = (0..arena.id.len()).find(|s| !arena.free.contains(s)).expect("a live row");
+            arena.remaining[slot] /= 2.0;
+        }),
+        ("checkpoint heap entry: release +1 ulp", true, |events| {
+            let entry = &mut c_state(live_checkpoint(events)).heap[0];
+            entry.release = entry.release.next_up();
+        }),
+        ("checkpoint NC shadow total_w +1 ulp", false, |events| {
+            let shadow = &mut nc_checkpoint(events).shadow;
+            shadow.total_w = shadow.total_w.next_up();
+        }),
+        ("checkpoint NC tie_weight +1 ulp", false, |events| {
+            let s = nc_checkpoint(events);
+            s.tie_weight = s.tie_weight.next_up();
+        }),
+        ("summary energy +1 ulp", true, |events| {
             let Some(Event::Summary(s)) = events.last_mut() else { unreachable!() };
             s.energy = s.energy.next_up();
         }),
@@ -240,12 +290,15 @@ fn single_field_edits_are_replay_divergences_for_both_algorithms() {
     for algo in [Algo::C, Algo::Nc] {
         // A job released at 0.0 opens the schedule with a segment at +0.0.
         let mut jobs = vec![Job::unit_density(0.0, 1.0)];
-        jobs.extend(poisson_jobs(20, 29));
+        jobs.extend(poisson_jobs(60, 29));
         let clean = record(algo, &jobs, 29);
         assert_eq!(reencode(&clean, |_| {}), clean, "{algo:?}: re-encoding is the identity");
         replay(&read_bytes(&clean).unwrap()).expect("clean trace replays");
 
-        for (what, edit) in edits {
+        for (what, for_c, edit) in edits {
+            if algo == Algo::C && !for_c {
+                continue;
+            }
             let edited = reencode(&clean, edit);
             assert_ne!(edited, clean, "{algo:?} {what}: edit was a no-op");
             let trace = read_bytes(&edited)
@@ -255,6 +308,32 @@ fn single_field_edits_are_replay_divergences_for_both_algorithms() {
                 Err(e) => panic!("{algo:?} {what}: want ReplayDivergence, got [{}] {e}", e.name()),
                 Ok(_) => panic!("{algo:?} {what}: replayed clean"),
             }
+        }
+    }
+}
+
+#[test]
+fn unrestorable_checkpoint_is_reported_at_its_frame() {
+    for algo in [Algo::C, Algo::Nc] {
+        let clean = record(algo, &poisson_jobs(30, 29), 29);
+        let mut frame = 0;
+        // A zero-capacity spill ring is the one checkpoint field replay
+        // does not compare, so only the restore proof can object.
+        let edited = reencode(&clean, |events| {
+            let at = events.iter().position(|e| matches!(e, Event::Checkpoint(_))).unwrap();
+            frame = at + 1; // the header is frame 0
+            let Event::Checkpoint(cp) = &mut events[at] else { unreachable!() };
+            match cp.as_mut() {
+                Checkpoint::C(s) => s.spill.capacity = 0,
+                Checkpoint::Nc(s) => s.spill.capacity = 0,
+            }
+        });
+        match replay(&read_bytes(&edited).unwrap()) {
+            Err(TraceError::BadCheckpoint { frame: reported, what }) => {
+                assert_eq!(reported, frame, "{algo:?}: {what}");
+                assert!(what.contains("zero capacity"), "{algo:?}: {what}");
+            }
+            other => panic!("{algo:?}: want BadCheckpoint at frame {frame}, got {other:?}"),
         }
     }
 }
