@@ -23,8 +23,14 @@
 //! tanh-sinh quadrature of the pointwise speed/power curve
 //! ([`crate::quad::integrate`]), so a shared-formula (or shared-kernel)
 //! error would surface as a mismatch between the sampled and analytic
-//! values inside the very same check. Generic laws without closed forms
-//! (none today) would fall back to full quadrature.
+//! values inside the very same check. The quadrature reads each segment
+//! through its compiled [`SpeedCurve`](ncss_sim::SpeedCurve) (the
+//! segment-constant `X0^β` and `ρβ` evaluated once, bitwise the pointwise
+//! `Segment::speed_at`), and stops at the first nested tanh–sinh level
+//! that agrees with the previous one to `1e-12` relative: on the audit's
+//! curves almost every cross-check costs 51 curve evaluations, against one
+//! closed form here. Generic laws without closed forms (none today) would
+//! fall back to full quadrature.
 //!
 //! The scale factor `k` of a segment multiplies speed pointwise, so volume
 //! scales by `k` and energy by `k^α`; all functions here handle it.

@@ -184,7 +184,7 @@ fn peak_speed(pl: PowerLaw, seg: &Segment) -> f64 {
         };
         seg.speed_at(pl, t)
     } else {
-        seg.speed_at(pl, seg.start).max(seg.speed_at(pl, seg.end))
+        seg.max_speed(pl)
     }
 }
 
@@ -192,7 +192,8 @@ fn peak_speed(pl: PowerLaw, seg: &Segment) -> f64 {
 /// tanh-sinh quadrature of its pointwise power curve.
 fn segment_energy(pl: PowerLaw, stride: usize, i: u64, seg: &Segment) -> f64 {
     if sampled(stride, i as usize) {
-        integrate(|t| seg.power_at(pl, t), seg.start, seg.end)
+        let curve = seg.curve(pl);
+        integrate(|t| curve.power_at(t), seg.start, seg.end)
     } else {
         closed_form::energy(pl, seg)
     }
@@ -422,7 +423,8 @@ impl JobChecks {
         dvs.clear();
         dvs.extend(segs.iter().enumerate().map(|(i, s)| {
             if sampled(stride, j + i) {
-                integrate(|t| s.speed_at(pl, t), s.start, s.end)
+                let curve = s.curve(pl);
+                integrate(|t| curve.speed_at(t), s.start, s.end)
             } else {
                 closed_form::volume(pl, s)
             }
@@ -474,8 +476,8 @@ impl JobChecks {
             let mut served = 0.0;
             for s in &segs[..cut] {
                 served += if sampled(stride, j) {
-                    let weighted = |t: f64| (derived_c - t) * s.speed_at(pl, t);
-                    integrate(weighted, s.start, s.end.min(derived_c))
+                    let curve = s.curve(pl);
+                    integrate(|t| (derived_c - t) * curve.speed_at(t), s.start, s.end.min(derived_c))
                 } else {
                     closed_form::weighted_volume(pl, s, derived_c)
                 };

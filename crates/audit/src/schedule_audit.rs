@@ -31,7 +31,12 @@ pub struct AuditConfig {
     /// tanh-sinh quadrature of the pointwise curve and folded into the
     /// *same* check, so a shared algebra error between the simulators and
     /// [`crate::closed_form`] cannot certify itself. `1` re-measures
-    /// everything; `0` disables the cross-check tier entirely.
+    /// everything; `0` disables the cross-check tier entirely. A sampled
+    /// integral costs 13 to 103 evaluations of the segment's compiled
+    /// speed curve — 51 for almost every segment a run produces, since
+    /// [`crate::quad::integrate`] stops at the first converged nested
+    /// level — against one closed form, so the stride sets the audit's
+    /// cost: at the default 8 the cross-checks are still most of it.
     pub cross_check_stride: usize,
 }
 

@@ -52,6 +52,24 @@ const ACTIVE_CEILING: usize = 4096;
 /// Spill-ring capacity for drained (streaming-mode) runs.
 const SPILL_CAP: usize = 4096;
 
+/// Audit-tax budget (ns/event over the plain soak) of the stride-512
+/// audited soak rows: at most 2× the tax measured when it was set
+/// (EXPERIMENTS.md).
+const AUDIT_TAX_BUDGET_NS_PER_EVENT: f64 = 1500.0;
+
+/// Audit-tax budget of the stride-8 audited soak rows, set the same way.
+const AUDIT_TAX_STRIDE8_BUDGET_NS_PER_EVENT: f64 = 4000.0;
+
+/// The audited soak rows: row name, quadrature cross-check stride, and the
+/// audit-tax budget the row is held to. `soak_audited` runs stride 512 and
+/// so prices the closed-form tier; `soak_audited_stride8` runs the default
+/// stride 8 that `ncss-cli stream --audit 1` uses, so it prices what a user
+/// pays.
+const AUDITED_ROWS: [(&str, usize, f64); 2] = [
+    ("soak_audited", 512, AUDIT_TAX_BUDGET_NS_PER_EVENT),
+    ("soak_audited_stride8", 8, AUDIT_TAX_STRIDE8_BUDGET_NS_PER_EVENT),
+];
+
 /// Best-effort resident-set size in bytes from `/proc/self/statm`.
 /// Returns `None` off Linux so the RSS check degrades to a no-op.
 fn rss_bytes() -> Option<u64> {
@@ -345,53 +363,38 @@ fn main() {
     // incremental auditor attached to every event. The row's verdict is the
     // auditor's own finalized report over the *full* soak (not a prefix —
     // the O(delta) design is what makes auditing all of it affordable), and
-    // the flat-memory claim now covers the auditor's state too. The
-    // quadrature cross-check tier runs at a soak-appropriate stride: every
-    // segment and completion still gets its closed-form re-derivation, and
-    // at 10M releases stride 512 still pits tanh–sinh quadrature against
-    // ~100k closed-form integrals. A 103-node quadrature costs ~7 µs vs
-    // ~100 ns closed-form, so the default stride 8 would triple the audit
-    // cost for no additional coverage kind (see EXPERIMENTS.md).
-    let soak_cfg = AuditConfig { cross_check_stride: 512, ..AuditConfig::default() };
-    let (r, _, _) = soak_audited(Algo::C, law, soak_n.min(50_000), 97, rate, soak_cfg);
-    suite.bench_report_mode_metrics_with(
-        "stream_c/soak_audited",
-        Some(&r),
-        AuditMode::Incremental,
-        work_items.clone(),
-        0,
-        1,
-        || {
-            let (report, stats, audit_peak) =
-                soak_audited(Algo::C, law, soak_n, 97, rate, soak_cfg);
-            assert!(report.passed(), "audited soak failed:\n{}", report.render());
-            assert_flat("stream_c/soak_audited", &stats, soak_n);
-            assert!(
-                audit_peak <= ACTIVE_CEILING,
-                "auditor held {audit_peak} active jobs (> {ACTIVE_CEILING}): audit state is not O(active)"
+    // the flat-memory claim now covers the auditor's state too. Each core
+    // gets one row per entry of AUDITED_ROWS: every segment and completion
+    // gets its closed-form re-derivation either way, and the stride decides
+    // how many integrals tanh–sinh quadrature measures again (at 10M
+    // releases stride 512 is still ~100k quadrature cross-checks). An
+    // early-stopped tanh–sinh integral costs ~51 curve evaluations against
+    // one closed form (see EXPERIMENTS.md).
+    for (row, stride, _) in AUDITED_ROWS {
+        let cfg = AuditConfig { cross_check_stride: stride, ..AuditConfig::default() };
+        for (core, algo) in [("stream_c", Algo::C), ("stream_nc_uniform", Algo::Nc)] {
+            let name = format!("{core}/{row}");
+            let (r, _, _) = soak_audited(algo, law, soak_n.min(50_000), 97, rate, cfg);
+            suite.bench_report_mode_metrics_with(
+                &name,
+                Some(&r),
+                AuditMode::Incremental,
+                work_items.clone(),
+                0,
+                1,
+                || {
+                    let (report, stats, audit_peak) = soak_audited(algo, law, soak_n, 97, rate, cfg);
+                    assert!(report.passed(), "{name} failed:\n{}", report.render());
+                    assert_flat(&name, &stats, soak_n);
+                    assert!(
+                        audit_peak <= ACTIVE_CEILING,
+                        "{name}: auditor held {audit_peak} active jobs (> {ACTIVE_CEILING}): \
+                         audit state is not O(active)"
+                    );
+                },
             );
-        },
-    );
-
-    let (r, _, _) = soak_audited(Algo::Nc, law, soak_n.min(50_000), 97, rate, soak_cfg);
-    suite.bench_report_mode_metrics_with(
-        "stream_nc_uniform/soak_audited",
-        Some(&r),
-        AuditMode::Incremental,
-        work_items,
-        0,
-        1,
-        || {
-            let (report, stats, audit_peak) =
-                soak_audited(Algo::Nc, law, soak_n, 97, rate, soak_cfg);
-            assert!(report.passed(), "audited soak failed:\n{}", report.render());
-            assert_flat("stream_nc_uniform/soak_audited", &stats, soak_n);
-            assert!(
-                audit_peak <= ACTIVE_CEILING,
-                "auditor held {audit_peak} active jobs (> {ACTIVE_CEILING}): audit state is not O(active)"
-            );
-        },
-    );
+        }
+    }
 
     // Phase attribution for the soak rows (schema ncss-bench/5 `phases`):
     // a *separate* profiled pass per row — never the timed one, whose
@@ -408,15 +411,17 @@ fn main() {
         enable_phase_profiling();
         let _ = soak_nc(law, attr_n, 97, rate);
         suite.attach_phases("stream_nc_uniform/soak", &take_phase_report());
-        enable_phase_profiling();
-        let _ = soak_audited(Algo::C, law, attr_n, 97, rate, soak_cfg);
-        suite.attach_phases("stream_c/soak_audited", &take_phase_report());
-        enable_phase_profiling();
-        let _ = soak_audited(Algo::Nc, law, attr_n, 97, rate, soak_cfg);
-        suite.attach_phases("stream_nc_uniform/soak_audited", &take_phase_report());
+        for (row, stride, _) in AUDITED_ROWS {
+            let cfg = AuditConfig { cross_check_stride: stride, ..AuditConfig::default() };
+            for (core, algo) in [("stream_c", Algo::C), ("stream_nc_uniform", Algo::Nc)] {
+                enable_phase_profiling();
+                let _ = soak_audited(algo, law, attr_n, 97, rate, cfg);
+                suite.attach_phases(&format!("{core}/{row}"), &take_phase_report());
+            }
+        }
     }
 
-    // RSS growth across all four soaks (the audited pair included), best
+    // RSS growth across all six soaks (the audited rows included), best
     // effort: a leak proportional to n would show up as hundreds of MB
     // here; flat cores stay in the noise.
     if let (Some(before), Some(after)) = (rss_before, rss_bytes()) {
@@ -427,17 +432,18 @@ fn main() {
         );
     }
 
-    // The always-on audit is a tax, not a cliff: the *extra* cost of the
+    // The always-on audit is a tax, not a cliff: the *extra* cost of each
     // audited soak over the plain one must stay within an absolute
-    // per-event budget. (This used to be a ratio guard — audited ≤ 2×
-    // plain — but a ratio punishes core speedups: once the fused serve()
-    // path dropped the plain soak under ~300 ns/event, an unchanged audit
-    // tax tripped it with no audit regression at all.) The 1.5 µs/event
-    // budget is ~2× the measured tax and still catches the real cliffs —
-    // an unamortised quadrature tier or an O(active)-per-event accrual
-    // slip costs several µs/event. The absolute slack keeps tiny smoke
-    // runs (NCSS_STREAM_SOAK_N=1000) from flaking on scheduler jitter.
-    const AUDIT_TAX_BUDGET_NS_PER_EVENT: f64 = 1500.0;
+    // per-event budget, one per AUDITED_ROWS entry. (This used to be a
+    // ratio guard — audited ≤ 2× plain — but a ratio punishes core
+    // speedups: once the fused serve() path dropped the plain soak under
+    // ~300 ns/event, an unchanged audit tax tripped it with no audit
+    // regression at all.) The budgets still catch the real cliffs: at
+    // stride 512 an unamortised quadrature tier or an O(active)-per-event
+    // accrual slip, at stride 8 cross-checks that re-derive the speed law
+    // at all 103 nodes again (~8 µs/event for C). The absolute slack keeps
+    // tiny smoke runs (NCSS_STREAM_SOAK_N=1000) from flaking on scheduler
+    // jitter.
     let mean_of = |name: &str| {
         suite
             .results()
@@ -446,17 +452,19 @@ fn main() {
             .unwrap_or_else(|| panic!("missing bench row {name}"))
             .mean_ns
     };
-    for core in ["stream_c", "stream_nc_uniform"] {
-        let plain = mean_of(&format!("{core}/soak"));
-        let audited = mean_of(&format!("{core}/soak_audited"));
-        let tax = (audited as f64) - (plain as f64);
-        let budget = AUDIT_TAX_BUDGET_NS_PER_EVENT * soak_n as f64 + 5e7;
-        assert!(
-            tax <= budget,
-            "{core}: audited soak {audited} ns vs un-audited {plain} ns — \
-             audit tax {:.0} ns/event exceeds the {AUDIT_TAX_BUDGET_NS_PER_EVENT} ns/event budget",
-            tax / soak_n as f64
-        );
+    for (row, _, budget_ns) in AUDITED_ROWS {
+        for core in ["stream_c", "stream_nc_uniform"] {
+            let plain = mean_of(&format!("{core}/soak"));
+            let audited = mean_of(&format!("{core}/{row}"));
+            let tax = (audited as f64) - (plain as f64);
+            let budget = budget_ns * soak_n as f64 + 5e7;
+            assert!(
+                tax <= budget,
+                "{core}/{row}: audited soak {audited} ns vs un-audited {plain} ns — \
+                 audit tax {:.0} ns/event exceeds the {budget_ns} ns/event budget",
+                tax / soak_n as f64
+            );
+        }
     }
 
     suite.finish();

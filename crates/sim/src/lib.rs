@@ -42,4 +42,4 @@ pub use spill::{SpillRing, SpillSnapshot};
 pub use job::{Instance, Job, JobId};
 pub use objective::{evaluate, Evaluated, Objective, PerJob};
 pub use power::{PowKernel, PowerLaw};
-pub use schedule::{Schedule, ScheduleBuilder, Segment, SegmentIndex, SpeedLaw};
+pub use schedule::{Schedule, ScheduleBuilder, Segment, SegmentIndex, SpeedCurve, SpeedLaw};

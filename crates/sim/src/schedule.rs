@@ -82,26 +82,33 @@ impl Segment {
         self.end - self.start
     }
 
-    fn base_speed_at(&self, pl: PowerLaw, t: f64) -> f64 {
-        let tau = (t - self.start).clamp(0.0, self.duration());
-        match self.law {
-            SpeedLaw::Idle => 0.0,
-            SpeedLaw::Constant { speed } => speed,
-            SpeedLaw::Decay { w0, rho } => DecayKernel { law: pl, w0, rho }.speed_at(tau),
-            SpeedLaw::Growth { u0, rho } => GrowthKernel { law: pl, u0, rho }.speed_at(tau),
-        }
+    /// This segment's pointwise speed law compiled under `pl`: evaluate
+    /// many points of one segment through the returned curve, so the
+    /// segment-constant parts of the law are computed once.
+    #[must_use]
+    #[inline]
+    pub fn curve(&self, pl: PowerLaw) -> SpeedCurve {
+        let shape = match self.law {
+            SpeedLaw::Idle => Shape::Idle,
+            SpeedLaw::Constant { speed } => Shape::Constant(speed),
+            SpeedLaw::Decay { w0, rho } => Shape::Decay { x0: pl.pow_beta(w0), slope: rho * pl.beta() },
+            SpeedLaw::Growth { u0, rho } => Shape::Growth { x0: pl.pow_beta(u0), slope: rho * pl.beta() },
+        };
+        SpeedCurve { pl, start: self.start, duration: self.duration(), scale: self.scale, shape }
     }
 
     /// Speed at absolute time `t ∈ [start, end]`.
     #[must_use]
+    #[inline]
     pub fn speed_at(&self, pl: PowerLaw, t: f64) -> f64 {
-        self.scale * self.base_speed_at(pl, t)
+        self.curve(pl).speed_at(t)
     }
 
     /// Instantaneous power at absolute time `t`.
     #[must_use]
+    #[inline]
     pub fn power_at(&self, pl: PowerLaw, t: f64) -> f64 {
-        pl.power(self.speed_at(pl, t))
+        self.curve(pl).power_at(t)
     }
 
     fn base_energy_to(&self, pl: PowerLaw, t: f64) -> f64 {
@@ -215,7 +222,8 @@ impl Segment {
     /// Largest speed attained in the segment (laws are monotone in time).
     #[must_use]
     pub fn max_speed(&self, pl: PowerLaw) -> f64 {
-        self.speed_at(pl, self.start).max(self.speed_at(pl, self.end))
+        let curve = self.curve(pl);
+        curve.speed_at(self.start).max(curve.speed_at(self.end))
     }
 
     /// Split at absolute time `t ∈ (start, end)` into two equivalent
@@ -238,6 +246,79 @@ impl Segment {
         };
         let right = Segment { start: t, end: self.end, job: self.job, law: right_law, scale: self.scale };
         (left, right)
+    }
+}
+
+/// A [`Segment`]'s speed curve compiled under one [`PowerLaw`]
+/// ([`Segment::curve`]).
+///
+/// The `Decay`/`Growth` laws evolve the level `X` (remaining weight, or
+/// power level) with `X^β` linear in time: `X(τ)^β = X0^β ∓ ρβ·τ`. The
+/// curve hoists `X0^β` and `ρβ` out of the pointwise evaluation, so a point
+/// costs one `root_beta` and one `speed_for_power` through the run's
+/// [`PowKernel`](crate::PowKernel) chains. [`Segment::speed_at`] and
+/// [`Segment::power_at`] evaluate through this type, so the pointwise law is
+/// written once and a curve's values are bitwise the segment's: the same
+/// operations in the same order, only evaluated once per segment instead of
+/// once per point.
+///
+/// # Examples
+///
+/// ```
+/// use ncss_sim::{PowerLaw, Segment, SpeedLaw};
+///
+/// let law = PowerLaw::cube();
+/// let seg = Segment::new(1.0, 2.0, Some(0), SpeedLaw::Decay { w0: 8.0, rho: 1.0 });
+/// let curve = seg.curve(law);
+/// assert_eq!(curve.speed_at(1.4), seg.speed_at(law, 1.4));
+/// assert_eq!(curve.power_at(1.4), seg.power_at(law, 1.4));
+/// // Speed at the start is 8^{1/3} = 2.
+/// assert!((curve.speed_at(1.0) - 2.0).abs() < 1e-12);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SpeedCurve {
+    pl: PowerLaw,
+    start: f64,
+    duration: f64,
+    scale: f64,
+    shape: Shape,
+}
+
+/// The τ-independent part of a [`SpeedLaw`] under one power law.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Shape {
+    Idle,
+    Constant(f64),
+    /// `W(τ)^β = x0 − slope·τ`, clamped at `W = 0`.
+    Decay { x0: f64, slope: f64 },
+    /// `u(τ)^β = x0 + slope·τ`.
+    Growth { x0: f64, slope: f64 },
+}
+
+impl SpeedCurve {
+    /// Speed at absolute time `t`, clamped into the segment.
+    #[must_use]
+    #[inline]
+    pub fn speed_at(&self, t: f64) -> f64 {
+        let tau = (t - self.start).clamp(0.0, self.duration);
+        let pl = self.pl;
+        let base = match self.shape {
+            Shape::Idle => 0.0,
+            Shape::Constant(speed) => speed,
+            Shape::Decay { x0, slope } => {
+                let x = x0 - slope * tau;
+                pl.speed_for_power(if x <= 0.0 { 0.0 } else { pl.root_beta(x) })
+            }
+            Shape::Growth { x0, slope } => pl.speed_for_power(pl.root_beta(x0 + slope * tau)),
+        };
+        self.scale * base
+    }
+
+    /// Instantaneous power at absolute time `t`.
+    #[must_use]
+    #[inline]
+    pub fn power_at(&self, t: f64) -> f64 {
+        self.pl.power(self.speed_at(t))
     }
 }
 

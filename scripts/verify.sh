@@ -22,7 +22,9 @@
 #      corrupted report must come back non-zero; the kernel gate checks
 #      that alpha=2 compiles the specialised quadratic power kernel and
 #      that a mis-selected kernel (--corrupt kernel) trips the
-#      energy-recomputed check
+#      energy-recomputed check, both at the default cross-check stride and
+#      at --cross-check 1, where every integral goes through the
+#      early-stopping quadrature tier alone
 #   7. fleet smoke: the sharded multi-machine runners (dispatch log +
 #      per-machine pool tasks, DESIGN.md §12) must match the serial
 #      runners bitwise and pass the cross-machine audit;
@@ -99,16 +101,22 @@ echo "==> kernel gate (compiled power-kernel strategy)"
 # §13) both assume the selection table.
 "$cli" run --algorithm c --input "$trace" --alpha 2 | grep -q "kernel = quadratic" \
     || { echo "FAIL: alpha=2 did not report the quadratic kernel" >&2; exit 1; }
-# Mandatory-red probe: a mis-selected kernel (reports alpha = 2, evaluates
-# with the cubic chains) must trip the honest energy re-derivation.
+# Mandatory-red probes: a mis-selected kernel (reports alpha = 2, evaluates
+# with the cubic chains) must trip the honest energy re-derivation, at the
+# default cross-check stride and at stride 1, where every integral is
+# measured by the early-stopping tanh-sinh quadrature (DESIGN.md §8.4)
+# alone.
 kern_log="$(mktemp /tmp/ncss_verify_kern.XXXXXX.log)"
-if "$cli" audit --algorithm c --input "$trace" --alpha 2 --corrupt kernel \
-        > "$kern_log" 2>&1; then
-    echo "FAIL: mis-selected kernel passed the audit" >&2
-    rm -f "$kern_log"; exit 1
-fi
-grep -q "energy-recomputed" "$kern_log" \
-    || { echo "FAIL: kernel probe did not name energy-recomputed" >&2; rm -f "$kern_log"; exit 1; }
+for stride_flag in "" "--cross-check 1"; do
+    # shellcheck disable=SC2086 # the empty flag must vanish, not become ""
+    if "$cli" audit --algorithm c --input "$trace" --alpha 2 --corrupt kernel \
+            $stride_flag > "$kern_log" 2>&1; then
+        echo "FAIL: mis-selected kernel passed the audit [$stride_flag]" >&2
+        rm -f "$kern_log"; exit 1
+    fi
+    grep -q "energy-recomputed" "$kern_log" \
+        || { echo "FAIL: kernel probe [$stride_flag] did not name energy-recomputed" >&2; rm -f "$kern_log"; exit 1; }
+done
 rm -f "$kern_log"
 echo "kernel gate passed"
 

@@ -1,6 +1,6 @@
 //! Property tests for the audit layer itself.
 //!
-//! Three contracts:
+//! Four contracts:
 //!
 //! * **Tamper sensitivity** — a seeded tamperer perturbs known-good runs
 //!   (segment shifts, speed scalings, dropped segments, completion swaps,
@@ -13,14 +13,21 @@
 //!   live (segments and completions interleaved per offer, as the `stream`
 //!   CLI feeds them) and the same run audited post hoc give the same check
 //!   names and verdicts, with residuals of the same order of magnitude.
+//! * **Quadrature tier on real schedules** — at cross-check stride 1 every
+//!   integral of a clean multi-thousand-job C or NC run is measured by the
+//!   early-stopping tanh–sinh quadrature, and the audit still passes with
+//!   residuals at rounding level.
 
 use ncss::audit::{
     AuditConfig, AuditReport, IncrementalAudit, IncrementalMultiAudit, MultiAudit, ScheduleAudit,
 };
-use ncss::core::{run_c, CCompletion, CStream, NcCompletion, NcStream, StreamConfig};
+use ncss::core::{
+    run_c, run_nc_uniform, CCompletion, CStream, NcCompletion, NcStream, StreamConfig,
+};
 use ncss::pool::Pool;
 use ncss::sim::{
-    Evaluated, Instance, Job, Objective, PerJob, PowerLaw, Schedule, ScheduleBuilder, SpillRing,
+    Evaluated, Instance, Job, Objective, PerJob, PowerLaw, Schedule, ScheduleBuilder, SpeedLaw,
+    SpillRing,
 };
 use ncss::workloads::{DensityDist, VolumeDist, WorkloadSpec};
 use ncss_rng::Pcg64;
@@ -445,6 +452,56 @@ fn live_and_post_hoc_audits_agree_on_c_and_nc_runs() {
                 assert!(!live.passed(), "{ctx}: skewed energy passed live");
                 assert_agree(&live, &post_hoc, &format!("{ctx} skewed energy"), false);
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The quadrature tier alone, on real schedules
+// ---------------------------------------------------------------------------
+
+/// Decay segments whose remaining weight reaches zero at the segment end
+/// (to rounding): the end of a busy period, where the speed curve has its
+/// algebraic endpoint singularity.
+fn drained_segments(law: PowerLaw, schedule: &Schedule) -> usize {
+    let b = law.beta();
+    let drained = |w0: f64, rho: f64, tau: f64| {
+        let x0 = law.pow_beta(w0);
+        x0 - rho * b * tau <= 1e-9 * x0
+    };
+    schedule
+        .segments()
+        .iter()
+        .filter(|s| matches!(s.law, SpeedLaw::Decay { w0, rho } if drained(w0, rho, s.duration())))
+        .count()
+}
+
+#[test]
+fn stride_one_audit_passes_clean_c_and_nc_runs_at_rounding_level() {
+    let inst = WorkloadSpec::uniform(3_000, 1.0, VolumeDist::Exponential { mean: 1.0 })
+        .generate(0x5_7a1d)
+        .expect("valid spec");
+    let auditor = ScheduleAudit::new(AuditConfig { cross_check_stride: 1, ..AuditConfig::default() });
+    for alpha in [1.5, 2.0, 2.5, 3.0] {
+        let law = PowerLaw::new(alpha).expect("valid alpha");
+        let c = run_c(&inst, law).expect("clean C run");
+        assert!(
+            drained_segments(law, &c.schedule) > 10,
+            "α={alpha}: too few busy periods drain to zero at a segment end"
+        );
+        let nc = run_nc_uniform(&inst, law).expect("clean NC run");
+        let runs = [
+            ("C", c.schedule, c.objective, c.per_job),
+            ("NC", nc.schedule, nc.objective, nc.per_job),
+        ];
+        for (core, schedule, objective, per_job) in runs {
+            let report = auditor.audit(&inst, &schedule, &Evaluated { objective, per_job });
+            assert!(report.passed(), "{core} α={alpha}:\n{report}");
+            assert!(
+                report.max_residual() < 1e-9,
+                "{core} α={alpha}: max residual {:e}\n{report}",
+                report.max_residual()
+            );
         }
     }
 }

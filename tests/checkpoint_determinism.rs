@@ -14,44 +14,21 @@
 //! here, not just a snapshot/restore bug. Both cores run through
 //! `ncss::trace::Stream`.
 
+mod common;
+
+use common::{roundtrip_checkpoint, suites};
 use ncss::audit::{AuditConfig, ScheduleAudit};
 use ncss::core::StreamConfig;
 use ncss::sim::{
     Evaluated, Instance, Job, Objective, PerJob, PowerLaw, ScheduleBuilder, Segment,
 };
-use ncss::trace::format::{decode_event, encode_event};
+use ncss::trace::format::encode_event;
 use ncss::trace::{Algo, Checkpoint, Completion, Event, Stream};
-use ncss::workloads::{DensityDist, VolumeDist, WorkloadSpec};
 
 const ALPHAS: [f64; 2] = [2.0, 2.75];
 
-/// (name, uniform-density?, jobs) — release-ordered workload suites.
-fn suites() -> Vec<(&'static str, bool, Vec<Job>)> {
-    let uniform = WorkloadSpec::uniform(18, 1.2, VolumeDist::Uniform { lo: 0.3, hi: 1.8 })
-        .generate(41)
-        .expect("uniform suite")
-        .jobs()
-        .to_vec();
-    let mut spec = WorkloadSpec::uniform(16, 0.9, VolumeDist::Exponential { mean: 1.0 });
-    spec.densities = DensityDist::LogUniform { lo: 0.25, hi: 4.0 };
-    let nonuniform = spec.generate(43).expect("nonuniform suite").jobs().to_vec();
-    let tiny = vec![
-        Job::unit_density(0.0, 2.0),
-        Job::unit_density(0.4, 1.0),
-        Job::unit_density(1.1, 0.5),
-    ];
-    vec![("uniform", true, uniform), ("nonuniform", false, nonuniform), ("tiny", true, tiny)]
-}
-
-/// Serialize a checkpoint through the trace event codec and back — the
-/// exact bytes a recorded `.nct` frame carries.
-fn roundtrip(cp: Checkpoint) -> Checkpoint {
-    let (kind, payload) = encode_event(0, &Event::Checkpoint(Box::new(cp)));
-    match decode_event(kind, &payload).expect("checkpoint frame decodes") {
-        (_, Event::Checkpoint(cp)) => *cp,
-        other => panic!("round-trip produced {other:?}"),
-    }
-}
+/// Jobs in the uniform- and non-uniform-density suites.
+const SUITE_JOBS: (usize, usize) = (18, 16);
 
 fn assert_bits(ctx: &str, what: &str, a: f64, b: f64) {
     assert!(
@@ -96,7 +73,7 @@ fn run(mut stream: Stream, jobs: &[Job]) -> RunTrace {
 /// Restore the codec-round-tripped checkpoint and offer the jobs it has
 /// not seen.
 fn resume(cp: Checkpoint, jobs: &[Job]) -> RunTrace {
-    let cp = roundtrip(cp);
+    let cp = roundtrip_checkpoint(cp);
     let skip = cp.ingested();
     let mut resumed = run(Stream::restore(cp).expect("restore"), &jobs[skip..]);
     resumed.checkpoints.clear();
@@ -184,7 +161,7 @@ fn oracle(name: &str, jobs: &[Job], law: PowerLaw, full: RunTrace) {
 fn c_stream_kill_resume_is_bitwise_deterministic() {
     for alpha in ALPHAS {
         let law = PowerLaw::new(alpha).unwrap();
-        for (name, _, jobs) in suites() {
+        for (name, _, jobs) in suites(SUITE_JOBS.0, SUITE_JOBS.1) {
             let full = run(Stream::new(Algo::C, law, StreamConfig::batch()), &jobs);
             assert_eq!(full.checkpoints.len(), jobs.len());
             oracle(&format!("C/{name}"), &jobs, law, full);
@@ -196,7 +173,7 @@ fn c_stream_kill_resume_is_bitwise_deterministic() {
 fn nc_stream_kill_resume_is_bitwise_deterministic() {
     for alpha in ALPHAS {
         let law = PowerLaw::new(alpha).unwrap();
-        for (name, uniform, jobs) in suites() {
+        for (name, uniform, jobs) in suites(SUITE_JOBS.0, SUITE_JOBS.1) {
             if !uniform {
                 continue; // NC's streaming core is the uniform-density algorithm
             }

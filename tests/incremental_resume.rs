@@ -13,49 +13,30 @@
 //! check names in the same order, same verdicts, same residual bits, same
 //! detail text.
 
+mod common;
+
+use common::{roundtrip_checkpoint, suites};
 use ncss::audit::{AuditConfig, AuditReport, IncrementalAudit, IncrementalSnapshot};
 use ncss::core::StreamConfig;
 use ncss::sim::{Job, Objective, PowerLaw};
 use ncss::trace::format::{decode_event, encode_event};
 use ncss::trace::{Algo, Checkpoint, Completion, Event, Stream};
-use ncss::workloads::{DensityDist, VolumeDist, WorkloadSpec};
 
 const ALPHAS: [f64; 2] = [2.0, 2.75];
 
-/// (name, uniform-density?, jobs) — release-ordered workload suites,
-/// mirroring the checkpoint-determinism oracle's shapes at a
-/// resume-friendly size. The NC core only accepts unit-density jobs.
-fn suites() -> Vec<(&'static str, bool, Vec<Job>)> {
-    let uniform = WorkloadSpec::uniform(14, 1.2, VolumeDist::Uniform { lo: 0.3, hi: 1.8 })
-        .generate(41)
-        .expect("uniform suite")
-        .jobs()
-        .to_vec();
-    let mut spec = WorkloadSpec::uniform(12, 0.9, VolumeDist::Exponential { mean: 1.0 });
-    spec.densities = DensityDist::LogUniform { lo: 0.25, hi: 4.0 };
-    let nonuniform = spec.generate(43).expect("nonuniform suite").jobs().to_vec();
-    let tiny = vec![
-        Job::unit_density(0.0, 2.0),
-        Job::unit_density(0.4, 1.0),
-        Job::unit_density(1.1, 0.5),
-    ];
-    vec![("uniform", true, uniform), ("nonuniform", false, nonuniform), ("tiny", true, tiny)]
-}
+/// Jobs in the uniform- and non-uniform-density suites: the
+/// checkpoint-determinism oracle's shapes at a resume-friendly size.
+const SUITE_JOBS: (usize, usize) = (14, 12);
 
 /// Round-trip a stream checkpoint and an auditor snapshot through the trace
 /// event codec — the exact frames a recorded `.nct` checkpoint carries.
 fn roundtrip(cp: Checkpoint, snap: IncrementalSnapshot) -> (Checkpoint, IncrementalSnapshot) {
-    let (kind, payload) = encode_event(0, &Event::Checkpoint(Box::new(cp)));
-    let cp = match decode_event(kind, &payload).expect("checkpoint frame decodes") {
-        (_, Event::Checkpoint(cp)) => *cp,
-        other => panic!("checkpoint round-trip produced {other:?}"),
-    };
     let (kind, payload) = encode_event(1, &Event::Audit(Box::new(snap)));
     let snap = match decode_event(kind, &payload).expect("audit frame decodes") {
         (_, Event::Audit(snap)) => *snap,
         other => panic!("audit round-trip produced {other:?}"),
     };
-    (cp, snap)
+    (roundtrip_checkpoint(cp), snap)
 }
 
 /// One audited run: the final report plus, for the full run, the paired
@@ -147,7 +128,7 @@ fn oracle(name: &str, jobs: &[Job], law: PowerLaw, full: AuditedRun) {
 fn c_stream_audit_survives_kill_at_every_offer() {
     for alpha in ALPHAS {
         let law = PowerLaw::new(alpha).expect("valid alpha");
-        for (name, _, jobs) in suites() {
+        for (name, _, jobs) in suites(SUITE_JOBS.0, SUITE_JOBS.1) {
             oracle(name, &jobs, law, full(Algo::C, &jobs, law));
         }
     }
@@ -157,7 +138,7 @@ fn c_stream_audit_survives_kill_at_every_offer() {
 fn nc_stream_audit_survives_kill_at_every_offer() {
     for alpha in ALPHAS {
         let law = PowerLaw::new(alpha).expect("valid alpha");
-        for (name, uniform, jobs) in suites() {
+        for (name, uniform, jobs) in suites(SUITE_JOBS.0, SUITE_JOBS.1) {
             if !uniform {
                 continue;
             }
