@@ -8,15 +8,19 @@
 //!   cold-start threshold `η_min(α)`.
 //! * **A3** — FIFO vs newest-first information gathering under growth-law
 //!   speed rules (the Section 1.2 FIFO/HDF conflict).
+//! * **A5** — the non-uniform integrator's discretisation error.
+//! * **A6** — non-uniform NC at scale: steps, time and cost ratios.
 
 use ncss_analysis::{fmt_f, parallel_map, Table};
 use ncss_core::baselines::{run_active_count, run_newest_first};
+use ncss_core::nc_nonuniform::NonUniformRun;
 use ncss_core::{
     reduce_to_integral, run_c, run_nc_nonuniform, run_nc_uniform, theory, NonUniformParams,
 };
 use ncss_sim::{Instance, PowerLaw};
-use ncss_workloads::fifo_stress;
 use ncss_workloads::suite::{nonuniform_suite, tiny_suite};
+use ncss_workloads::{fifo_stress, DensityDist, VolumeDist, WorkloadSpec};
+use std::time::Instant;
 
 use super::BASE_SEED;
 
@@ -127,28 +131,88 @@ fn a3_fifo_vs_lifo(out: &mut String) {
     out.push_str(&table.render());
 }
 
-/// A5: convergence of the non-uniform integrator — the only numerical
-/// component. The midpoint rule should show roughly second-order decay of
-/// the objective error against a fine reference.
-fn a5_integrator_convergence(out: &mut String) {
+/// The 24-job instances of A5 and the scaling instances of A6: rate-1.5
+/// releases, Exp(1) volumes, log-uniform densities on [0.5, 10] — what
+/// `ncss-cli generate --rate 1.5 --volumes exp:1.0 --densities
+/// loguniform:0.5:10` writes for the same `--n` and `--seed`.
+fn loguniform_instance(n: usize, seed: u64) -> Instance {
+    WorkloadSpec {
+        n_jobs: n,
+        arrival_rate: 1.5,
+        volumes: VolumeDist::Exponential { mean: 1.0 },
+        densities: DensityDist::LogUniform { lo: 0.5, hi: 10.0 },
+    }
+    .generate(seed)
+    .expect("valid spec")
+}
+
+/// A5: the discretisation error of the non-uniform integrator, its only
+/// numerical component. On 11 instance/α pairs of 24 jobs, the fractional
+/// objective at the 400-step default and at 3,200 steps per job is held
+/// against a 12,800-step reference. The error does not decay as O(h²):
+/// the bootstrap cap (2% of the stint's age) sets most steps, so
+/// `steps_per_job` moves the step count little, an 8× finer grid cuts the
+/// error far less than the 64× a second-order rule would, and the error is
+/// not even monotone in the resolution.
+fn a5_integrator_error(out: &mut String) {
+    let pairs: Vec<(u64, f64)> = (1..=11u64).map(|seed| (seed, [1.5, 2.0, 2.5, 3.0, 4.0][seed as usize % 5])).collect();
+    let rows = parallel_map(&pairs, |&(seed, alpha)| {
+        let law = PowerLaw::new(alpha).expect("valid alpha");
+        let inst = loguniform_instance(24, seed);
+        let run = |steps| {
+            let params = NonUniformParams { steps_per_job: steps, ..NonUniformParams::recommended(alpha) };
+            run_nc_nonuniform(&inst, law, params).expect("NC run")
+        };
+        let (coarse, default, finer, reference) = (run(25), run(400), run(3200), run(12_800));
+        let f_ref = reference.objective.fractional();
+        let err = |r: &NonUniformRun| (r.objective.fractional() - f_ref).abs() / f_ref;
+        (seed, alpha, coarse.steps, default.steps, err(&default), err(&finer))
+    });
+    let mut table = Table::new(
+        "A5: integrator error, 24 jobs (relative to 12800 steps/job on the fractional objective)",
+        &["seed", "alpha", "steps at 25/job", "steps at 400/job", "error at 400/job", "error at 3200/job"],
+    );
+    for &(seed, alpha, coarse, steps, e400, e3200) in &rows {
+        table.row(vec![
+            format!("{seed}"),
+            fmt_f(alpha),
+            format!("{coarse}"),
+            format!("{steps}"),
+            format!("{e400:.1e}"),
+            format!("{e3200:.1e}"),
+        ]);
+    }
+    out.push_str(&table.render());
+    let (lo, hi) = rows.iter().fold((f64::INFINITY, 0.0f64), |(lo, hi), r| (lo.min(r.4), hi.max(r.4)));
+    out.push_str(&format!("error bar of the 400-step default: {lo:.1e} to {hi:.1e} relative\n"));
+}
+
+/// A6: non-uniform NC at scale (α = 3, recommended parameters): steps,
+/// in-process wall time, and the measured fractional-cost ratios against
+/// Algorithm C beside the indicative `2^{α+2}` envelope, with the
+/// active-count rule of the earlier non-clairvoyant work for comparison.
+fn a6_scaling(out: &mut String) {
     let alpha = 3.0;
     let law = PowerLaw::new(alpha).expect("valid alpha");
-    let inst = nonuniform_suite(BASE_SEED).into_iter().find(|i| i.len() >= 4).expect("instance");
-    let cost_at = |steps: usize| {
-        let params = NonUniformParams { steps_per_job: steps, ..NonUniformParams::recommended(alpha) };
-        run_nc_nonuniform(&inst, law, params).expect("NC run").objective.fractional()
-    };
-    let reference = cost_at(3200);
+    let params = NonUniformParams::recommended(alpha);
     let mut table = Table::new(
-        "A5: integrator convergence (relative error vs 3200-step reference)",
-        &["steps/job", "fractional objective", "rel. error"],
+        "A6: non-uniform NC at scale (alpha = 3, seed 7)",
+        &["jobs", "steps", "seconds", "NC / C", "active-count / C", "2^(alpha+2)"],
     );
-    for &steps in &[50usize, 100, 200, 400, 800] {
-        let c = cost_at(steps);
+    for n in [16usize, 256, 1024, 4096] {
+        let inst = loguniform_instance(n, 7);
+        let start = Instant::now();
+        let nc = run_nc_nonuniform(&inst, law, params).expect("NC run");
+        let seconds = start.elapsed().as_secs_f64();
+        let c = run_c(&inst, law).expect("C").objective.fractional();
+        let ajc = run_active_count(&inst, law).expect("AJC").objective.fractional();
         table.row(vec![
-            format!("{steps}"),
-            fmt_f(c),
-            fmt_f((c - reference).abs() / reference),
+            format!("{n}"),
+            format!("{}", nc.steps),
+            format!("{seconds:.2}"),
+            fmt_f(nc.objective.fractional() / c),
+            fmt_f(ajc / c),
+            fmt_f(theory::nc_nonuniform_indicative_bound(alpha)),
         ]);
     }
     out.push_str(&table.render());
@@ -157,12 +221,13 @@ fn a5_integrator_convergence(out: &mut String) {
 /// Run the experiment and return the report.
 #[must_use]
 pub fn run() -> String {
-    let mut out = String::from("\n==== E10 + A1-A3 (+A5): ablations ====\n");
+    let mut out = String::from("\n==== E10 + A1-A3 (+A5, A6): ablations ====\n");
     e10_reduction_sweep(&mut out);
     a1_beta_sweep(&mut out);
     a2_eta_sweep(&mut out);
     a3_fifo_vs_lifo(&mut out);
-    a5_integrator_convergence(&mut out);
+    a5_integrator_error(&mut out);
+    a6_scaling(&mut out);
     out
 }
 

@@ -233,7 +233,7 @@ impl Ord for StreamKey {
 /// // Energy = fractional flow for Algorithm C.
 /// assert!((summary.objective.energy - summary.objective.frac_flow).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct CStream {
     law: PowerLaw,
     arena: JobArena,
@@ -255,6 +255,57 @@ pub struct CStream {
     energy: f64,
     frac_done: f64,
     int_done: f64,
+}
+
+impl Clone for CStream {
+    fn clone(&self) -> Self {
+        Self {
+            arena: self.arena.clone(),
+            heap: self.heap.clone(),
+            slot_gen: self.slot_gen.clone(),
+            spill: self.spill.clone(),
+            ..*self
+        }
+    }
+
+    /// Field-wise, so a scratch stream restored from a checkpoint over and
+    /// over (non-uniform NC's nested C run) reuses its buffers.
+    fn clone_from(&mut self, source: &Self) {
+        let Self {
+            law,
+            arena,
+            heap,
+            slot_gen,
+            spill,
+            keep_segments,
+            t,
+            watermark,
+            total_w,
+            events_since_sync,
+            last_seg,
+            ingested,
+            completed,
+            energy,
+            frac_done,
+            int_done,
+        } = source;
+        self.law = *law;
+        self.arena.clone_from(arena);
+        self.heap.clone_from(heap);
+        self.slot_gen.clone_from(slot_gen);
+        self.spill.clone_from(spill);
+        self.keep_segments = *keep_segments;
+        self.t = *t;
+        self.watermark = *watermark;
+        self.total_w = *total_w;
+        self.events_since_sync = *events_since_sync;
+        self.last_seg = *last_seg;
+        self.ingested = *ingested;
+        self.completed = *completed;
+        self.energy = *energy;
+        self.frac_done = *frac_done;
+        self.int_done = *int_done;
+    }
 }
 
 impl CStream {
@@ -321,14 +372,14 @@ impl CStream {
     /// (this is what "ordered release stream" buys: the future is silent
     /// until the next offer).
     pub fn advance_to<F: FnMut(CCompletion)>(&mut self, bound: f64, sink: &mut F) -> SimResult<()> {
-        self.drain_events(bound, false, sink)
+        self.drain_events::<false, F>(bound, false, f64::INFINITY, sink)
     }
 
     /// Declare the release stream exhausted and run every remaining job to
     /// completion. Idempotent; the summary restates the accumulated
     /// objective (validated for finiteness).
     pub fn finish<F: FnMut(CCompletion)>(&mut self, sink: &mut F) -> SimResult<StreamSummary> {
-        self.drain_events(f64::INFINITY, true, sink)?;
+        self.drain_events::<false, F>(f64::INFINITY, true, f64::INFINITY, sink)?;
         let objective = self.objective_so_far().validated("run_c: objective")?;
         Ok(StreamSummary { objective, completed: self.completed, makespan: self.t })
     }
@@ -345,10 +396,15 @@ impl CStream {
     /// multiply (exact resync every [`WEIGHT_RESYNC_EVERY`] events), and
     /// emits completions allocation-free: [`CCompletion`] is `Copy` and
     /// goes straight to the caller's sink.
-    fn drain_events<F: FnMut(CCompletion)>(
+    ///
+    /// With `STOP` the loop also returns after the first event that moves
+    /// the clock past `stop_after` ([`CStream::speed_at`]); the offer and
+    /// finish paths instantiate it without, so they keep the loop as is.
+    fn drain_events<const STOP: bool, F: FnMut(CCompletion)>(
         &mut self,
         bound: f64,
         finishing: bool,
+        stop_after: f64,
         sink: &mut F,
     ) -> SimResult<()> {
         loop {
@@ -474,10 +530,42 @@ impl CStream {
                     }
                 }
             }
-            if !sv.completes {
+            if !sv.completes || (STOP && self.t > stop_after) {
                 return Ok(());
             }
         }
+    }
+
+    /// The speed [`crate::run_c`]'s schedule reports at `t`
+    /// ([`ncss_sim::Schedule::speed_at`]) on an instance made of the jobs
+    /// offered so far followed by jobs released at `next_release` or later
+    /// (`f64::INFINITY` when there are none), for `t` at or past the last
+    /// offered release and before `next_release`.
+    ///
+    /// C is online, so the run up to `next_release` does not depend on the
+    /// later jobs: the event loop runs exactly as [`Self::advance_to`]
+    /// (`next_release`) or [`Self::finish`] would, but only until the first
+    /// segment that ends after `t`, and the read keeps `Schedule::speed_at`'s
+    /// rules: segments are half-open, a `t` within 1e-12 after the last
+    /// segment's end reads that segment's closing speed, and anything else
+    /// reads 0. Errors of the loop before that segment propagate as they
+    /// would from [`crate::run_c`]; those after it are never met.
+    ///
+    /// The stream is left at that event, so read once and then restore it
+    /// (`clone_from` a checkpoint) instead of offering more jobs. When the
+    /// clock is already past `t` (a completion that rounds past its bound),
+    /// only the last closed segment can be read.
+    pub fn speed_at(&mut self, t: f64, next_release: f64) -> SimResult<f64> {
+        if self.t <= t {
+            let finishing = !next_release.is_finite();
+            self.drain_events::<true, _>(next_release, finishing, t, &mut |_| {})?;
+        }
+        // Every earlier segment ended by the clock, so at or before `t`.
+        Ok(match self.last_seg {
+            Some(s) if s.start <= t && t < s.end => s.speed_at(self.law, t),
+            Some(s) if (t - s.end).abs() <= 1e-12 => s.speed_at(self.law, t),
+            _ => 0.0,
+        })
     }
 
     /// The left limit `W(t^-)` of the total remaining weight — the quantity
@@ -1094,6 +1182,61 @@ mod tests {
                 assert_eq!(a.frac_flow.to_bits(), b.frac_flow.to_bits());
             }
         }
+    }
+
+    /// Seeded mixed-density jobs in release order, about one in four tied
+    /// with its predecessor's release.
+    fn seeded_jobs(seed: u64, n: usize) -> Vec<Job> {
+        let mut rng = ncss_rng::Pcg64::seed_from_u64(seed);
+        let mut release = 0.0;
+        (0..n)
+            .map(|_| {
+                if rng.below(4) != 0 {
+                    release += rng.range_f64(0.0, 1.2);
+                }
+                Job::new(release, rng.range_f64(0.05, 2.0), rng.range_f64(0.5, 10.0))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn speed_at_reads_the_batch_schedule_bitwise() {
+        // After each offer, read from a restored copy at every point from
+        // that release up to the next one (or past the makespan after the
+        // last): the read must be the batch schedule's speed_at to the bit.
+        let mut most_crossed = 0;
+        for seed in 0..16u64 {
+            let law = pl([1.5, 2.0, 2.5, 3.0][seed as usize % 4]);
+            let jobs = seeded_jobs(seed, 2 + seed as usize);
+            let schedule = crate::run_c(&Instance::new(jobs.clone()).unwrap(), law).unwrap().schedule;
+            let m = schedule.end_time();
+            let mut points = vec![m, m + 1e-13, m + 1.0];
+            for s in schedule.segments() {
+                for x in [s.start, s.end, 0.5 * (s.start + s.end)] {
+                    points.extend([x.next_down(), x, x.next_up()]);
+                }
+            }
+            let mut base = CStream::new(law, StreamConfig::batch());
+            let mut scratch = base.clone();
+            for (k, &job) in jobs.iter().enumerate() {
+                base.offer(job, &mut |_| {}).unwrap();
+                let next = jobs.get(k + 1).map_or(f64::INFINITY, |j| j.release);
+                for &t in points.iter().filter(|&&t| job.release <= t && t < next) {
+                    scratch.clone_from(&base);
+                    let read = scratch.speed_at(t, next).unwrap();
+                    assert_eq!(
+                        read.to_bits(),
+                        schedule.speed_at(t).to_bits(),
+                        "seed {seed}, {} jobs offered, t = {t:e}",
+                        k + 1
+                    );
+                    let crossed =
+                        schedule.segments().iter().filter(|s| s.start >= job.release && s.end <= t).count();
+                    most_crossed = most_crossed.max(crossed);
+                }
+            }
+        }
+        assert!(most_crossed >= 3, "no read crossed several events: {most_crossed}");
     }
 
     #[test]

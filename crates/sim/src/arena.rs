@@ -87,7 +87,7 @@ pub fn accrue_waiting_flow(
 /// Structure-of-arrays store for the active-job working set.
 ///
 /// See the [module docs](self) for the layout and recycling contract.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct JobArena {
     release: Vec<f64>,
     volume: Vec<f64>,
@@ -99,6 +99,30 @@ pub struct JobArena {
     free: Vec<usize>,
     live: usize,
     peak_live: usize,
+}
+
+impl Clone for JobArena {
+    fn clone(&self) -> Self {
+        let mut arena = Self::default();
+        arena.clone_from(self);
+        arena
+    }
+
+    /// Field-wise, so restoring a checkpointed stream into a scratch one
+    /// reuses the scratch's slices instead of allocating new ones.
+    fn clone_from(&mut self, source: &Self) {
+        let Self { release, volume, density, remaining, frac_flow, acc_t, id, free, live, peak_live } = source;
+        self.release.clone_from(release);
+        self.volume.clone_from(volume);
+        self.density.clone_from(density);
+        self.remaining.clone_from(remaining);
+        self.frac_flow.clone_from(frac_flow);
+        self.acc_t.clone_from(acc_t);
+        self.id.clone_from(id);
+        self.free.clone_from(free);
+        self.live = *live;
+        self.peak_live = *peak_live;
+    }
 }
 
 impl JobArena {

@@ -15,7 +15,9 @@
 #      reported so sharding/step-cap regressions are visible in CI logs
 #   5. closed-form-vs-quadrature property tests in --release (the
 #      analytic fast path must match the quadrature reference to 1e-12
-#      where debug_assert! is compiled out)
+#      where debug_assert! is compiled out), and the non-uniform NC
+#      oracle over every fault-suite case of seeds 1-4 (debug builds
+#      check every 7th)
 #   6. audit smoke: every schedule-producing algorithm on a generated
 #      trace must pass the independent audit; the parallel algorithms
 #      go through the cross-machine auditor, and a deliberately
@@ -24,7 +26,10 @@
 #      that a mis-selected kernel (--corrupt kernel) trips the
 #      energy-recomputed check, both at the default cross-check stride and
 #      at --cross-check 1, where every integral goes through the
-#      early-stopping quadrature tier alone
+#      early-stopping quadrature tier alone; a scale tripwire audits
+#      non-uniform NC on 256 jobs under a 10 s timeout (it takes under a
+#      second; re-running Algorithm C on the whole current instance at
+#      every integration step takes about 20 s)
 #   7. fleet smoke: the sharded multi-machine runners (dispatch log +
 #      per-machine pool tasks, DESIGN.md §12) must match the serial
 #      runners bitwise and pass the cross-machine audit;
@@ -78,8 +83,9 @@ fault_start=$(date +%s)
 cargo test --release -q --offline --test fault_contract
 echo "fault contract wall-time: $(($(date +%s) - fault_start))s"
 
-echo "==> cargo test --release -q --offline --test closed_form_quadrature --test audit_property --test fleet_identity"
-cargo test --release -q --offline --test closed_form_quadrature --test audit_property --test fleet_identity
+echo "==> cargo test --release -q --offline --test closed_form_quadrature --test audit_property --test fleet_identity --test nonuniform_identity"
+cargo test --release -q --offline --test closed_form_quadrature --test audit_property --test fleet_identity \
+    --test nonuniform_identity
 
 echo "==> audit smoke (ncss-cli audit on a generated trace)"
 cli=target/release/ncss-cli
@@ -93,6 +99,15 @@ done
 # The step-integrated algorithm is audited at its honest tolerance.
 "$cli" audit --algorithm nc-nonuniform --input "$trace" --alpha 2 --rel-tol 1e-2 > /dev/null \
     || { echo "FAIL: audit rejected nc-nonuniform" >&2; exit 1; }
+# Scale tripwire (DESIGN.md §1 S4): each integration step reads Algorithm
+# C's speed from a checkpointed nested stream, so 256 jobs (~230k steps)
+# run and audit in well under a second; re-running C on the whole current
+# instance twice per step takes about 20 s.
+nonuniform="$(mktemp /tmp/ncss_verify_nonuniform.XXXXXX.csv)"
+"$cli" generate --n 256 --rate 1.5 --volumes exp:1.0 --densities loguniform:0.5:10 --seed 7 > "$nonuniform"
+timeout 10 "$cli" audit --algorithm nc-nonuniform --input "$nonuniform" --alpha 3 --rel-tol 1e-2 > /dev/null \
+    || { echo "FAIL: nc-nonuniform audit of 256 jobs failed or took over 10 s" >&2; rm -f "$nonuniform"; exit 1; }
+rm -f "$nonuniform"
 echo "audit smoke passed"
 
 echo "==> kernel gate (compiled power-kernel strategy)"
