@@ -56,17 +56,8 @@ fn nested_speed(
     Ok(params.eta * s_c + params.epsilon)
 }
 
-/// The nested-re-run integrator, step for step.
+/// The nested-re-run integrator, step for step (for valid parameters).
 fn reference_run(instance: &Instance, law: PowerLaw, params: NonUniformParams) -> SimResult<Reference> {
-    if !(params.rounding_base > 1.0) {
-        return Err(SimError::InvalidInstance { reason: "rounding base must be > 1" });
-    }
-    if !(params.eta >= 1.0) {
-        return Err(SimError::InvalidInstance { reason: "eta must be >= 1" });
-    }
-    if !(params.epsilon > 0.0) {
-        return Err(SimError::InvalidInstance { reason: "epsilon must be positive" });
-    }
     let rounded_inst = instance.with_rounded_densities(params.rounding_base)?;
     let jobs = instance.jobs();
     let n = jobs.len();
