@@ -64,7 +64,6 @@ use crate::closed_form;
 use crate::quad::integrate;
 use crate::report::{AuditReport, Stopwatch};
 use crate::schedule_audit::AuditConfig;
-use ncss_sim::profile::{Phase, PhaseScope};
 use ncss_sim::{Job, JobId, Objective, PowerLaw, Segment, SimResult, SpeedLaw};
 
 /// An eagerly tripped check: emitted by [`IncrementalAudit::on_segment`] /
@@ -741,7 +740,6 @@ impl IncrementalAudit {
     /// Record job `id`'s release. Ids must be the stream's arrival indices
     /// (dense from 0); re-releasing a live id resets its segment history.
     pub fn on_release(&mut self, id: JobId, job: Job) {
-        let _p = PhaseScope::enter(Phase::Audit);
         self.jobs.on_release(id);
         let mut segs = self.seg_pool.pop().unwrap_or_default();
         // A tampered feed can serve a job before releasing it: adopt the
@@ -766,7 +764,6 @@ impl IncrementalAudit {
     /// retained history. Returns a [`Trip`] if a time-axis check left
     /// tolerance at this segment.
     pub fn on_segment(&mut self, seg: Segment) -> Option<Trip> {
-        let _p = PhaseScope::enter(Phase::Audit);
         let i = self.seg_count;
         self.seg_count += 1;
         self.wf.fold(i, &seg);
@@ -804,7 +801,6 @@ impl IncrementalAudit {
         frac_flow: f64,
         int_flow: f64,
     ) -> Option<Trip> {
-        let _p = PhaseScope::enter(Phase::Audit);
         let Some(ActiveJob { job, mut segs }) = self.active.remove(&id) else {
             return self.jobs.never_released(id);
         };
@@ -1080,7 +1076,6 @@ impl IncrementalMultiAudit {
 
     /// Record job `id`'s release to the fleet.
     pub fn on_release(&mut self, id: JobId, job: Job) {
-        let _p = PhaseScope::enter(Phase::Audit);
         self.jobs.on_release(id);
         let mut segs = Vec::new();
         for (m, ms) in self.machines.iter_mut().enumerate() {
@@ -1104,7 +1099,6 @@ impl IncrementalMultiAudit {
     /// # Panics
     /// Panics if `m` is outside the fleet declared at construction.
     pub fn on_segment(&mut self, m: usize, seg: Segment) -> Option<Trip> {
-        let _p = PhaseScope::enter(Phase::Audit);
         let pl = self.laws[m];
         let ms = &mut self.machines[m];
         let i = ms.seg_count;
@@ -1142,7 +1136,6 @@ impl IncrementalMultiAudit {
         frac_flow: f64,
         int_flow: f64,
     ) -> Option<Trip> {
-        let _p = PhaseScope::enter(Phase::Audit);
         let Some(MultiActiveJob { job, mut segs }) = self.active.remove(&id) else {
             return self.jobs.never_released(id);
         };

@@ -17,7 +17,7 @@
 //! breaks an invariant fails the bench binary.
 
 use ncss_audit::{AuditConfig, AuditReport};
-use ncss_bench::harness::{black_box, AuditMode, Suite};
+use ncss_bench::harness::{black_box, Suite};
 use ncss_core::{
     run_c, run_checked, run_nc_nonuniform, run_nc_uniform, CheckedAlgorithm, NonUniformParams,
 };
@@ -87,10 +87,9 @@ fn main() {
         let config = AuditConfig { rel_tol: 1e-2, ..AuditConfig::default() };
         let r = gate(&inst, law, CheckedAlgorithm::NcNonUniform(params), config);
         let steps = run_nc_nonuniform(&inst, law, params).expect("NC run").steps;
-        suite.bench_report_mode_metrics_with(
+        suite.bench_report_metrics_with(
             &format!("algorithm_nc_nonuniform/{n}"),
             Some(&r),
-            AuditMode::Batch,
             vec![("steps".into(), steps as f64)],
             warmup,
             iters,

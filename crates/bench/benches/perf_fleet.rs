@@ -1,6 +1,6 @@
 //! Fleet k-sweep: the sharded C-PAR/NC-PAR replay across k ∈ {2..4096}
 //! plus the `Ω(k^{1−1/α})` dispatch-degradation study, writing
-//! `BENCH_fleet.json` (schema ncss-bench/5, with `metrics` columns).
+//! `BENCH_fleet.json` (schema ncss-bench/6, with `metrics` columns).
 //!
 //! Two row families (methodology in EXPERIMENTS.md, "Fleet k-sweep"):
 //!
@@ -32,7 +32,7 @@
 //! means the algorithm changed, not the machine.
 
 use ncss_audit::AuditConfig;
-use ncss_bench::harness::{black_box, AuditMode, Suite};
+use ncss_bench::harness::{black_box, Suite};
 use ncss_multi::fleet::{audit_fleet, replay_c, replay_nc, replay_nc_assigned, DispatchLog};
 use ncss_multi::{collect_assignment, fit_loglog_slope, immediate_dispatch_game, RoundRobin};
 use ncss_pool::Pool;
@@ -91,10 +91,9 @@ fn main() {
         let c_log = DispatchLog::c_par(&inst, law, k).expect("C-PAR dispatch");
         let c_out = replay_c(&inst, law, &c_log, &pool).expect("C-PAR replay");
         let c_report = audit_fleet(&inst, law, &c_out, config);
-        suite.bench_report_mode_metrics_with(
+        suite.bench_report_metrics_with(
             &format!("fleet_c_par/c_alpha2x{k}"),
             Some(&c_report),
-            AuditMode::Incremental,
             vec![
                 ("frac_objective".into(), c_out.objective.fractional()),
                 ("jobs".into(), n as f64),
@@ -112,10 +111,9 @@ fn main() {
         let nc_log = DispatchLog::nc_par(&inst, law, k).expect("NC-PAR dispatch");
         let nc_out = replay_nc(&inst, law, &nc_log, &pool).expect("NC-PAR replay");
         let nc_report = audit_fleet(&inst, law, &nc_out, config);
-        suite.bench_report_mode_metrics_with(
+        suite.bench_report_metrics_with(
             &format!("fleet_nc_par/c_alpha2x{k}"),
             Some(&nc_report),
-            AuditMode::Incremental,
             vec![
                 ("frac_objective".into(), nc_out.objective.fractional()),
                 ("jobs".into(), n as f64),
@@ -174,10 +172,9 @@ fn main() {
                 "sharded game replay diverged from serial at k={k}, alpha={alpha}"
             );
             let report = audit_fleet(&inst, law, &out, config);
-            suite.bench_report_mode_metrics_with(
+            suite.bench_report_metrics_with(
                 &format!("dispatch_game/a{alpha}/k{k}"),
                 Some(&report),
-                AuditMode::Incremental,
                 vec![
                     ("ratio".into(), game.ratio),
                     ("bound".into(), (k as f64).powf(1.0 - 1.0 / alpha)),
@@ -194,10 +191,9 @@ fn main() {
         }
         // Summary row: measured log-log slope vs the theoretical exponent.
         let slope = fit_loglog_slope(&points);
-        suite.bench_report_mode_metrics_with(
+        suite.bench_report_metrics_with(
             &format!("dispatch_slope/a{alpha}"),
             None,
-            AuditMode::Incremental,
             vec![
                 ("slope".into(), slope),
                 ("exponent".into(), 1.0 - 1.0 / alpha),

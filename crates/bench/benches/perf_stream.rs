@@ -10,15 +10,19 @@
 //! nothing, and (best effort, Linux) the process RSS grew by less than a
 //! fixed ceiling across the whole run.
 //!
+//! Each soak row is timed with the [`BoundaryTimer`] off and then run once
+//! more with it on, for the row's `attribution` block; both passes must
+//! reach the same objective bits.
+//!
 //! Sizing: `NCSS_STREAM_SOAK_N` overrides the default 10 000 000 releases
 //! per algorithm; `NCSS_BENCH_WARMUP`/`NCSS_BENCH_ITERS` override loop
 //! counts as for every other bench.
 
 use ncss_audit::{AuditConfig, AuditReport, IncrementalAudit, ScheduleAudit, Trip};
-use ncss_bench::harness::{black_box, AuditMode, Suite};
+use ncss_bench::harness::{black_box, BoundaryTimer, Suite};
 use ncss_core::streaming::{CStream, NcStream, StreamConfig};
 use ncss_rng::{dist, Pcg64};
-use ncss_sim::{Evaluated, Instance, Job, PerJob, PowerLaw, ScheduleBuilder, Segment};
+use ncss_sim::{Evaluated, Instance, Job, Objective, PerJob, PowerLaw, ScheduleBuilder, Segment};
 use ncss_trace::{read_file, replay, Algo, Completion, Event, Recorder, Stream, TraceHeader};
 
 /// Poisson arrivals with exponential unit-mean volumes at density 1 — the
@@ -126,37 +130,54 @@ fn placeholder(why: String) -> AuditReport {
 }
 
 /// Streaming-mode C pass: spill drained after every offer, nothing retained.
-/// Returns (objective sum, stats) so the caller can assert flatness.
-fn soak_c(law: PowerLaw, n: usize, seed: u64, rate: f64) -> (f64, ncss_core::StreamStats) {
+/// Returns (objective, stats) so the caller can assert flatness.
+fn soak_c(
+    law: PowerLaw,
+    n: usize,
+    seed: u64,
+    rate: f64,
+    timer: &mut BoundaryTimer,
+) -> (Objective, ncss_core::StreamStats) {
+    let (offer, drain, finish) =
+        (timer.register("core.offer"), timer.register("sim.spill_drain"), timer.register("core.finish"));
     let mut source = Poisson::new(seed, rate);
     let mut stream = CStream::new(law, StreamConfig::streaming(SPILL_CAP));
     let mut sink = |c: ncss_core::CCompletion| {
         black_box(c.completion);
     };
     for _ in 0..n {
-        stream.offer(source.next_job(), &mut sink).expect("stream offer");
-        stream.spill_mut().drain().for_each(drop);
+        let job = source.next_job();
+        timer.time(offer, || stream.offer(job, &mut sink)).expect("stream offer");
+        timer.time(drain, || stream.spill_mut().drain().for_each(drop));
     }
-    let summary = stream.finish(&mut sink).expect("stream finish");
-    stream.spill_mut().drain().for_each(drop);
-    (summary.objective.fractional(), stream.stats())
+    let summary = timer.time(finish, || stream.finish(&mut sink)).expect("stream finish");
+    timer.time(drain, || stream.spill_mut().drain().for_each(drop));
+    (summary.objective, stream.stats())
 }
 
 /// Streaming-mode NC pass, same shape.
-fn soak_nc(law: PowerLaw, n: usize, seed: u64, rate: f64) -> (f64, ncss_core::StreamStats) {
+fn soak_nc(
+    law: PowerLaw,
+    n: usize,
+    seed: u64,
+    rate: f64,
+    timer: &mut BoundaryTimer,
+) -> (Objective, ncss_core::StreamStats) {
+    let (offer, drain, finish) =
+        (timer.register("core.offer"), timer.register("sim.spill_drain"), timer.register("core.finish"));
     let mut source = Poisson::new(seed, rate);
     let mut stream = NcStream::new(law, StreamConfig::streaming(SPILL_CAP));
+    let mut sink = |c: ncss_core::NcCompletion| {
+        black_box(c.completion);
+    };
     for _ in 0..n {
-        stream
-            .offer(source.next_job(), &mut |c: ncss_core::NcCompletion| {
-                black_box(c.completion);
-            })
-            .expect("stream offer");
-        stream.spill_mut().drain().for_each(drop);
+        let job = source.next_job();
+        timer.time(offer, || stream.offer(job, &mut sink)).expect("stream offer");
+        timer.time(drain, || stream.spill_mut().drain().for_each(drop));
     }
-    let summary = stream.finish().expect("stream finish");
-    stream.spill_mut().drain().for_each(drop);
-    (summary.objective.fractional(), stream.stats())
+    let summary = timer.time(finish, || stream.finish()).expect("stream finish");
+    timer.time(drain, || stream.spill_mut().drain().for_each(drop));
+    (summary.objective, stream.stats())
 }
 
 /// Streaming-mode pass of `algo` with an [`IncrementalAudit`] riding the
@@ -164,7 +185,9 @@ fn soak_nc(law: PowerLaw, n: usize, seed: u64, rate: f64) -> (f64, ncss_core::St
 /// auditor as it happens (O(segments of the job) per completion, O(active)
 /// state — the always-on audit must not reintroduce the O(n) memory the
 /// streaming mode exists to avoid). Returns the finalized report, the
-/// stream stats, and the auditor's peak active-job count.
+/// stream's objective and stats, and the auditor's peak active-job count.
+/// `audit.on_offer` includes pulling the offer's segments from the spill
+/// ring, which the auditor consumes as it goes.
 fn soak_audited(
     algo: Algo,
     law: PowerLaw,
@@ -172,7 +195,13 @@ fn soak_audited(
     seed: u64,
     rate: f64,
     config: AuditConfig,
-) -> (AuditReport, ncss_core::StreamStats, usize) {
+    timer: &mut BoundaryTimer,
+) -> (AuditReport, Objective, ncss_core::StreamStats, usize) {
+    let on_release = timer.register("audit.on_release");
+    let offer = timer.register("core.offer");
+    let on_offer = timer.register("audit.on_offer");
+    let finish = timer.register("core.finish");
+    let finalize = timer.register("audit.finalize");
     let mut source = Poisson::new(seed, rate);
     let mut stream = Stream::new(algo, law, StreamConfig::streaming(SPILL_CAP));
     let mut audit = IncrementalAudit::new(law, config);
@@ -185,15 +214,45 @@ fn soak_audited(
     };
     for i in 0..n {
         let job = source.next_job();
-        audit.on_release(i, job);
-        stream.offer(job, &mut |c| buf.push(c.outcome())).expect("stream offer");
-        honest(audit.on_offer(stream.spill_mut().drain(), buf.drain(..)));
+        timer.time(on_release, || audit.on_release(i, job));
+        timer.time(offer, || stream.offer(job, &mut |c| buf.push(c.outcome()))).expect("stream offer");
+        honest(timer.time(on_offer, || audit.on_offer(stream.spill_mut().drain(), buf.drain(..))));
         audit_peak_active = audit_peak_active.max(audit.active_jobs());
     }
-    let summary = stream.finish(&mut |c| buf.push(c.outcome())).expect("stream finish");
-    honest(audit.on_offer(stream.spill_mut().drain(), buf.drain(..)));
+    let summary =
+        timer.time(finish, || stream.finish(&mut |c| buf.push(c.outcome()))).expect("stream finish");
+    honest(timer.time(on_offer, || audit.on_offer(stream.spill_mut().drain(), buf.drain(..))));
     let stats = stream.stats();
-    (audit.finalize(&summary.objective), stats, audit_peak_active)
+    let report = timer.time(finalize, || audit.finalize(&summary.objective));
+    (report, summary.objective, stats, audit_peak_active)
+}
+
+/// Record the soak row `name`: time `pass` with the timer off, then run it
+/// once more with the timer on for the row's attribution block, and require
+/// the two passes to reach the same objective bits.
+fn soak_row(
+    suite: &mut Suite,
+    name: &str,
+    gate: &AuditReport,
+    n: usize,
+    mut pass: impl FnMut(&mut BoundaryTimer) -> Objective,
+) {
+    // The deterministic event count as the `work_items` metric, so
+    // `bench-diff` can report normalised ns/event throughput deltas
+    // between runs (and flag a baseline comparison whose n silently
+    // changed).
+    let work_items = vec![("work_items".to_string(), n as f64)];
+    let mut timed = None;
+    suite.bench_report_metrics_with(name, Some(gate), work_items, 0, 1, || {
+        timed = Some(pass(&mut BoundaryTimer::off()));
+    });
+    let attributed = suite.attribute(name, n as u64, &mut pass);
+    let bits = |o: Objective| [o.energy.to_bits(), o.frac_flow.to_bits(), o.int_flow.to_bits()];
+    assert_eq!(
+        bits(timed.expect("the timed pass ran")),
+        bits(attributed),
+        "{name}: the attribution pass computed another objective than the timed pass"
+    );
 }
 
 /// Panic unless the run's footprint was flat: bounded active set, arena
@@ -293,14 +352,14 @@ fn main() {
         let jobs = Poisson::new(11, rate).take(n);
         let r = gate(Algo::C, &jobs[..n.min(2_000)], law);
         suite.bench_report_with(&format!("stream_c/{n}"), Some(&r), 1, 10, || {
-            let (obj, stats) = soak_c(law, n, 11, rate);
+            let (obj, stats) = soak_c(law, n, 11, rate, &mut BoundaryTimer::off());
             black_box(obj);
             assert_flat("stream_c", &stats, n);
         });
 
         let r = gate(Algo::Nc, &jobs[..n.min(2_000)], law);
         suite.bench_report_with(&format!("stream_nc_uniform/{n}"), Some(&r), 1, 10, || {
-            let (obj, stats) = soak_nc(law, n, 11, rate);
+            let (obj, stats) = soak_nc(law, n, 11, rate, &mut BoundaryTimer::off());
             black_box(obj);
             assert_flat("stream_nc_uniform", &stats, n);
         });
@@ -323,41 +382,21 @@ fn main() {
     let rss_before = rss_bytes();
     let prefix = Poisson::new(97, rate).take(2_000);
 
-    // Every soak row carries the deterministic event count as the
-    // `work_items` metric, so `bench-diff` can report normalised ns/event
-    // throughput deltas between runs (and flag a baseline comparison whose
-    // n silently changed).
-    let work_items = vec![("work_items".to_string(), soak_n as f64)];
-
     let r = gate(Algo::C, &prefix, law);
-    suite.bench_report_mode_metrics_with(
-        "stream_c/soak",
-        Some(&r),
-        AuditMode::Batch,
-        work_items.clone(),
-        0,
-        1,
-        || {
-            let (obj, stats) = soak_c(law, soak_n, 97, rate);
-            assert!(obj.is_finite(), "soak objective overflowed");
-            assert_flat("stream_c/soak", &stats, soak_n);
-        },
-    );
+    soak_row(&mut suite, "stream_c/soak", &r, soak_n, |timer| {
+        let (obj, stats) = soak_c(law, soak_n, 97, rate, timer);
+        assert!(obj.fractional().is_finite(), "soak objective overflowed");
+        assert_flat("stream_c/soak", &stats, soak_n);
+        obj
+    });
 
     let r = gate(Algo::Nc, &prefix, law);
-    suite.bench_report_mode_metrics_with(
-        "stream_nc_uniform/soak",
-        Some(&r),
-        AuditMode::Batch,
-        work_items.clone(),
-        0,
-        1,
-        || {
-            let (obj, stats) = soak_nc(law, soak_n, 97, rate);
-            assert!(obj.is_finite(), "soak objective overflowed");
-            assert_flat("stream_nc_uniform/soak", &stats, soak_n);
-        },
-    );
+    soak_row(&mut suite, "stream_nc_uniform/soak", &r, soak_n, |timer| {
+        let (obj, stats) = soak_nc(law, soak_n, 97, rate, timer);
+        assert!(obj.fractional().is_finite(), "soak objective overflowed");
+        assert_flat("stream_nc_uniform/soak", &stats, soak_n);
+        obj
+    });
 
     // Audited-throughput soak rows: the same release stream with an
     // incremental auditor attached to every event. The row's verdict is the
@@ -374,50 +413,20 @@ fn main() {
         let cfg = AuditConfig { cross_check_stride: stride, ..AuditConfig::default() };
         for (core, algo) in [("stream_c", Algo::C), ("stream_nc_uniform", Algo::Nc)] {
             let name = format!("{core}/{row}");
-            let (r, _, _) = soak_audited(algo, law, soak_n.min(50_000), 97, rate, cfg);
-            suite.bench_report_mode_metrics_with(
-                &name,
-                Some(&r),
-                AuditMode::Incremental,
-                work_items.clone(),
-                0,
-                1,
-                || {
-                    let (report, stats, audit_peak) = soak_audited(algo, law, soak_n, 97, rate, cfg);
-                    assert!(report.passed(), "{name} failed:\n{}", report.render());
-                    assert_flat(&name, &stats, soak_n);
-                    assert!(
-                        audit_peak <= ACTIVE_CEILING,
-                        "{name}: auditor held {audit_peak} active jobs (> {ACTIVE_CEILING}): \
-                         audit state is not O(active)"
-                    );
-                },
-            );
-        }
-    }
-
-    // Phase attribution for the soak rows (schema ncss-bench/5 `phases`):
-    // a *separate* profiled pass per row — never the timed one, whose
-    // quantiles must stay free of timestamping overhead — capped at 1M
-    // events, since attribution is about proportions, not totals. Runs
-    // after every timed row above so the enabled profiler never overlaps
-    // a measurement.
-    {
-        use ncss_sim::profile::{enable_phase_profiling, take_phase_report};
-        let attr_n = soak_n.min(1_000_000);
-        enable_phase_profiling();
-        let _ = soak_c(law, attr_n, 97, rate);
-        suite.attach_phases("stream_c/soak", &take_phase_report());
-        enable_phase_profiling();
-        let _ = soak_nc(law, attr_n, 97, rate);
-        suite.attach_phases("stream_nc_uniform/soak", &take_phase_report());
-        for (row, stride, _) in AUDITED_ROWS {
-            let cfg = AuditConfig { cross_check_stride: stride, ..AuditConfig::default() };
-            for (core, algo) in [("stream_c", Algo::C), ("stream_nc_uniform", Algo::Nc)] {
-                enable_phase_profiling();
-                let _ = soak_audited(algo, law, attr_n, 97, rate, cfg);
-                suite.attach_phases(&format!("{core}/{row}"), &take_phase_report());
-            }
+            let (r, ..) =
+                soak_audited(algo, law, soak_n.min(50_000), 97, rate, cfg, &mut BoundaryTimer::off());
+            soak_row(&mut suite, &name, &r, soak_n, |timer| {
+                let (report, obj, stats, audit_peak) =
+                    soak_audited(algo, law, soak_n, 97, rate, cfg, timer);
+                assert!(report.passed(), "{name} failed:\n{}", report.render());
+                assert_flat(&name, &stats, soak_n);
+                assert!(
+                    audit_peak <= ACTIVE_CEILING,
+                    "{name}: auditor held {audit_peak} active jobs (> {ACTIVE_CEILING}): \
+                     audit state is not O(active)"
+                );
+                obj
+            });
         }
     }
 

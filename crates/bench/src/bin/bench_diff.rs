@@ -32,9 +32,11 @@ additionally print a normalised per-item throughput delta
 (median_ns / work_items) — informational, never a failure, since the
 quantile comparison already gates the timing. \"work_items\" itself is
 exempt from the metric gate: it is a workload size, and the normalised
-delta is how soaks of different lengths are compared. \"phases\"
-attribution blocks parse but are not diffed. Both documents must be
-schema ncss-bench/5; any other tag is a tool error (exit 2).
+delta is how soaks of different lengths are compared. An \"attribution\"
+block must reconcile (calls + timer + other = wall_ns, no term missing or
+negative) but is not diffed. Both documents must be schema ncss-bench/6;
+any other tag, or a block that does not reconcile, is a tool error
+(exit 2).
 
   --threshold PCT        relative slowdown to flag, percent (default 25)
   --floor-ns N           absolute slowdown floor, nanoseconds (default 50000)
@@ -95,7 +97,8 @@ fn main() -> ExitCode {
     };
 
     // Load errors — unreadable files, malformed JSON, schema drift (an
-    // unknown ncss-bench/N tag or a row without audit_timing) — are tool
+    // unknown ncss-bench/N tag, a row without audit_timing, or an
+    // attribution block that does not reconcile) — are tool
     // errors: a named warning and exit 2, distinct from exit 1 (a real
     // perf/verdict regression). No usage spam: the command line was fine.
     let load = |path: &str| -> Result<BenchDoc, String> {
@@ -146,7 +149,6 @@ fn main() -> ExitCode {
             Kind::CheckTime => "CHECK-SLOWER",
             Kind::Residual => "RESIDUAL",
             Kind::Verdict => "VERDICT",
-            Kind::Mode => "MODE",
             Kind::Metric => "METRIC",
             Kind::Throughput => "THROUGHPUT",
             Kind::Missing => "MISSING",

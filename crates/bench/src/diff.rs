@@ -20,10 +20,6 @@
 //!   a log scale, so the factor defaults to an order of magnitude;
 //! * an audit verdict that was `pass` in the baseline and is anything else
 //!   in the candidate is **always** a regression, no thresholds;
-//! * an `audit_mode` flip (`batch` ↔ `incremental`: the audit ran after the
-//!   run or during it) is **always** a regression — the timed region
-//!   changed, so the trajectory is not comparable until the baseline is
-//!   regenerated;
 //! * a named `metrics` value (derived scalars like the fleet k-sweep's
 //!   degradation ratio) regresses when it drifts
 //!   relatively by more than `metric_rel_tol`, or when a baseline metric
@@ -39,10 +35,10 @@
 //!   comparison already gates the timing; `work_items` itself is exempt
 //!   from the metric gate (it is a workload size, and normalisation is
 //!   how soaks of different lengths are compared);
-//! * `phases` attribution blocks (per-phase profiler totals from a
-//!   separately profiled pass) parse into
-//!   [`BenchEntry::phases`] but are never diffed: they exist to explain a
-//!   quantile regression, and carry a single profiled run's jitter.
+//! * `attribution` blocks (where a separate timed pass spent its wall
+//!   time) are checked on read — every term present and non-negative, and
+//!   calls + timer + other equal to the wall time — but never diffed: they
+//!   explain a quantile regression, and carry one pass's jitter.
 //!
 //! The JSON reader is a minimal recursive-descent parser scoped to what the
 //! harness emits (objects, arrays, strings, numbers, `null`, booleans) —
@@ -282,9 +278,6 @@ pub struct BenchEntry {
     pub name: String,
     /// Audit verdict string (`pass` / `fail` / `skipped`).
     pub audit: String,
-    /// When the verdict was produced: `batch` (after the run) or
-    /// `incremental` (during it).
-    pub audit_mode: String,
     /// Total audit nanoseconds.
     pub audit_total_ns: u64,
     /// Per-check audit rows.
@@ -295,12 +288,6 @@ pub struct BenchEntry {
     /// serialised as `null` (non-finite). Metric-free rows omit the object
     /// and parse with an empty map.
     pub metrics: BTreeMap<String, Option<f64>>,
-    /// Per-phase attribution rows (`phases` object):
-    /// phase name → `(total ns, scope count)` from a separately profiled
-    /// pass. Attribution context for diagnosing a quantile regression, not
-    /// itself diffed — phase totals come from one profiled run and carry
-    /// full run-to-run jitter.
-    pub phases: BTreeMap<String, (u64, u64)>,
 }
 
 /// The quantile keys of a bench entry, in document order.
@@ -311,7 +298,7 @@ pub const QUANTILES: [&str; 5] = ["min_ns", "mean_ns", "median_ns", "p95_ns", "m
 /// harness whose rows this reader would misinterpret. The diff refuses it
 /// with a named error (exit 2 in `bench-diff` — tool error, not a perf
 /// regression) instead of guessing.
-pub const KNOWN_SCHEMAS: [&str; 1] = ["ncss-bench/5"];
+pub const KNOWN_SCHEMAS: [&str; 1] = [crate::harness::SCHEMA];
 
 /// A parsed `BENCH_<suite>.json` document.
 #[derive(Debug, Clone, PartialEq)]
@@ -342,6 +329,34 @@ fn req_str(obj: &Json, key: &str, ctx: &str) -> Result<String, String> {
         .ok_or_else(|| format!("{ctx}: missing string {key:?}"))
 }
 
+/// Check an `attribution` block: every term present and non-negative, and
+/// the calls' net time plus the timer cost plus the rest equal to the wall
+/// time, to the nanosecond.
+fn check_attribution(block: &Json, ctx: &str) -> Result<(), String> {
+    let ctx = format!("{ctx}: attribution");
+    req_u64(block, "events", &ctx)?;
+    let wall = req_u64(block, "wall_ns", &ctx)?;
+    let timer = req_u64(block, "timer_ns", &ctx)?;
+    let other = req_u64(block, "other_ns", &ctx)?;
+    let Some(Json::Object(calls)) = block.get("calls") else {
+        return Err(format!("{ctx}: missing \"calls\" object"));
+    };
+    let mut calls_ns = 0u128;
+    for (name, call) in calls {
+        let cctx = format!("{ctx} call {name:?}");
+        req_u64(call, "count", &cctx)?;
+        calls_ns += u128::from(req_u64(call, "ns", &cctx)?);
+    }
+    let sum = calls_ns + u128::from(timer) + u128::from(other);
+    if sum != u128::from(wall) {
+        return Err(format!(
+            "{ctx} does not reconcile: calls {calls_ns} + timer {timer} + other {other} \
+             = {sum} ns, but wall_ns is {wall}"
+        ));
+    }
+    Ok(())
+}
+
 impl BenchDoc {
     /// Parse a bench JSON document, validating the schema tag.
     pub fn parse(text: &str) -> Result<Self, String> {
@@ -370,13 +385,6 @@ impl BenchDoc {
             let ctx = format!("results[{i}]");
             let name = req_str(entry, "name", &ctx)?;
             let audit = req_str(entry, "audit", &ctx)?;
-            let audit_mode = req_str(entry, "audit_mode", &ctx)?;
-            if audit_mode != "batch" && audit_mode != "incremental" {
-                return Err(format!(
-                    "{ctx} ({name:?}): unknown audit_mode {audit_mode:?} \
-                     (want \"batch\" or \"incremental\")"
-                ));
-            }
             let timing = entry
                 .get("audit_timing")
                 .ok_or_else(|| format!("{ctx} ({name:?}): missing \"audit_timing\" block"))?;
@@ -426,33 +434,12 @@ impl BenchDoc {
                     return Err(format!("{ctx} ({name:?}): \"metrics\" is not an object"))
                 }
             }
-            // `phases` is omitted entirely on rows without an attribution
-            // pass, so absence is not an error.
-            let mut phases = BTreeMap::new();
-            match entry.get("phases") {
-                None => {}
-                Some(Json::Object(map)) => {
-                    for (k, v) in map {
-                        let pctx = format!("{ctx} ({name:?}): phase {k:?}");
-                        let ns = req_u64(v, "ns", &pctx)?;
-                        let count = req_u64(v, "count", &pctx)?;
-                        phases.insert(k.clone(), (ns, count));
-                    }
-                }
-                Some(_) => {
-                    return Err(format!("{ctx} ({name:?}): \"phases\" is not an object"))
-                }
+            // `attribution` is omitted entirely on rows without an
+            // attribution pass, so absence is not an error.
+            if let Some(block) = entry.get("attribution") {
+                check_attribution(block, &format!("{ctx} ({name:?})"))?;
             }
-            entries.push(BenchEntry {
-                name,
-                audit,
-                audit_mode,
-                audit_total_ns,
-                checks,
-                quantiles,
-                metrics,
-                phases,
-            });
+            entries.push(BenchEntry { name, audit, audit_total_ns, checks, quantiles, metrics });
         }
         Ok(Self { suite, schema, entries })
     }
@@ -508,10 +495,6 @@ pub enum Kind {
     Residual,
     /// The audit verdict flipped away from `pass` (always fatal).
     Verdict,
-    /// The audit mode changed (`batch` ↔ `incremental`): the row is no
-    /// longer measuring the same auditor, so its trajectory is not
-    /// comparable until the baseline is regenerated (always fatal).
-    Mode,
     /// A named `metrics` value drifted past `metric_rel_tol`, went
     /// non-finite, or disappeared — a derived result (e.g. a degradation
     /// ratio) changed, not just a timing.
@@ -611,22 +594,6 @@ pub fn diff(base: &BenchDoc, new: &BenchDoc, opts: &DiffOptions) -> DiffReport {
             });
             continue;
         };
-
-        // Audit mode must not drift silently: an incremental row compared
-        // against a batch baseline (or vice versa) is measuring a
-        // different auditor, not a perf change.
-        if b.audit_mode != n.audit_mode {
-            report.regressions.push(Finding {
-                kind: Kind::Mode,
-                what: b.name.clone(),
-                base: 0.0,
-                new: 0.0,
-                detail: format!(
-                    "audit mode {} -> {} — regenerate the baseline to compare",
-                    b.audit_mode, n.audit_mode
-                ),
-            });
-        }
 
         // Verdict: pass must stay pass. (skipped→skipped etc. is fine;
         // fail→pass is an improvement, not a regression.)
@@ -815,28 +782,17 @@ mod tests {
     use super::*;
 
     fn doc(entries: &str) -> String {
-        format!("{{\"suite\":\"t\",\"schema\":\"ncss-bench/5\",\"results\":[{entries}]}}")
+        format!("{{\"suite\":\"t\",\"schema\":\"ncss-bench/6\",\"results\":[{entries}]}}")
     }
 
-    fn entry_mode(
-        name: &str,
-        median: u64,
-        check_ns: u64,
-        residual: &str,
-        audit: &str,
-        mode: &str,
-    ) -> String {
+    fn entry(name: &str, median: u64, check_ns: u64, residual: &str, audit: &str) -> String {
         format!(
-            "{{\"name\":\"{name}\",\"audit\":\"{audit}\",\"audit_mode\":\"{mode}\",\
+            "{{\"name\":\"{name}\",\"audit\":\"{audit}\",\
              \"audit_timing\":{{\"total_ns\":{check_ns},\
              \"checks\":[{{\"name\":\"energy-recomputed\",\"elapsed_ns\":{check_ns},\"residual\":{residual}}}]}},\
              \"warmup\":3,\"iters\":30,\"min_ns\":{median},\"mean_ns\":{median},\"median_ns\":{median},\
              \"p95_ns\":{median},\"max_ns\":{median}}}"
         )
-    }
-
-    fn entry(name: &str, median: u64, check_ns: u64, residual: &str, audit: &str) -> String {
-        entry_mode(name, median, check_ns, residual, audit, "batch")
     }
 
     #[test]
@@ -873,9 +829,9 @@ mod tests {
         .unwrap_err();
         assert!(err.contains("schema drift"), "{err}");
         assert!(err.contains("ncss-bench/9"), "{err}");
-        assert!(err.contains("ncss-bench/5"), "{err}");
+        assert!(err.contains("ncss-bench/6"), "{err}");
         // Same for older tags: no committed artifact needs them.
-        for old in ["ncss-bench/1", "ncss-bench/4"] {
+        for old in ["ncss-bench/1", "ncss-bench/4", "ncss-bench/5"] {
             let text = format!("{{\"suite\":\"t\",\"schema\":\"{old}\",\"results\":[]}}");
             let err = BenchDoc::parse(&text).unwrap_err();
             assert!(err.contains("schema drift"), "{err}");
@@ -883,49 +839,14 @@ mod tests {
     }
 
     #[test]
-    fn audit_mode_is_required_and_rejects_unknowns() {
-        let new =
-            BenchDoc::parse(&doc(&entry_mode("a/1", 1000, 500, "1e-15", "pass", "incremental")))
-                .unwrap();
-        assert_eq!(new.entries[0].audit_mode, "incremental");
-        // A row without the field is a named parse error, not a default.
-        let missing = doc(&entry("a/1", 1000, 500, "1e-15", "pass"))
-            .replace("\"audit_mode\":\"batch\",", "");
-        let err = BenchDoc::parse(&missing).unwrap_err();
-        assert!(err.contains("audit_mode"), "{err}");
-        // So is an unknown mode.
-        let err = BenchDoc::parse(&doc(&entry_mode("a/1", 1000, 500, "1e-15", "pass", "psychic")))
-            .unwrap_err();
-        assert!(err.contains("audit_mode"), "{err}");
-        assert!(err.contains("psychic"), "{err}");
-    }
-
-    #[test]
-    fn audit_mode_flip_is_a_regression_same_mode_is_not() {
-        let base = BenchDoc::parse(&doc(&entry("a/1", 1000, 500, "1e-15", "pass"))).unwrap();
-        assert!(diff(&base, &base, &DiffOptions::default()).passed());
-        // A row that silently became incremental is flagged even with
-        // identical timings.
-        let flipped =
-            BenchDoc::parse(&doc(&entry_mode("a/1", 1000, 500, "1e-15", "pass", "incremental")))
-                .unwrap();
-        let report = diff(&base, &flipped, &DiffOptions::default());
-        assert_eq!(report.regressions.len(), 1);
-        assert_eq!(report.regressions[0].kind, Kind::Mode);
-        assert!(report.regressions[0].detail.contains("batch -> incremental"));
-        // Incremental vs incremental compares cleanly again.
-        assert!(diff(&flipped, &flipped, &DiffOptions::default()).passed());
-    }
-
-    #[test]
     fn missing_audit_timing_is_a_named_error_not_a_panic() {
-        let text = doc("{\"name\":\"a/1\",\"audit\":\"pass\",\"audit_mode\":\"batch\",\
+        let text = doc("{\"name\":\"a/1\",\"audit\":\"pass\",\
                         \"min_ns\":1,\"mean_ns\":1,\"median_ns\":1,\"p95_ns\":1,\"max_ns\":1}");
         let err = BenchDoc::parse(&text).unwrap_err();
         assert!(err.contains("audit_timing"), "{err}");
         assert!(err.contains("a/1"), "{err}");
         // A non-object audit_timing is also an error, not a panic.
-        let text = doc("{\"name\":\"a/1\",\"audit\":\"pass\",\"audit_mode\":\"batch\",\
+        let text = doc("{\"name\":\"a/1\",\"audit\":\"pass\",\
                         \"audit_timing\":7,\"min_ns\":1,\"mean_ns\":1,\"median_ns\":1,\
                         \"p95_ns\":1,\"max_ns\":1}");
         assert!(BenchDoc::parse(&text).is_err());
@@ -989,11 +910,10 @@ mod tests {
         assert_eq!(report.regressions[0].kind, Kind::Residual);
     }
 
-    /// An incremental-mode row with `extra` fields (metrics, phases)
-    /// appended.
+    /// A passing row with `extra` fields (metrics, attribution) appended.
     fn entry_extra(name: &str, median: u64, extra: &str) -> String {
         format!(
-            "{{\"name\":\"{name}\",\"audit\":\"pass\",\"audit_mode\":\"incremental\",\
+            "{{\"name\":\"{name}\",\"audit\":\"pass\",\
              \"audit_timing\":{{\"total_ns\":500,\
              \"checks\":[{{\"name\":\"energy-recomputed\",\"elapsed_ns\":500,\"residual\":1e-15}}]}},\
              \"warmup\":3,\"iters\":30,\"min_ns\":{median},\"mean_ns\":{median},\"median_ns\":{median},\
@@ -1074,36 +994,45 @@ mod tests {
         assert!(report.passed(), "{:?}", report.regressions);
     }
 
+    /// An attribution block with the given terms; 100 + 60 + 30 + 10 = 200
+    /// reconciles.
+    fn attribution(wall: &str, timer: &str, other: &str) -> String {
+        format!(
+            ",\"attribution\":{{\"events\":10,\"wall_ns\":{wall},\"timer_ns\":{timer},\
+             \"other_ns\":{other},\"calls\":{{\"core.offer\":{{\"count\":10,\"ns\":100}},\
+             \"sim.spill_drain\":{{\"count\":10,\"ns\":60}}}}}}"
+        )
+    }
+
     #[test]
-    fn phases_parse_and_default_empty() {
-        let text = doc(&entry_extra(
-            "stream_c/soak",
-            1000,
-            ",\"phases\":{\"dispatch\":{\"ns\":400,\"count\":10},\"root-find\":{\"ns\":100,\"count\":10}}",
-        ));
+    fn attribution_blocks_parse_only_when_they_reconcile() {
+        let text = doc(&entry_extra("stream_c/soak", 1000, &attribution("200", "30", "10")));
         let parsed = BenchDoc::parse(&text).unwrap();
-        assert_eq!(parsed.schema, "ncss-bench/5");
-        let p = &parsed.entries[0].phases;
-        assert_eq!(p.get("dispatch"), Some(&(400, 10)));
-        assert_eq!(p.get("root-find"), Some(&(100, 10)));
-        // Phase-free rows parse to empty maps.
-        let plain = BenchDoc::parse(&doc(&entry_extra("stream_c/soak", 1000, ""))).unwrap();
-        assert!(plain.entries[0].phases.is_empty());
-        // Malformed phases are named errors.
-        let bad = doc(&entry_extra("s/1", 1000, ",\"phases\":{\"dispatch\":{\"ns\":1}}"));
+        assert_eq!(parsed.schema, "ncss-bench/6");
+        assert_eq!(parsed.entries[0].name, "stream_c/soak");
+        // Rows without the block parse too.
+        assert!(BenchDoc::parse(&doc(&entry_extra("stream_c/soak", 1000, ""))).is_ok());
+        // Off by one nanosecond: a named error.
+        let bad = doc(&entry_extra("stream_c/soak", 1000, &attribution("200", "30", "11")));
         let err = BenchDoc::parse(&bad).unwrap_err();
-        assert!(err.contains("count"), "{err}");
-        let bad = doc(&entry_extra("s/1", 1000, ",\"phases\":[]"));
-        assert!(BenchDoc::parse(&bad).is_err());
-        // Phases never flag a diff on their own (attribution jitters).
-        let shifted = BenchDoc::parse(&doc(&entry_extra(
-            "stream_c/soak",
-            1000,
-            ",\"phases\":{\"dispatch\":{\"ns\":900,\"count\":10}}",
-        )))
-        .unwrap();
-        let parsed = BenchDoc::parse(&text).unwrap();
-        assert!(diff(&parsed, &shifted, &DiffOptions::default()).passed());
+        assert!(err.contains("stream_c/soak") && err.contains("does not reconcile"), "{err}");
+        // A negative term, even one that makes the sum come out right.
+        let bad = doc(&entry_extra("s/1", 1000, &attribution("200", "50", "-10")));
+        let err = BenchDoc::parse(&bad).unwrap_err();
+        assert!(err.contains("attribution") && err.contains("other_ns"), "{err}");
+        // A missing term.
+        let bad = doc(&entry_extra("s/1", 1000, &attribution("200", "30", "10")))
+            .replace("\"events\":10,", "");
+        let err = BenchDoc::parse(&bad).unwrap_err();
+        assert!(err.contains("attribution") && err.contains("events"), "{err}");
+        let bad = doc(&entry_extra("s/1", 1000, &attribution("200", "30", "10")))
+            .replace("\"count\":10,\"ns\":60", "\"count\":10");
+        let err = BenchDoc::parse(&bad).unwrap_err();
+        assert!(err.contains("sim.spill_drain") && err.contains("ns"), "{err}");
+        let bad = doc(&entry_extra("s/1", 1000, ",\"attribution\":{\"events\":1,\"wall_ns\":0,\
+                                                  \"timer_ns\":0,\"other_ns\":0}"));
+        let err = BenchDoc::parse(&bad).unwrap_err();
+        assert!(err.contains("calls"), "{err}");
     }
 
     #[test]

@@ -9,6 +9,11 @@
 //! the hot paths can be recorded per commit. See EXPERIMENTS.md
 //! ("Performance benches") for the JSON schema and how to read it.
 //!
+//! A row can also carry an `attribution` block from one extra pass run
+//! with a [`BoundaryTimer`] on: net nanoseconds per call name plus the
+//! subtracted timer cost and the untimed remainder, which sum to the
+//! pass's wall time exactly.
+//!
 //! Environment knobs:
 //! * `NCSS_BENCH_ITERS` — override every measurement's iteration count,
 //! * `NCSS_BENCH_WARMUP` — override every measurement's warmup count.
@@ -64,32 +69,8 @@ impl AuditVerdict {
     }
 }
 
-/// When a measurement's verdict was produced: after the run, by
-/// [`ScheduleAudit`](ncss_audit::ScheduleAudit) feeding the finished run
-/// through the audit engine, or during it, by the
-/// [`IncrementalAudit`](ncss_audit::IncrementalAudit) engine riding the
-/// stream. Recorded per row (`audit_mode` in `BENCH_*.json`) so a baseline
-/// diff can tell "the auditor got slower" apart from "the audit moved
-/// into (or out of) the timed loop".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AuditMode {
-    /// Post-hoc audit of the completed schedule (the default).
-    #[default]
-    Batch,
-    /// Incremental audit fed event-by-event during the run.
-    Incremental,
-}
-
-impl AuditMode {
-    /// The JSON string value.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Self::Batch => "batch",
-            Self::Incremental => "incremental",
-        }
-    }
-}
+/// The schema tag every `BENCH_*.json` document carries.
+pub const SCHEMA: &str = "ncss-bench/6";
 
 /// One named check's cost and worst residual, copied from the audit that
 /// gated a measurement — the `audit_timing.checks[]` rows of
@@ -163,6 +144,144 @@ fn json_f64(v: f64) -> String {
     }
 }
 
+/// Times calls at their boundary: an `Instant` pair around each call, with
+/// the calibrated cost of an empty pair subtracted, folded into a count and
+/// a net total per call name.
+///
+/// Off, [`BoundaryTimer::time`] only runs the call, so one soak loop gives
+/// both the timed pass (off) and the attribution pass (on).
+#[derive(Debug)]
+pub struct BoundaryTimer {
+    enabled: bool,
+    /// Median duration of an empty timed call, subtracted from each call.
+    pair_ns: u64,
+    calls: Vec<CallTotal>,
+    /// Sum of what was subtracted.
+    timer_ns: u64,
+}
+
+/// Handle to a call name registered with a [`BoundaryTimer`].
+#[derive(Debug, Clone, Copy)]
+pub struct CallId(usize);
+
+/// Count and net nanoseconds of one call name.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CallTotal {
+    /// The call's name, e.g. `core.offer`.
+    pub name: &'static str,
+    /// Calls timed.
+    pub count: u64,
+    /// Their total duration with the timer cost subtracted.
+    pub net_ns: u64,
+}
+
+impl BoundaryTimer {
+    /// A timer that runs calls without timing them.
+    #[must_use]
+    pub fn off() -> Self {
+        Self { enabled: false, pair_ns: 0, calls: Vec::new(), timer_ns: 0 }
+    }
+
+    /// A timer that times every call, calibrated as the median duration of
+    /// 200,000 empty timed calls in this process.
+    #[must_use]
+    pub fn on() -> Self {
+        let mut samples: Vec<u64> = (0..200_000)
+            .map(|_| {
+                let t0 = Instant::now();
+                black_box(());
+                elapsed_ns(t0)
+            })
+            .collect();
+        samples.sort_unstable();
+        Self { enabled: true, pair_ns: samples[samples.len() / 2], ..Self::off() }
+    }
+
+    /// Find or add the call name `name`.
+    pub fn register(&mut self, name: &'static str) -> CallId {
+        let i = self.calls.iter().position(|c| c.name == name).unwrap_or_else(|| {
+            self.calls.push(CallTotal { name, count: 0, net_ns: 0 });
+            self.calls.len() - 1
+        });
+        CallId(i)
+    }
+
+    /// Run `f` as one call of `id`, timing it when the timer is on.
+    #[inline]
+    pub fn time<R>(&mut self, id: CallId, f: impl FnOnce() -> R) -> R {
+        if !self.enabled {
+            return f();
+        }
+        let t0 = Instant::now();
+        let r = f();
+        let raw = elapsed_ns(t0);
+        let net = raw.saturating_sub(self.pair_ns);
+        self.timer_ns += raw - net;
+        let c = &mut self.calls[id.0];
+        c.count += 1;
+        c.net_ns += net;
+        r
+    }
+
+    /// The attribution of a pass of `events` events that took `wall_ns`
+    /// and made every timed call: the calls were timed one after another
+    /// inside it, so their raw durations (net plus subtracted) fit in the
+    /// wall time.
+    fn attribution(self, events: u64, wall_ns: u64) -> Attribution {
+        let raw_ns = self.calls.iter().map(|c| c.net_ns).sum::<u64>() + self.timer_ns;
+        let other_ns = wall_ns
+            .checked_sub(raw_ns)
+            .expect("timed calls lie inside the pass they were made in");
+        Attribution { events, wall_ns, timer_ns: self.timer_ns, other_ns, calls: self.calls }
+    }
+}
+
+fn elapsed_ns(t0: Instant) -> u64 {
+    u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// Where the wall time of one attribution pass went (`attribution` in
+/// `BENCH_*.json`): the calls' net time, the timer cost subtracted from
+/// them, and everything outside the timed calls, which sum to `wall_ns`
+/// exactly.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Attribution {
+    /// Events the pass ran (releases offered).
+    pub events: u64,
+    /// Wall time of the pass.
+    pub wall_ns: u64,
+    /// Timer cost subtracted from the calls.
+    pub timer_ns: u64,
+    /// Wall time outside the timed calls.
+    pub other_ns: u64,
+    /// Net time per call name, in registration order.
+    pub calls: Vec<CallTotal>,
+}
+
+impl Attribution {
+    fn json(&self, row: &str) -> String {
+        let calls_ns: u64 = self.calls.iter().map(|c| c.net_ns).sum();
+        assert_eq!(
+            calls_ns + self.timer_ns + self.other_ns,
+            self.wall_ns,
+            "{row}: attribution does not reconcile with its wall time"
+        );
+        let calls: Vec<String> = self
+            .calls
+            .iter()
+            .map(|c| format!("{}:{{\"count\":{},\"ns\":{}}}", json_string(c.name), c.count, c.net_ns))
+            .collect();
+        format!(
+            "{{\"events\":{},\"wall_ns\":{},\"timer_ns\":{},\"other_ns\":{},\"calls\":{{{}}}}}",
+            self.events,
+            self.wall_ns,
+            self.timer_ns,
+            self.other_ns,
+            calls.join(",")
+        )
+    }
+}
+
 /// One benchmark measurement: per-iteration wall-clock statistics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Measurement {
@@ -170,8 +289,6 @@ pub struct Measurement {
     pub name: String,
     /// Audit verdict for the benched algorithm's output.
     pub audit: AuditVerdict,
-    /// Which auditor produced the verdict (batch or incremental).
-    pub audit_mode: AuditMode,
     /// Per-check audit cost (empty when the audit was skipped).
     pub audit_timing: AuditTiming,
     /// Unrecorded warmup iterations that preceded timing.
@@ -195,15 +312,10 @@ pub struct Measurement {
     /// byte-identical to the `ncss-bench/3` layout. `bench-diff` compares
     /// metrics by relative drift the way it compares residuals.
     pub metrics: Vec<(String, f64)>,
-    /// Per-phase attribution from the `ncss_sim::profile` scoped timers:
-    /// `(phase name, total ns, scope count)` rows from a *separate*
-    /// profiled pass — never the timed iterations themselves, since the
-    /// thread-local timestamping would contaminate the quantiles.
-    /// Serialised as a `"phases":{...}` object (schema `ncss-bench/5`)
-    /// only when non-empty; phase totals answer "which stage got slower"
-    /// when a timing row regresses, not "how fast is it" (use the
-    /// quantiles for that).
-    pub phases: Vec<(String, u64, u64)>,
+    /// Where the time of a separate pass with a [`BoundaryTimer`] on went
+    /// ([`Suite::attribute`]); never the timed iterations, whose quantiles
+    /// must stay free of timer cost. Serialised only when present.
+    pub attribution: Option<Attribution>,
 }
 
 impl Measurement {
@@ -218,24 +330,15 @@ impl Measurement {
                 .collect();
             format!(",\"metrics\":{{{}}}", rows.join(","))
         };
-        let phases = if self.phases.is_empty() {
-            String::new()
-        } else {
-            let rows: Vec<String> = self
-                .phases
-                .iter()
-                .map(|(k, ns, count)| {
-                    format!("{}:{{\"ns\":{ns},\"count\":{count}}}", json_string(k))
-                })
-                .collect();
-            format!(",\"phases\":{{{}}}", rows.join(","))
-        };
+        let attribution = self
+            .attribution
+            .as_ref()
+            .map_or_else(String::new, |a| format!(",\"attribution\":{}", a.json(&self.name)));
         format!(
-            "{{\"name\":{},\"audit\":{},\"audit_mode\":{},\"audit_timing\":{},\"warmup\":{},\"iters\":{},\
+            "{{\"name\":{},\"audit\":{},\"audit_timing\":{},\"warmup\":{},\"iters\":{},\
              \"min_ns\":{},\"mean_ns\":{},\"median_ns\":{},\"p95_ns\":{},\"max_ns\":{}{}{}}}",
             json_string(&self.name),
             json_string(self.audit.as_str()),
-            json_string(self.audit_mode.as_str()),
             self.audit_timing.json(),
             self.warmup,
             self.iters,
@@ -245,7 +348,7 @@ impl Measurement {
             self.p95_ns,
             self.max_ns,
             metrics,
-            phases,
+            attribution,
         )
     }
 }
@@ -324,7 +427,7 @@ impl Suite {
         iters: u32,
         f: F,
     ) {
-        self.measure(name, audit, AuditTiming::default(), warmup, iters, f);
+        self.measure(name, audit, AuditTiming::default(), Vec::new(), warmup, iters, f);
     }
 
     /// Measure `f` with the suite defaults, deriving the verdict *and* the
@@ -346,36 +449,18 @@ impl Suite {
         iters: u32,
         f: F,
     ) {
-        self.bench_report_mode_with(name, report, AuditMode::Batch, warmup, iters, f);
+        self.bench_report_metrics_with(name, report, Vec::new(), warmup, iters, f);
     }
 
-    /// Like [`Suite::bench_report_with`], but recording which auditor
-    /// produced the report — use [`AuditMode::Incremental`] for rows whose
-    /// verdict came from an [`IncrementalAudit`](ncss_audit::IncrementalAudit)
-    /// attached to the stream.
-    pub fn bench_report_mode_with<F: FnMut()>(
+    /// Like [`Suite::bench_report_with`], but attaching named scalar
+    /// `metrics` to the row — derived quantities the bench wants baselined
+    /// alongside its timing, such as the fleet k-sweep's measured
+    /// dispatch-degradation ratio and the paper's `k^{1−1/α}` bound for
+    /// that k.
+    pub fn bench_report_metrics_with<F: FnMut()>(
         &mut self,
         name: &str,
         report: Option<&AuditReport>,
-        mode: AuditMode,
-        warmup: u32,
-        iters: u32,
-        f: F,
-    ) {
-        self.bench_report_mode_metrics_with(name, report, mode, Vec::new(), warmup, iters, f);
-    }
-
-    /// Like [`Suite::bench_report_mode_with`], but attaching named scalar
-    /// `metrics` to the row (schema `ncss-bench/4`) — derived quantities the
-    /// bench wants baselined alongside its timing, such as the fleet
-    /// k-sweep's measured dispatch-degradation ratio and the paper's
-    /// `k^{1−1/α}` bound for that k.
-    #[allow(clippy::too_many_arguments)]
-    pub fn bench_report_mode_metrics_with<F: FnMut()>(
-        &mut self,
-        name: &str,
-        report: Option<&AuditReport>,
-        mode: AuditMode,
         metrics: Vec<(String, f64)>,
         warmup: u32,
         iters: u32,
@@ -383,27 +468,14 @@ impl Suite {
     ) {
         let audit = report.map_or(AuditVerdict::Skipped, |r| AuditVerdict::from_passed(r.passed()));
         let timing = report.map(AuditTiming::from_report).unwrap_or_default();
-        self.measure_full(name, audit, mode, timing, metrics, warmup, iters, f);
+        self.measure(name, audit, timing, metrics, warmup, iters, f);
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn measure<F: FnMut()>(
         &mut self,
         name: &str,
         audit: AuditVerdict,
-        audit_timing: AuditTiming,
-        warmup: u32,
-        iters: u32,
-        f: F,
-    ) {
-        self.measure_full(name, audit, AuditMode::Batch, audit_timing, Vec::new(), warmup, iters, f);
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn measure_full<F: FnMut()>(
-        &mut self,
-        name: &str,
-        audit: AuditVerdict,
-        audit_mode: AuditMode,
         audit_timing: AuditTiming,
         metrics: Vec<(String, f64)>,
         warmup: u32,
@@ -419,7 +491,7 @@ impl Suite {
             .map(|_| {
                 let start = Instant::now();
                 f();
-                u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
+                elapsed_ns(start)
             })
             .collect();
         samples.sort_unstable();
@@ -427,7 +499,6 @@ impl Suite {
         let m = Measurement {
             name: name.to_string(),
             audit,
-            audit_mode,
             audit_timing,
             warmup,
             iters,
@@ -437,7 +508,7 @@ impl Suite {
             p95_ns: percentile(&samples, 95.0),
             max_ns: *samples.last().expect("at least one sample"),
             metrics,
-            phases: Vec::new(),
+            attribution: None,
         };
         eprintln!(
             "  {:<44} median {:>12} ns   p95 {:>12} ns   ({} iters, audit {})",
@@ -450,21 +521,28 @@ impl Suite {
         self.results.push(m);
     }
 
-    /// Attach a per-phase attribution report to the named (already
-    /// recorded) row. The report must come from a *separate* profiled
-    /// pass of the same workload — enable profiling, run once, call
-    /// `take_phase_report()` — never from the timed iterations, whose
-    /// quantiles must stay free of timestamping overhead. Panics if the
-    /// row does not exist (a typo would otherwise drop the attribution
-    /// silently).
-    pub fn attach_phases(&mut self, name: &str, report: &ncss_sim::profile::PhaseReport) {
+    /// Run `pass` once with a [`BoundaryTimer`] on, as `events` events, and
+    /// attach where its wall time went to the already recorded row `name`.
+    /// Returns what `pass` returned, so the caller can check the pass
+    /// computed what the timed iterations did. Panics if the row does not
+    /// exist (a typo would otherwise drop the attribution silently).
+    pub fn attribute<R>(
+        &mut self,
+        name: &str,
+        events: u64,
+        pass: impl FnOnce(&mut BoundaryTimer) -> R,
+    ) -> R {
         let row = self
             .results
-            .iter_mut()
-            .find(|m| m.name == name)
-            .unwrap_or_else(|| panic!("attach_phases: no bench row named {name}"));
-        row.phases =
-            report.rows().into_iter().map(|(k, ns, count)| (k.to_string(), ns, count)).collect();
+            .iter()
+            .position(|m| m.name == name)
+            .unwrap_or_else(|| panic!("attribute: no bench row named {name}"));
+        let mut timer = BoundaryTimer::on();
+        let start = Instant::now();
+        let r = pass(&mut timer);
+        let wall_ns = elapsed_ns(start);
+        self.results[row].attribution = Some(timer.attribution(events, wall_ns));
+        r
     }
 
     /// Serialise all measurements to the suite's JSON document.
@@ -472,8 +550,9 @@ impl Suite {
     pub fn to_json(&self) -> String {
         let results: Vec<String> = self.results.iter().map(Measurement::json).collect();
         format!(
-            "{{\"suite\":{},\"schema\":\"ncss-bench/5\",\"results\":[{}]}}\n",
+            "{{\"suite\":{},\"schema\":{},\"results\":[{}]}}\n",
             json_string(&self.name),
+            json_string(SCHEMA),
             results.join(",")
         )
     }
@@ -555,17 +634,14 @@ mod tests {
         });
         let json = suite.to_json();
         assert!(json.starts_with("{\"suite\":\"json\\\"test\""));
-        assert!(json.contains("\"schema\":\"ncss-bench/5\""));
-        // Rows without metrics/phases serialise without those keys at
-        // all, so pre-/4 readers see the exact /3 row layout.
+        assert!(json.contains("\"schema\":\"ncss-bench/6\""));
+        // Rows without metrics or attribution serialise without those keys.
         assert!(!json.contains("\"metrics\""));
-        assert!(!json.contains("\"phases\""));
+        assert!(!json.contains("\"attribution\""));
         assert_eq!(json.matches("\"median_ns\":").count(), 2);
         // Every entry carries an audit verdict; plain bench() records it
         // as "skipped".
         assert_eq!(json.matches("\"audit\":\"skipped\"").count(), 2);
-        // ...and an audit_mode, defaulting to the batch auditor.
-        assert_eq!(json.matches("\"audit_mode\":\"batch\"").count(), 2);
         // ...and every entry carries an audit_timing block (empty when the
         // measurement was not audit-gated).
         assert_eq!(json.matches("\"audit_timing\":{\"total_ns\":0,\"checks\":[]}").count(), 2);
@@ -624,34 +700,11 @@ mod tests {
     }
 
     #[test]
-    fn incremental_mode_rows_are_tagged() {
-        let mut report = AuditReport::default();
-        report.record_timed("energy-recomputed", 2.5e-9, 1e-6, "fine".into(), 1200);
-        let mut suite = Suite::new("modes");
-        suite.bench_report_mode_with("soak_audited", Some(&report), AuditMode::Incremental, 0, 2, || {
-            busy_work();
-        });
-        suite.bench_report_with("soak", Some(&report), 0, 2, || {
-            busy_work();
-        });
-        let json = suite.to_json();
-        assert!(
-            json.contains("\"name\":\"soak_audited\",\"audit\":\"pass\",\"audit_mode\":\"incremental\""),
-            "{json}"
-        );
-        assert!(
-            json.contains("\"name\":\"soak\",\"audit\":\"pass\",\"audit_mode\":\"batch\""),
-            "{json}"
-        );
-    }
-
-    #[test]
     fn metrics_rows_serialise_and_skip_when_empty() {
         let mut suite = Suite::new("metrics");
-        suite.bench_report_mode_metrics_with(
+        suite.bench_report_metrics_with(
             "fleet_replay/k64",
             None,
-            AuditMode::Incremental,
             vec![("ratio".to_string(), 4.5), ("bound".to_string(), f64::NAN)],
             0,
             2,
@@ -673,37 +726,77 @@ mod tests {
     }
 
     #[test]
-    fn phases_attach_to_named_rows_and_serialise() {
-        use ncss_sim::profile::{enable_phase_profiling, take_phase_report, Phase, PhaseScope};
-        let mut suite = Suite::new("phases");
-        suite.bench_with("hot/1", 0, 2, || {
+    fn a_disabled_timer_runs_calls_and_records_nothing() {
+        let mut timer = BoundaryTimer::off();
+        let id = timer.register("core.offer");
+        assert_eq!(timer.time(id, || 6 * 7), 42);
+        assert_eq!(timer.calls, vec![CallTotal { name: "core.offer", count: 0, net_ns: 0 }]);
+        assert_eq!(timer.timer_ns, 0);
+    }
+
+    #[test]
+    fn an_enabled_timer_counts_every_call_and_reconciles_exactly() {
+        let mut suite = Suite::new("attribution");
+        suite.bench_with("soak", 0, 1, || {
             busy_work();
         });
-        suite.bench_with("cold/1", 0, 2, || {
+        suite.bench_with("plain", 0, 1, || {
             busy_work();
         });
-        // Separate attribution pass, then attach to the recorded row.
-        enable_phase_profiling();
-        {
-            let _p = PhaseScope::enter(Phase::Dispatch);
-            busy_work();
-        }
-        let report = take_phase_report();
-        suite.attach_phases("hot/1", &report);
+        let sum = suite.attribute("soak", 100, |timer| {
+            let work = timer.register("core.offer");
+            let empty = timer.register("sim.spill_drain");
+            // Registering a name twice gives the same call.
+            assert_eq!(timer.register("core.offer").0, work.0);
+            let mut sum = 0;
+            for _ in 0..100 {
+                sum += timer.time(work, busy_work);
+                timer.time(empty, || ());
+                busy_work();
+            }
+            sum
+        });
+        assert_eq!(sum, 100 * busy_work());
+        let a = suite.results()[0].attribution.clone().expect("attributed row");
+        assert_eq!(a.events, 100);
+        let counts: Vec<(&str, u64)> = a.calls.iter().map(|c| (c.name, c.count)).collect();
+        assert_eq!(counts, vec![("core.offer", 100), ("sim.spill_drain", 100)]);
+        let calls_ns: u64 = a.calls.iter().map(|c| c.net_ns).sum();
+        assert_eq!(calls_ns + a.timer_ns + a.other_ns, a.wall_ns);
+        // The untimed busy_work between calls lands in `other`.
+        assert!(a.other_ns > 0 && a.timer_ns > 0, "{a:?}");
         let json = suite.to_json();
-        assert!(json.contains("\"phases\":{\"dispatch\":{\"ns\":"), "{json}");
-        // The row without an attribution pass carries no phases key.
-        let cold = json.split("\"name\":\"cold/1\"").nth(1).expect("cold row");
-        assert!(!cold.contains("\"phases\""), "{json}");
+        assert!(
+            json.contains(&format!(
+                ",\"attribution\":{{\"events\":100,\"wall_ns\":{},\"timer_ns\":{},\"other_ns\":{},\
+                 \"calls\":{{\"core.offer\":{{\"count\":100,\"ns\":{}}},",
+                a.wall_ns, a.timer_ns, a.other_ns, a.calls[0].net_ns
+            )),
+            "{json}"
+        );
+        // The row without an attribution pass carries no attribution key.
+        let plain = json.split("\"name\":\"plain\"").nth(1).expect("plain row");
+        assert!(!plain.contains("\"attribution\""), "{json}");
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
     #[test]
+    #[should_panic(expected = "does not reconcile")]
+    fn an_attribution_that_does_not_reconcile_is_not_written() {
+        let mut suite = Suite::new("attribution-broken");
+        suite.bench_with("soak", 0, 1, || {
+            busy_work();
+        });
+        suite.attribute("soak", 1, |_| ());
+        suite.results[0].attribution.as_mut().expect("attributed row").other_ns += 1;
+        let _ = suite.to_json();
+    }
+
+    #[test]
     #[should_panic(expected = "no bench row named")]
-    fn attach_phases_rejects_unknown_rows() {
-        use ncss_sim::profile::take_phase_report;
-        let mut suite = Suite::new("phases-typo");
-        suite.attach_phases("missing", &take_phase_report());
+    fn attribute_rejects_unknown_rows() {
+        let mut suite = Suite::new("attribution-typo");
+        suite.attribute("missing", 1, |_| ());
     }
 
     #[test]

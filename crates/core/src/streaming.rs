@@ -29,7 +29,6 @@
 use crate::clairvoyant::ActiveKey;
 use ncss_sim::arena::{ArenaSnapshot, JobArena};
 use ncss_sim::kernel::{DecayKernel, GrowthKernel};
-use ncss_sim::profile::{Phase, PhaseScope};
 use ncss_sim::spill::{SpillRing, SpillSnapshot};
 use ncss_sim::{Job, JobId, Objective, PowerLaw, Segment, SimError, SimResult, SpeedLaw};
 use std::collections::BinaryHeap;
@@ -173,22 +172,13 @@ pub struct StreamStats {
 }
 
 /// Heap key: [`ActiveKey`] ordering (highest density, earliest release,
-/// smallest id) plus the arena slot the job lives in and the slot's
-/// generation at push time. Neither the slot nor the generation
-/// participates in the ordering.
-///
-/// The generation implements *lazy deletion*: retiring a slot bumps its
-/// generation, so any key still in the heap for that slot goes stale and is
-/// skipped (popped and discarded) when it surfaces, instead of requiring an
-/// O(n) sift-out. The current C policy only ever completes the top job, so
-/// stale keys cannot arise today — the machinery is what lets future
-/// policies (cancellation, re-prioritisation in the algorithm zoo) reuse
-/// this heap without restructuring it.
+/// smallest id) plus the arena slot the job lives in, which does not
+/// participate in the ordering. Only the top job ever completes, so every
+/// key in the heap belongs to a live job.
 #[derive(Debug, Clone, Copy)]
 struct StreamKey {
     key: ActiveKey,
     slot: usize,
-    gen: u32,
 }
 
 impl PartialEq for StreamKey {
@@ -238,9 +228,6 @@ pub struct CStream {
     law: PowerLaw,
     arena: JobArena,
     heap: BinaryHeap<StreamKey>,
-    /// Generation counter per arena slot, bumped on retire; heap keys
-    /// carrying an older generation are stale and lazily deleted.
-    slot_gen: Vec<u32>,
     spill: SpillRing,
     keep_segments: bool,
     t: f64,
@@ -262,7 +249,6 @@ impl Clone for CStream {
         Self {
             arena: self.arena.clone(),
             heap: self.heap.clone(),
-            slot_gen: self.slot_gen.clone(),
             spill: self.spill.clone(),
             ..*self
         }
@@ -275,7 +261,6 @@ impl Clone for CStream {
             law,
             arena,
             heap,
-            slot_gen,
             spill,
             keep_segments,
             t,
@@ -292,7 +277,6 @@ impl Clone for CStream {
         self.law = *law;
         self.arena.clone_from(arena);
         self.heap.clone_from(heap);
-        self.slot_gen.clone_from(slot_gen);
         self.spill.clone_from(spill);
         self.keep_segments = *keep_segments;
         self.t = *t;
@@ -316,7 +300,6 @@ impl CStream {
             law,
             arena: JobArena::new(),
             heap: BinaryHeap::with_capacity(HEAP_PRESIZE),
-            slot_gen: Vec::new(),
             spill: config.ring(),
             keep_segments: config.keep_segments,
             t: 0.0,
@@ -346,22 +329,11 @@ impl CStream {
         }
         self.watermark = job.release;
         self.advance_to(job.release, sink)?;
-        let slot = {
-            let _p = PhaseScope::enter(Phase::Dispatch);
-            let slot = self.arena.alloc(job, id);
-            if slot >= self.slot_gen.len() {
-                self.slot_gen.resize(slot + 1, 0);
-            }
-            slot
-        };
-        {
-            let _p = PhaseScope::enter(Phase::HeapOps);
-            self.heap.push(StreamKey {
-                key: ActiveKey { density: job.density, release: job.release, id },
-                slot,
-                gen: self.slot_gen[slot],
-            });
-        }
+        let slot = self.arena.alloc(job, id);
+        self.heap.push(StreamKey {
+            key: ActiveKey { density: job.density, release: job.release, id },
+            slot,
+        });
         self.total_w += job.weight();
         self.ingested += 1;
         Ok(id)
@@ -408,16 +380,6 @@ impl CStream {
         sink: &mut F,
     ) -> SimResult<()> {
         loop {
-            // Lazily delete stale keys (slot generation moved on) before
-            // reading the top. See [`StreamKey`]; never fires under the
-            // current complete-at-top-only policy.
-            while let Some(&k) = self.heap.peek() {
-                if self.slot_gen[k.slot] == k.gen {
-                    break;
-                }
-                let _p = PhaseScope::enter(Phase::HeapOps);
-                self.heap.pop();
-            }
             let Some(&top) = self.heap.peek() else {
                 // Idle until the next release (gap segments stay implicit).
                 if self.t < bound && bound.is_finite() {
@@ -429,10 +391,7 @@ impl CStream {
             let rho = top.key.density;
             let kernel = DecayKernel { law: self.law, w0: self.total_w, rho };
             let rem = self.arena.remaining(slot);
-            let sv = {
-                let _p = PhaseScope::enter(Phase::RootFind);
-                kernel.serve(rem, bound - self.t)
-            };
+            let sv = kernel.serve(rem, bound - self.t);
             if finishing && !(self.t + sv.tau).is_finite() {
                 // Kernel overflow at extreme weight scales: with no further
                 // release to bound the segment, the event loop cannot make
@@ -450,7 +409,6 @@ impl CStream {
             // no segment and accrues nothing — same as a zero-length
             // interval; the job's waiting flow settles at completion below.
             if t_end > self.t {
-                let _p = PhaseScope::enter(Phase::Dispatch);
                 let seg = Segment::new(
                     self.t,
                     t_end,
@@ -478,11 +436,7 @@ impl CStream {
             self.t = t_end;
 
             let rem_end = if sv.completes {
-                {
-                    let _p = PhaseScope::enter(Phase::HeapOps);
-                    self.heap.pop();
-                }
-                let _p = PhaseScope::enter(Phase::Dispatch);
+                self.heap.pop();
                 // Settle any outstanding waiting stretch first: a no-op when
                 // the job was served this event (remaining is already 0),
                 // but a zero-length completion (volume below W's ulp) skips
@@ -503,7 +457,6 @@ impl CStream {
                     int_flow: int,
                 });
                 self.arena.retire(slot);
-                self.slot_gen[slot] = self.slot_gen[slot].wrapping_add(1);
                 0.0
             } else {
                 self.arena.remaining(slot)
@@ -513,21 +466,18 @@ impl CStream {
             // WEIGHT_RESYNC_EVERY events (and to exactly 0 when the active
             // set empties) so drift never accumulates past a few thousand
             // rounding errors.
-            {
-                let _p = PhaseScope::enter(Phase::Dispatch);
-                let delta = rho * (rem - rem_end);
-                self.total_w -= delta;
-                if self.arena.live() == 0 {
-                    self.total_w = 0.0;
+            let delta = rho * (rem - rem_end);
+            self.total_w -= delta;
+            if self.arena.live() == 0 {
+                self.total_w = 0.0;
+                self.events_since_sync = 0;
+            } else {
+                self.events_since_sync += 1;
+                if self.events_since_sync >= WEIGHT_RESYNC_EVERY
+                    || self.total_w < delta * WEIGHT_CANCEL_GUARD
+                {
                     self.events_since_sync = 0;
-                } else {
-                    self.events_since_sync += 1;
-                    if self.events_since_sync >= WEIGHT_RESYNC_EVERY
-                        || self.total_w < delta * WEIGHT_CANCEL_GUARD
-                    {
-                        self.events_since_sync = 0;
-                        self.total_w = self.arena.total_weight();
-                    }
+                    self.total_w = self.arena.total_weight();
                 }
             }
             if !sv.completes || (STOP && self.t > stop_after) {
@@ -632,7 +582,6 @@ impl CStream {
             heap: self
                 .heap
                 .iter()
-                .filter(|k| self.slot_gen[k.slot] == k.gen) // drop lazily-deleted keys
                 .map(|k| HeapEntry {
                     density: k.key.density,
                     release: k.key.release,
@@ -669,8 +618,6 @@ impl CStream {
         if snap.heap.len() != arena.live() {
             return bad("stream snapshot: heap size disagrees with live jobs");
         }
-        // Snapshots carry no stale keys (filtered at capture), so every
-        // restored key starts at generation zero.
         let mut heap = BinaryHeap::with_capacity(snap.heap.len().max(HEAP_PRESIZE));
         for e in &snap.heap {
             if e.slot >= arena.capacity() {
@@ -679,10 +626,8 @@ impl CStream {
             heap.push(StreamKey {
                 key: ActiveKey { density: e.density, release: e.release, id: e.id },
                 slot: e.slot,
-                gen: 0,
             });
         }
-        let slot_gen = vec![0; arena.capacity()];
         if snap.completed > snap.ingested || snap.ingested - snap.completed != arena.live() {
             return bad("stream snapshot: ingested/completed/live counts disagree");
         }
@@ -694,7 +639,6 @@ impl CStream {
             law,
             arena,
             heap,
-            slot_gen,
             spill,
             keep_segments: snap.keep_segments,
             t: snap.t,
@@ -868,15 +812,11 @@ impl NcStream {
         let start = self.t_free.max(job.release);
         let rho = job.density;
         let kernel = GrowthKernel { law: self.law, u0: k_j, rho };
-        let sv = {
-            let _p = PhaseScope::enter(Phase::RootFind);
-            kernel.serve_volume(job.volume)
-        };
+        let sv = kernel.serve_volume(job.volume);
         if !sv.tau.is_finite() {
             return Err(SimError::Numeric { what: "run_nc_uniform: service time", value: sv.tau });
         }
         let (tau, step) = (sv.tau, sv.step);
-        let _p = PhaseScope::enter(Phase::Dispatch);
         if tau > 0.0 {
             self.spill.push(Segment::new(
                 start,

@@ -1,22 +1,11 @@
-//! Speed-profile comparison tools and the per-phase attribution profiler.
+//! Speed-profile comparison tools.
 //!
 //! Lemma 6 of the paper states that Algorithm NC's speed profile is a
 //! *measure-preserving rearrangement* of Algorithm C's: for every speed
 //! level `x > 0`, the two algorithms spend identical total time at speed
 //! `≥ x`. These helpers compute and compare those level-set measures.
-//!
-//! The second half of this module is the **phase profiler** (DESIGN.md
-//! §13): thread-local scoped timers that attribute wall time in the hot
-//! event loops to a fixed set of [`Phase`]s — dispatch, root-finding,
-//! heap operations, audit. Disabled it costs one thread-local boolean
-//! read per scope; enabled, the bench harness runs a *separate*
-//! attribution pass and serializes the totals into `ncss-bench/5`
-//! `phases` rows, so a `bench-diff` can say not just "the soak got 2×
-//! faster" but *which phase* the time came out of.
 
 use crate::schedule::Schedule;
-use std::cell::Cell;
-use std::time::Instant;
 
 /// The level-set function `x ↦ time with speed ≥ x` of a schedule sampled on
 /// a grid of speed levels.
@@ -56,166 +45,6 @@ pub fn rearrangement_distance(a: &Schedule, b: &Schedule, n: usize) -> f64 {
         worst = worst.max((da - db).abs());
     }
     worst
-}
-
-/// A hot-loop phase the attribution profiler can bill time to.
-///
-/// The set is deliberately small and fixed: every nanosecond of a
-/// streaming run should land in exactly one of these (or in untimed glue,
-/// which shows up as the gap between the phase total and the row's wall
-/// time).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Phase {
-    /// Event selection and job bookkeeping: deciding what runs next,
-    /// arena reads/writes, completion emission.
-    Dispatch,
-    /// Closed-form kernel evaluation: the `DecayKernel`/`GrowthKernel`
-    /// step and inverse maps (the power-kernel arithmetic itself).
-    RootFind,
-    /// Priority-queue traffic: pushes, pops, and lazy-deletion skips.
-    HeapOps,
-    /// Incremental-audit accrual and checks riding the run.
-    Audit,
-}
-
-/// Number of distinct [`Phase`] values.
-pub const PHASE_COUNT: usize = 4;
-
-impl Phase {
-    /// All phases, in serialization order.
-    pub const ALL: [Phase; PHASE_COUNT] = [Phase::Dispatch, Phase::RootFind, Phase::HeapOps, Phase::Audit];
-
-    /// Stable lowercase name used in bench-row serialization.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Phase::Dispatch => "dispatch",
-            Phase::RootFind => "root_find",
-            Phase::HeapOps => "heap_ops",
-            Phase::Audit => "audit",
-        }
-    }
-
-    #[inline]
-    fn index(self) -> usize {
-        self as usize
-    }
-}
-
-thread_local! {
-    static PHASE_ENABLED: Cell<bool> = const { Cell::new(false) };
-    static PHASE_NANOS: Cell<[u64; PHASE_COUNT]> = const { Cell::new([0; PHASE_COUNT]) };
-    static PHASE_COUNTS: Cell<[u64; PHASE_COUNT]> = const { Cell::new([0; PHASE_COUNT]) };
-}
-
-/// Accumulated phase totals for one thread's profiled interval.
-///
-/// Produced by [`take_phase_report`]; consumed by the bench harness which
-/// serializes it as the `phases` array of a `ncss-bench/5` row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PhaseReport {
-    nanos: [u64; PHASE_COUNT],
-    counts: [u64; PHASE_COUNT],
-}
-
-impl PhaseReport {
-    /// Total nanoseconds billed to `phase`.
-    #[must_use]
-    pub fn nanos(&self, phase: Phase) -> u64 {
-        self.nanos[phase.index()]
-    }
-
-    /// Number of scopes that billed to `phase`.
-    #[must_use]
-    pub fn count(&self, phase: Phase) -> u64 {
-        self.counts[phase.index()]
-    }
-
-    /// `(name, total_ns, scope_count)` rows in serialization order,
-    /// skipping phases that never ran.
-    #[must_use]
-    pub fn rows(&self) -> Vec<(&'static str, u64, u64)> {
-        Phase::ALL
-            .iter()
-            .filter(|p| self.counts[p.index()] > 0)
-            .map(|&p| (p.name(), self.nanos[p.index()], self.counts[p.index()]))
-            .collect()
-    }
-
-    /// True if no scope ever fired (profiling was off or nothing ran).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.counts.iter().all(|&c| c == 0)
-    }
-}
-
-/// Reset this thread's phase totals and start billing scopes.
-///
-/// Profiling is per-thread: a pool-sharded run profiles whichever thread
-/// calls this (the bench harness profiles the driver thread of a separate
-/// attribution pass, never the timed row itself).
-pub fn enable_phase_profiling() {
-    PHASE_NANOS.with(|n| n.set([0; PHASE_COUNT]));
-    PHASE_COUNTS.with(|c| c.set([0; PHASE_COUNT]));
-    PHASE_ENABLED.with(|e| e.set(true));
-}
-
-/// Stop billing and return the totals accumulated since
-/// [`enable_phase_profiling`].
-pub fn take_phase_report() -> PhaseReport {
-    PHASE_ENABLED.with(|e| e.set(false));
-    PhaseReport {
-        nanos: PHASE_NANOS.with(Cell::get),
-        counts: PHASE_COUNTS.with(Cell::get),
-    }
-}
-
-/// True while this thread is billing phase scopes.
-#[must_use]
-pub fn phase_profiling_enabled() -> bool {
-    PHASE_ENABLED.with(Cell::get)
-}
-
-/// RAII guard billing the enclosed extent to a [`Phase`].
-///
-/// When profiling is disabled (the default, and always the case inside
-/// timed bench rows) construction reads one thread-local flag and the
-/// drop is a no-op — cheap enough to leave in the hot loops permanently.
-#[derive(Debug)]
-pub struct PhaseScope {
-    phase: Phase,
-    start: Option<Instant>,
-}
-
-impl PhaseScope {
-    /// Open a scope billing to `phase` until drop.
-    #[inline]
-    #[must_use]
-    pub fn enter(phase: Phase) -> Self {
-        let start =
-            if PHASE_ENABLED.with(Cell::get) { Some(Instant::now()) } else { None };
-        Self { phase, start }
-    }
-}
-
-impl Drop for PhaseScope {
-    #[inline]
-    fn drop(&mut self) {
-        if let Some(start) = self.start {
-            let elapsed = start.elapsed().as_nanos() as u64;
-            let i = self.phase.index();
-            PHASE_NANOS.with(|n| {
-                let mut v = n.get();
-                v[i] = v[i].saturating_add(elapsed);
-                n.set(v);
-            });
-            PHASE_COUNTS.with(|c| {
-                let mut v = c.get();
-                v[i] += 1;
-                c.set(v);
-            });
-        }
-    }
 }
 
 #[cfg(test)]
@@ -270,39 +99,6 @@ mod tests {
         )
         .unwrap();
         assert!(rearrangement_distance(&a, &b, 256) < 1e-9);
-    }
-
-    #[test]
-    fn phase_scopes_noop_when_disabled() {
-        assert!(!phase_profiling_enabled());
-        {
-            let _s = PhaseScope::enter(Phase::Dispatch);
-        }
-        let r = take_phase_report();
-        assert!(r.is_empty());
-        assert!(r.rows().is_empty());
-    }
-
-    #[test]
-    fn phase_scopes_accumulate_when_enabled() {
-        enable_phase_profiling();
-        for _ in 0..3 {
-            let _s = PhaseScope::enter(Phase::RootFind);
-            std::hint::black_box(1.0f64.exp());
-        }
-        {
-            let _s = PhaseScope::enter(Phase::HeapOps);
-        }
-        let r = take_phase_report();
-        assert_eq!(r.count(Phase::RootFind), 3);
-        assert_eq!(r.count(Phase::HeapOps), 1);
-        assert_eq!(r.count(Phase::Dispatch), 0);
-        let rows = r.rows();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].0, "root_find");
-        // Second enable resets the totals.
-        enable_phase_profiling();
-        assert!(take_phase_report().is_empty());
     }
 
     #[test]

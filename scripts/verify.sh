@@ -46,8 +46,8 @@
 #      the audit and the batch cross-check; the default lane always runs
 #      a short soak (NCSS_STREAM_SOAK_N=200000) through bench-diff against
 #      the committed baseline — unlimited timing headroom (the normalised
-#      ns/item report is the comparison), zero tolerance on audit-verdict,
-#      mode, or metric flips; with NCSS_SOAK=1 the full ≥10M-release
+#      ns/item report is the comparison), zero tolerance on audit-verdict
+#      or metric flips; with NCSS_SOAK=1 the full ≥10M-release
 #      flat-memory + audited-throughput soak bench runs too (off by
 #      default), bench-diffed against the committed baseline
 #   9. replay gate: every committed golden trace replays bitwise and
@@ -60,7 +60,9 @@
 #      → resume chain must equal the uninterrupted recording
 #  10. bench-diff smoke: each committed BENCH_*.json self-compares to
 #      zero regressions (exercises the JSON parser + diff engine on the
-#      real artifacts), and the tool's exit-code contract is probed
+#      real artifacts), and the tool's exit-code contract is probed; a
+#      soak row's attribution block edited so it no longer sums to its
+#      wall time must be a named tool error (exit 2)
 #  11. warning-clean `cargo doc --no-deps`
 #
 # Run from anywhere; it cd's to the repo root.
@@ -235,14 +237,14 @@ echo "==> short soak gate (perf_stream at 200k releases through bench-diff)"
 # 200k releases and bench-diff it against the committed full-length
 # baseline. Raw quantiles get unlimited headroom (a shorter soak is just
 # faster; the normalised ns/item throughput report is the real
-# comparison), but an audit-verdict flip, an audit-mode flip, a drifted
-# metric, or a vanished row fails with zero tolerance.
+# comparison), but an audit-verdict flip, a drifted metric, or a vanished
+# row fails with zero tolerance.
 short_out="$(mktemp -d /tmp/ncss_verify_short.XXXXXX)"
 NCSS_STREAM_SOAK_N=200000 NCSS_BENCH_DIR="$short_out" \
     cargo bench --offline -p ncss-bench --bench perf_stream > /dev/null
 target/release/bench-diff BENCH_stream.json "$short_out/BENCH_stream.json" \
     --threshold 1000000 --floor-ns 100000000000 \
-    || { echo "FAIL: short soak flipped a verdict/mode/metric vs the committed baseline" >&2; rm -rf "$short_out"; exit 1; }
+    || { echo "FAIL: short soak flipped a verdict/metric vs the committed baseline" >&2; rm -rf "$short_out"; exit 1; }
 rm -rf "$short_out"
 echo "short soak gate passed"
 
@@ -385,7 +387,18 @@ if [ "$rc" != "2" ]; then
     echo "FAIL: bench-diff exit $rc on schema drift (want 2)" >&2
     rm -f "$bench_tmp"; exit 1
 fi
-rm -f "$bench_tmp"
+# Attribution probe: appending a digit to the first soak row's other_ns
+# breaks calls + timer + other = wall_ns, which must be a named tool
+# error (exit 2), never a silent pass.
+bench_log="$(mktemp /tmp/ncss_verify_bench.XXXXXX.log)"
+sed 's/"other_ns":\([0-9]*\)/"other_ns":\11/' BENCH_stream.json > "$bench_tmp"
+rc=0
+"$bench_diff" BENCH_stream.json "$bench_tmp" > /dev/null 2> "$bench_log" || rc=$?
+if [ "$rc" != "2" ] || ! grep -q "does not reconcile" "$bench_log"; then
+    echo "FAIL: bench-diff exit $rc on an attribution that does not reconcile (want 2, named)" >&2
+    rm -f "$bench_tmp" "$bench_log"; exit 1
+fi
+rm -f "$bench_tmp" "$bench_log"
 echo "bench-diff smoke passed"
 
 echo "==> cargo doc --workspace --no-deps --offline (must be warning-clean)"
