@@ -1,7 +1,9 @@
 //! Streaming-core benches (`BENCH_stream.json`): audited throughput rows
-//! for the event-driven `CStream`/`NcStream` cores, plus a soak row that
-//! pushes millions of Poisson releases through each core on one thread and
-//! asserts the memory footprint stays flat.
+//! for the event-driven `CStream`/`NcStream` cores, WAL rows that record
+//! and replay NC traces of 100k and 1M releases as `ncss-cli record` and
+//! `replay` do, plus a soak row that pushes millions of Poisson releases
+//! through each core on one thread and asserts the memory footprint stays
+//! flat.
 //!
 //! The soak is the load-bearing claim of DESIGN.md §9 — resident state is
 //! O(active jobs), independent of how many releases have streamed past. It
@@ -23,7 +25,11 @@ use ncss_bench::harness::{black_box, BoundaryTimer, Suite};
 use ncss_core::streaming::{CStream, NcStream, StreamConfig};
 use ncss_rng::{dist, Pcg64};
 use ncss_sim::{Evaluated, Instance, Job, Objective, PerJob, PowerLaw, ScheduleBuilder, Segment};
-use ncss_trace::{read_file, replay, Algo, Completion, Event, Recorder, Stream, TraceHeader};
+use ncss_trace::{
+    read_file, replay, replay_frames, Algo, Completion, Event, Frames, Recorder, ReplayReport,
+    Stream, TraceError, TraceHeader,
+};
+use std::path::{Path, PathBuf};
 
 /// Poisson arrivals with exponential unit-mean volumes at density 1 — the
 /// same synthetic source as `ncss-cli stream --synthetic`.
@@ -73,6 +79,15 @@ const AUDITED_ROWS: [(&str, usize, f64); 2] = [
     ("soak_audited", 512, AUDIT_TAX_BUDGET_NS_PER_EVENT),
     ("soak_audited_stride8", 8, AUDIT_TAX_STRIDE8_BUDGET_NS_PER_EVENT),
 ];
+
+/// Best-effort peak resident-set size in bytes (`VmHWM` of
+/// `/proc/self/status`); `None` off Linux, where the check is a no-op.
+fn peak_rss_bytes() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kib: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kib * 1024)
+}
 
 /// Best-effort resident-set size in bytes from `/proc/self/statm`.
 /// Returns `None` off Linux so the RSS check degrades to a no-op.
@@ -336,6 +351,132 @@ fn gate_record_replay(law: PowerLaw, seed: u64, rate: f64) -> AuditReport {
     run().unwrap_or_else(placeholder)
 }
 
+/// Checkpoint interval of `ncss-cli record` (its default).
+const RECORD_CHECKPOINT_EVERY: usize = 64;
+
+/// Peak-RSS growth the 1M-release replay row may cause: its trace is
+/// ~335 MB, so a replay that held the file or its events would need
+/// hundreds of MiB.
+const WAL_RSS_CEILING: u64 = 16 * 1024 * 1024;
+
+/// How much worse the 1M-release replay may read per release than the
+/// 100k one before replay no longer counts as linear.
+const WAL_LINEARITY: f64 = 1.5;
+
+/// Where a WAL row keeps its trace.
+fn wal_path(n: usize) -> PathBuf {
+    std::env::temp_dir().join(format!("ncss_bench_wal_{}_{n}.nct", std::process::id()))
+}
+
+/// Record `n` arrivals of the soak process through NC to `path` as
+/// `ncss-cli record` does: an unbounded spill ring drained into the trace
+/// after every offer, and a checkpoint every 64 offers, each flushed.
+fn record_nc(law: PowerLaw, n: usize, path: &Path) -> Result<(), TraceError> {
+    let header = TraceHeader::new(Algo::Nc, law.alpha(), 97, "perf_stream WAL row");
+    let mut rec = Recorder::create(path, &header)?;
+    let mut source = Poisson::new(97, 4.0);
+    let mut stream = Stream::new(Algo::Nc, law, StreamConfig::batch());
+    for i in 0..n {
+        rec.record_offer(&mut stream, source.next_job())?;
+        if (i + 1) % RECORD_CHECKPOINT_EVERY == 0 {
+            rec.append(&Event::Checkpoint(Box::new(stream.checkpoint())))?;
+            rec.flush()?;
+        }
+    }
+    let summary = rec.record_finish(&mut stream)?;
+    rec.finalize(&summary)?;
+    Ok(())
+}
+
+/// Replay the trace at `path` as `ncss-cli replay` does: one pass of
+/// [`Frames`] into [`replay_frames`], collecting nothing.
+fn replay_nc(path: &Path) -> Result<ReplayReport, TraceError> {
+    let frames = Frames::open(path)?;
+    let header = frames.header().clone();
+    replay_frames(&header, frames.map(|f| f.map(|f| (f.index, f.event))), false)
+}
+
+/// Gate of a WAL row: the `n`-release trace at `path` replays bitwise,
+/// with every release and every checkpoint accounted for.
+fn gate_wal(path: &Path, n: usize) -> AuditReport {
+    let run = || -> Result<AuditReport, String> {
+        let report = replay_nc(path).map_err(|e| format!("[{}] {e}", e.name()))?;
+        let checkpoints = n / RECORD_CHECKPOINT_EVERY;
+        if report.recorded.ingested != n as u64 || report.checkpoints_verified != checkpoints {
+            return Err(format!(
+                "replayed {} releases and {} checkpoints, want {n} and {checkpoints}",
+                report.recorded.ingested, report.checkpoints_verified
+            ));
+        }
+        let mut out = AuditReport::default();
+        out.record(
+            "trace-replay-bitwise",
+            0.0,
+            0.0,
+            format!(
+                "{n} releases, {} segments, {checkpoints} checkpoints verified, objectives \
+                 bitwise-equal",
+                report.segments_verified
+            ),
+        );
+        Ok(out)
+    };
+    run().unwrap_or_else(placeholder)
+}
+
+/// The WAL rows: NC recorded as `ncss-cli record` records it, and replayed
+/// as `ncss-cli replay` replays it, each row gated on the bitwise replay of
+/// its trace and carrying its releases as `work_items`, so it reads as
+/// ns/release. The 1M-release replay must stay linear and flat: within
+/// [`WAL_LINEARITY`] of the 100k row per release, and under
+/// [`WAL_RSS_CEILING`] of peak-RSS growth.
+fn wal_rows(suite: &mut Suite, law: PowerLaw) {
+    let mut row = |name: &str, n: usize, path: &Path, (warmup, iters), pass: &dyn Fn()| {
+        let gate = gate_wal(path, n);
+        let work_items = vec![("work_items".to_string(), n as f64)];
+        suite.bench_report_metrics_with(name, Some(&gate), work_items, warmup, iters, pass);
+    };
+    let n = 100_000;
+    let path = wal_path(n);
+    let record = || record_nc(law, n, &path).expect("record the 100k WAL trace");
+    record();
+    row("stream_nc_uniform/record/100000", n, &path, (1, 5), &record);
+    row("stream_nc_uniform/replay/100000", n, &path, (1, 5), &|| {
+        black_box(replay_nc(&path).expect("replay the 100k WAL trace"));
+    });
+    let _ = std::fs::remove_file(&path);
+
+    let n = 1_000_000;
+    let path = wal_path(n);
+    let peak_before = peak_rss_bytes();
+    record_nc(law, n, &path).expect("record the 1M WAL trace");
+    row("stream_nc_uniform/replay/1000000", n, &path, (0, 3), &|| {
+        black_box(replay_nc(&path).expect("replay the 1M WAL trace"));
+    });
+    let peak_after = peak_rss_bytes();
+    let _ = std::fs::remove_file(&path);
+
+    let per_release = |name: &str, n: usize| {
+        let row = suite.results().iter().find(|m| m.name == name).expect("the row was recorded");
+        row.median_ns as f64 / n as f64
+    };
+    let short = per_release("stream_nc_uniform/replay/100000", 100_000);
+    let long = per_release("stream_nc_uniform/replay/1000000", 1_000_000);
+    assert!(
+        long <= WAL_LINEARITY * short,
+        "replay of 1M releases took {long:.0} ns/release against {short:.0} at 100k: \
+         replay is not linear in the trace"
+    );
+    if let (Some(before), Some(after)) = (peak_before, peak_after) {
+        let grown = after.saturating_sub(before);
+        assert!(
+            grown < WAL_RSS_CEILING,
+            "recording and replaying 1M releases grew peak RSS by {grown} bytes \
+             (> {WAL_RSS_CEILING}): the WAL is not flat in memory"
+        );
+    }
+}
+
 fn main() {
     let law = PowerLaw::cube();
     let mut suite = Suite::new("stream");
@@ -374,6 +515,8 @@ fn main() {
         black_box(&path);
         let _ = std::fs::remove_file(&path);
     });
+
+    wal_rows(&mut suite, law);
 
     // Soak rows: ≥10M releases per core on a single thread, one timed pass,
     // flat-memory ceiling asserted inside the measured closure. The gate

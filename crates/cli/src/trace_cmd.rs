@@ -167,9 +167,9 @@ pub(crate) fn cmd_record(args: &ParsedArgs) -> Result<String, String> {
             // Simulated crash: no summary frame. Optionally leave a torn
             // half-frame at the tail, as a real kill mid-append would.
             if torn_bytes > 0 {
-                let (k, payload) =
-                    format::encode_event(u64::MAX, &Event::Release { id: u64::MAX, job: Job::unit_density(0.0, 1.0) });
-                let frame = format::encode_frame(k, &payload);
+                let mut frame = Vec::new();
+                let release = Event::Release { id: u64::MAX, job: Job::unit_density(0.0, 1.0) };
+                format::put_event_frame(&mut frame, u64::MAX, &release);
                 let torn = &frame[..torn_bytes.min(frame.len() - 1)];
                 let mut file = std::fs::OpenOptions::new()
                     .append(true)
@@ -338,12 +338,13 @@ fn check_equivalent(a: &Path, b: &Path) -> Result<(), String> {
         return fail("alpha".into());
     }
     let (mut xs, mut ys) = ((&mut fa).filter(compared), (&mut fb).filter(compared));
+    let mut wire = format::WireEq::default();
     let mut i = 0;
     let (x, y) = loop {
         let x = xs.next().transpose().map_err(trace_err)?;
         let y = ys.next().transpose().map_err(trace_err)?;
         let (Some(fx), Some(fy)) = (&x, &y) else { break (x, y) };
-        if format::encode_event(0, &fx.event) != format::encode_event(0, &fy.event) {
+        if !wire.same(&fx.event, &fy.event) {
             return fail(format!("event #{i}: {:?} vs {:?}", fx.event, fy.event));
         }
         i += 1;

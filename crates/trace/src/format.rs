@@ -358,30 +358,43 @@ pub(crate) fn take_segment(c: &mut Cursor<'_>, what: &str) -> Result<Segment, St
 // Frame and payload codecs.
 // ---------------------------------------------------------------------------
 
-/// Frame a payload: `kind ‖ len ‖ payload ‖ crc32(kind ‖ len ‖ payload)`.
-#[must_use]
-pub fn encode_frame(frame_kind: u8, payload: &[u8]) -> Vec<u8> {
-    debug_assert!(payload.len() <= MAX_FRAME_LEN as usize);
-    let mut out = Vec::with_capacity(9 + payload.len());
-    out.push(frame_kind);
-    put_u32(&mut out, payload.len() as u32);
-    out.extend_from_slice(payload);
-    let crc = crc32(&out);
-    put_u32(&mut out, crc);
-    out
+/// Append one whole frame to `out` — `kind ‖ len ‖ payload ‖
+/// crc32(kind ‖ len ‖ payload)` — and return its length in bytes.
+/// `put_payload` writes the payload in place after a reserved head and
+/// returns the frame kind, which is then patched in with the length, so
+/// no payload is built in a buffer of its own and copied. Every frame of
+/// a trace is framed here.
+pub fn put_frame(out: &mut Vec<u8>, put_payload: impl FnOnce(&mut Vec<u8>) -> u8) -> usize {
+    let start = out.len();
+    out.extend_from_slice(&[0; 5]);
+    let frame_kind = put_payload(out);
+    let len = out.len() - start - 5;
+    debug_assert!(len <= MAX_FRAME_LEN as usize);
+    out[start] = frame_kind;
+    out[start + 1..start + 5].copy_from_slice(&(len as u32).to_le_bytes());
+    let crc = crc32(&out[start..]);
+    put_u32(out, crc);
+    out.len() - start
 }
 
-/// Encode the header payload.
-#[must_use]
-pub fn encode_header(h: &TraceHeader) -> Vec<u8> {
-    let mut out = Vec::with_capacity(29 + h.note.len());
-    put_u32(&mut out, h.version);
-    put_u8(&mut out, h.algorithm.tag());
-    put_f64(&mut out, h.alpha);
-    put_u64(&mut out, h.seed);
-    put_u32(&mut out, h.note.len() as u32);
+/// Append the frame of event `seq` to `out` (see [`put_frame`]) and
+/// return its length in bytes.
+pub fn put_event_frame(out: &mut Vec<u8>, seq: u64, event: &Event) -> usize {
+    put_frame(out, |out| {
+        put_u64(out, seq);
+        put_event(out, event)
+    })
+}
+
+/// Append the header payload to `out` and return its frame kind.
+pub(crate) fn put_header(out: &mut Vec<u8>, h: &TraceHeader) -> u8 {
+    put_u32(out, h.version);
+    put_u8(out, h.algorithm.tag());
+    put_f64(out, h.alpha);
+    put_u64(out, h.seed);
+    put_u32(out, h.note.len() as u32);
     out.extend_from_slice(h.note.as_bytes());
-    out
+    kind::HEADER
 }
 
 /// Decode a header payload. The version is returned even on acceptance so
@@ -409,6 +422,27 @@ pub fn encode_event(seq: u64, event: &Event) -> (u8, Vec<u8>) {
     put_u64(&mut out, seq);
     let frame_kind = put_event(&mut out, event);
     (frame_kind, out)
+}
+
+/// Compares events by their wire bytes — frame kind and payload — through
+/// two buffers it keeps, so a comparison allocates nothing once they have
+/// grown. Every `f64` goes in by `to_bits`, so equal bytes mean every
+/// field is equal bit for bit and `0.0` and `-0.0` differ. Replay compares
+/// each replayed completion and segment with its recorded frame this way,
+/// and `replay --check-against` each pair of compared frames.
+#[derive(Debug, Default)]
+pub struct WireEq {
+    a: Vec<u8>,
+    b: Vec<u8>,
+}
+
+impl WireEq {
+    /// Whether `a` and `b` encode to the same frame kind and bytes.
+    pub fn same(&mut self, a: &Event, b: &Event) -> bool {
+        self.a.clear();
+        self.b.clear();
+        put_event(&mut self.a, a) == put_event(&mut self.b, b) && self.a == self.b
+    }
 }
 
 /// Append an event's payload after its `seq` to `out` and return its frame
@@ -517,8 +551,9 @@ mod tests {
     #[test]
     fn header_round_trips() {
         let h = TraceHeader::new(Algo::Nc, 2.5, 42, "uniform_suite seed=42");
-        let decoded = decode_header(&encode_header(&h)).unwrap();
-        assert_eq!(decoded, h);
+        let mut payload = Vec::new();
+        assert_eq!(put_header(&mut payload, &h), kind::HEADER);
+        assert_eq!(decode_header(&payload).unwrap(), h);
     }
 
     #[test]
@@ -580,7 +615,13 @@ mod tests {
 
     #[test]
     fn frame_crc_covers_kind_and_length() {
-        let frame = encode_frame(kind::RELEASE, b"payload");
+        let mut frame = Vec::new();
+        let len = put_frame(&mut frame, |out| {
+            out.extend_from_slice(b"payload");
+            kind::RELEASE
+        });
+        assert_eq!(len, frame.len());
+        assert_eq!(frame[..5], [kind::RELEASE, 7, 0, 0, 0]);
         let body_len = frame.len() - 4;
         let crc = u32::from_le_bytes(frame[body_len..].try_into().unwrap());
         assert_eq!(crc, crc32(&frame[..body_len]));
@@ -588,5 +629,43 @@ mod tests {
         let mut bad = frame;
         bad[0] ^= 0x01;
         assert_ne!(crc, crc32(&bad[..body_len]));
+    }
+
+    #[test]
+    fn event_frames_append_in_place() {
+        let events = [
+            Event::Release { id: 4, job: Job::new(0.25, 1.5, 3.0) },
+            Event::Segment(Segment::new(0.0, 1.0, Some(4), SpeedLaw::Constant { speed: 2.0 })),
+        ];
+        let mut out = b"prefix".to_vec();
+        for (seq, event) in events.iter().enumerate() {
+            let start = out.len();
+            let len = put_event_frame(&mut out, seq as u64, event);
+            assert_eq!(out.len() - start, len);
+            let (frame_kind, payload) = encode_event(seq as u64, event);
+            let frame = &out[start..];
+            assert_eq!(frame[0], frame_kind);
+            assert_eq!(frame[5..len - 4], payload[..], "payload written in place");
+        }
+        assert_eq!(&out[..6], b"prefix");
+    }
+
+    #[test]
+    fn wire_eq_is_equality_of_every_bit() {
+        let mut wire = WireEq::default();
+        let seg = |start: f64| Event::Segment(Segment::new(start, 1.0, None, SpeedLaw::Idle));
+        assert!(wire.same(&seg(0.0), &seg(0.0)));
+        assert!(!wire.same(&seg(0.0), &seg(-0.0)), "the sign of a zero is a difference");
+        let c = Event::CompleteC { id: 1, completion: 2.0, frac_flow: 0.5, int_flow: 1.0 };
+        let nc = Event::CompleteNc {
+            id: 1,
+            base_power: 2.0,
+            start: 0.5,
+            completion: 1.0,
+            frac_flow: 0.0,
+            int_flow: 0.0,
+        };
+        assert!(!wire.same(&c, &nc), "another kind is a difference");
+        assert!(wire.same(&c, &c.clone()));
     }
 }

@@ -69,6 +69,12 @@ pub use snapshot::Checkpoint;
 pub use stream::{Completion, Stream};
 pub use tamper::Tamper;
 
+/// Capacity of the buffer a trace file is written and read through. It
+/// holds a checkpoint frame (~9 KB at a few dozen active jobs) with the
+/// frames logged since the last one, so the recorder's flush at each
+/// checkpoint is one write.
+pub(crate) const FILE_BUFFER_BYTES: usize = 1 << 16;
+
 use ncss_sim::SimError;
 
 /// Every way a trace can be wrong — each a *named* failure, so tests and

@@ -37,7 +37,7 @@ use crate::format::{
     MAX_FRAME_LEN, VERSION,
 };
 use crate::snapshot::Checkpoint;
-use crate::TraceError;
+use crate::{TraceError, FILE_BUFFER_BYTES};
 use ncss_sim::Job;
 use std::collections::HashMap;
 use std::fs::File;
@@ -79,7 +79,7 @@ impl Frames<BufReader<File>> {
     /// Open a trace file and read its magic and header.
     pub fn open(path: &Path) -> Result<Self, TraceError> {
         let file = File::open(path).map_err(|e| io_error(path, &e))?;
-        Frames::new(BufReader::with_capacity(1 << 16, file))
+        Frames::new(BufReader::with_capacity(FILE_BUFFER_BYTES, file))
     }
 }
 

@@ -14,9 +14,11 @@
 //! and is rejected by strict reads (the replay gate) while remaining
 //! recoverable for resume.
 
-use crate::format::{encode_event, encode_frame, encode_header, kind, Event, TraceHeader, TraceSummary, MAGIC};
+use crate::format::{
+    put_event_frame, put_frame, put_header, Event, TraceHeader, TraceSummary, MAGIC,
+};
 use crate::stream::{Completion, Stream};
-use crate::TraceError;
+use crate::{TraceError, FILE_BUFFER_BYTES};
 use ncss_sim::{Job, SimResult};
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -26,30 +28,33 @@ use std::path::Path;
 #[derive(Debug)]
 pub struct Recorder<W: Write> {
     sink: W,
+    /// The frame in hand, encoded in place; reused by every append.
+    frame: Vec<u8>,
     seq: u64,
     bytes: u64,
     finalized: bool,
 }
 
 impl Recorder<BufWriter<File>> {
-    /// Create (truncate) `path` and write the magic + header.
+    /// Create (truncate) `path` and write the magic + header, through a
+    /// buffer of the capacity the reader reads with, large enough to take
+    /// a checkpoint frame with the frames before it: a checkpoint then
+    /// reaches the file in one write, at its flush.
     pub fn create(path: &Path, header: &TraceHeader) -> Result<Self, TraceError> {
         let file = File::create(path)
             .map_err(|e| TraceError::Io { detail: format!("{}: {e}", path.display()) })?;
-        Self::new(BufWriter::new(file), header)
+        Self::new(BufWriter::with_capacity(FILE_BUFFER_BYTES, file), header)
     }
 }
 
 impl<W: Write> Recorder<W> {
     /// Wrap `sink`, writing the magic and the header frame immediately.
     pub fn new(mut sink: W, header: &TraceHeader) -> Result<Self, TraceError> {
-        let mut bytes = 0u64;
-        sink.write_all(&MAGIC)?;
-        bytes += MAGIC.len() as u64;
-        let frame = encode_frame(kind::HEADER, &encode_header(header));
+        let mut frame = MAGIC.to_vec();
+        put_frame(&mut frame, |out| put_header(out, header));
         sink.write_all(&frame)?;
-        bytes += frame.len() as u64;
-        Ok(Self { sink, seq: 0, bytes, finalized: false })
+        let bytes = frame.len() as u64;
+        Ok(Self { sink, frame, seq: 0, bytes, finalized: false })
     }
 
     /// Append one event frame; returns the `seq` it was assigned.
@@ -61,10 +66,10 @@ impl<W: Write> Recorder<W> {
             return Err(TraceError::Misuse { what: "append after summary frame" });
         }
         let seq = self.seq;
-        let (frame_kind, payload) = encode_event(seq, event);
-        let frame = encode_frame(frame_kind, &payload);
-        self.sink.write_all(&frame)?;
-        self.bytes += frame.len() as u64;
+        self.frame.clear();
+        put_event_frame(&mut self.frame, seq, event);
+        self.sink.write_all(&self.frame)?;
+        self.bytes += self.frame.len() as u64;
         self.seq += 1;
         if matches!(event, Event::Summary(_)) {
             self.finalized = true;

@@ -24,14 +24,17 @@
 //! by job id, heap entries as a sorted set, and every scalar, NC's shadow
 //! and tie state included. The form does not depend on memory layout,
 //! which a resume may permute, and it leaves out only the spill ring's
-//! contents and capacity. The checkpoint must then also restore.
+//! contents and capacity. Both forms are walked as bits into buffers
+//! reused across checkpoints; only when they differ are the labelled
+//! forms built, to name the first field that differs. The checkpoint must
+//! then also restore.
 //!
 //! Any disagreement is a named [`TraceError::ReplayDivergence`] — replay
 //! never "mostly matches".
 
-use crate::format::{put_event, Event, TraceHeader, TraceSummary};
+use crate::format::{Event, TraceHeader, TraceSummary, WireEq};
 use crate::reader::TraceFile;
-use crate::snapshot::Checkpoint;
+use crate::snapshot::{CanonicalEq, Checkpoint};
 use crate::stream::{Completion, Stream};
 use crate::TraceError;
 use ncss_core::streaming::{CCompletion, NcCompletion, StreamConfig, StreamSummary};
@@ -100,6 +103,7 @@ pub fn replay_frames<E: Borrow<Event>>(
     let mut summary = None;
     let mut released = 0;
     let mut checkpoints_verified = 0;
+    let mut canonical = CanonicalEq::default();
 
     for frame in frames {
         let (index, event) = frame?;
@@ -113,7 +117,7 @@ pub fn replay_frames<E: Borrow<Event>>(
                 run.completions.recorded(e)?;
             }
             Event::Checkpoint(cp) => {
-                verify_checkpoint(index, cp, &stream, released)?;
+                verify_checkpoint(index, cp, &stream, released, &mut canonical)?;
                 checkpoints_verified += 1;
             }
             Event::Audit(_) => {}
@@ -218,13 +222,13 @@ struct Pending {
     recorded_waits: bool,
     /// Pairs compared so far.
     matched: usize,
-    scratch: [Vec<u8>; 2],
+    wire: WireEq,
 }
 
 impl Pending {
     fn new(what: &'static str) -> Self {
-        let scratch = [Vec::new(), Vec::new()];
-        Self { what, waiting: VecDeque::new(), recorded_waits: false, matched: 0, scratch }
+        let wire = WireEq::default();
+        Self { what, waiting: VecDeque::new(), recorded_waits: false, matched: 0, wire }
     }
 
     fn recorded(&mut self, event: &Event) -> Result<(), TraceError> {
@@ -243,11 +247,7 @@ impl Pending {
         }
         let other = self.waiting.pop_front().expect("the other side waits");
         let (rec, rep) = if recorded { (&event, &other) } else { (&other, &event) };
-        let [a, b] = &mut self.scratch;
-        a.clear();
-        b.clear();
-        // Same kind and same bytes: every field equal by `to_bits`.
-        if put_event(a, rec) != put_event(b, rep) || a != b {
+        if !self.wire.same(rec, rep) {
             return Err(diverged(format!(
                 "{} #{}: recorded {rec:?} vs replayed {rep:?}",
                 self.what, self.matched
@@ -304,6 +304,7 @@ fn verify_checkpoint(
     cp: &Checkpoint,
     stream: &Stream,
     releases: usize,
+    canonical: &mut CanonicalEq,
 ) -> Result<(), TraceError> {
     let at = || format!("checkpoint at frame {frame}, after {releases} releases");
     let mine = stream.checkpoint();
@@ -316,17 +317,13 @@ fn verify_checkpoint(
             mine.algo().name()
         )));
     }
-    let (recorded, replayed) = (cp.canonical(), mine.canonical());
-    if let Some((r, p)) = recorded.iter().zip(&replayed).find(|(r, p)| r != p) {
-        return Err(diverged(format!("{}: recorded {r} vs replayed {p}", at())));
-    }
-    if recorded.len() != replayed.len() {
-        return Err(diverged(format!(
-            "{}: {} recorded values vs {} replayed",
-            at(),
-            recorded.len(),
-            replayed.len()
-        )));
+    if !canonical.same(cp, &mine) {
+        let (recorded, replayed) = (cp.canonical(), mine.canonical());
+        let what = match recorded.iter().zip(&replayed).find(|(r, p)| r != p) {
+            Some((r, p)) => format!("recorded {r} vs replayed {p}"),
+            None => format!("{} recorded values vs {} replayed", recorded.len(), replayed.len()),
+        };
+        return Err(diverged(format!("{}: {what}", at())));
     }
     Stream::restore(cp.clone())
         .map_err(|e| TraceError::BadCheckpoint { frame, what: e.to_string() })?;

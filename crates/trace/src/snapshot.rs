@@ -15,7 +15,8 @@
 //! tampered checkpoint must never panic or restore silently wrong.
 //! Whether a checkpoint holds the *right* state is replay's question; it
 //! compares each one with its own stream's through
-//! `Checkpoint::canonical`, a form that does not depend on layout.
+//! `Checkpoint::canonical`, a form that does not depend on layout, walked
+//! once per checkpoint into reused buffers (`CanonicalEq`).
 
 use crate::format::{
     job_tag, law_parts, put_bool, put_f64, put_segment, put_u8, put_u64, put_usize,
@@ -334,12 +335,22 @@ impl Checkpoint {
     /// recorder drains the ring after every offer, and the capacity is the
     /// recorder's setting, not the run's state. Retired arena slots are
     /// left out too; they hold no job.
+    ///
+    /// This is the labelled form, for naming a difference; [`CanonicalEq`]
+    /// compares the same values, walked the same way, without the labels.
     pub(crate) fn canonical(&self) -> Vec<Field> {
         let mut out = Vec::new();
+        self.walk(&mut Walk::default(), &mut out);
+        out
+    }
+
+    /// Walk the canonical form into `out`, sorting in `walk`'s buffers.
+    /// The one walk behind both forms.
+    fn walk(&self, walk: &mut Walk, out: &mut impl Canonical) {
         match self {
-            Checkpoint::C(s) => canonical_c(&mut out, "c", s),
+            Checkpoint::C(s) => walk.c(out, "c", s),
             Checkpoint::Nc(s) => {
-                let mut put = Canon { out: &mut out, scope: "nc" };
+                let mut put = Canon { out: &mut *out, scope: "nc" };
                 put.f("alpha", s.alpha);
                 put.spill(&s.spill);
                 put.f("t_free", s.t_free);
@@ -353,22 +364,67 @@ impl Checkpoint {
                 put.f("frac_sum", s.frac_sum);
                 put.f("int_sum", s.int_sum);
                 put.f("makespan", s.makespan);
-                canonical_c(&mut out, "nc.shadow", &s.shadow);
+                walk.c(out, "nc.shadow", &s.shadow);
             }
         }
-        out
+    }
+}
+
+/// Where a canonical walk puts each value.
+pub(crate) trait Canonical {
+    fn put(&mut self, field: Field);
+}
+
+/// The labelled form, which names a value.
+impl Canonical for Vec<Field> {
+    fn put(&mut self, field: Field) {
+        self.push(field);
+    }
+}
+
+/// The compared form: `(job, bits)` per value. Up to their first
+/// difference two walks take the same path, since every count is a value
+/// that precedes what it counts, so two of these forms are equal exactly
+/// when the labelled forms are.
+impl Canonical for Vec<(Option<JobId>, u64)> {
+    fn put(&mut self, field: Field) {
+        self.push((field.job, field.bits));
+    }
+}
+
+/// Compares checkpoints by their canonical form (see
+/// [`Checkpoint::canonical`]) in buffers it keeps across checkpoints, so
+/// once they have grown a comparison allocates nothing: replay compares
+/// the bits of every checkpoint this way and builds the labelled forms
+/// only to name a difference.
+#[derive(Debug, Default)]
+pub(crate) struct CanonicalEq {
+    walk: Walk,
+    a: Vec<(Option<JobId>, u64)>,
+    b: Vec<(Option<JobId>, u64)>,
+}
+
+impl CanonicalEq {
+    /// Whether `a` and `b` are of one algorithm and have the same
+    /// canonical form.
+    pub(crate) fn same(&mut self, a: &Checkpoint, b: &Checkpoint) -> bool {
+        self.a.clear();
+        self.b.clear();
+        a.walk(&mut self.walk, &mut self.a);
+        b.walk(&mut self.walk, &mut self.b);
+        a.algo() == b.algo() && self.a == self.b
     }
 }
 
 /// Appends the fields of one state to a canonical form.
-struct Canon<'a> {
-    out: &'a mut Vec<Field>,
+struct Canon<'a, O> {
+    out: &'a mut O,
     scope: &'static str,
 }
 
-impl Canon<'_> {
+impl<O: Canonical> Canon<'_, O> {
     fn push(&mut self, name: &'static str, job: Option<JobId>, bits: u64, float: bool) {
-        self.out.push(Field { scope: self.scope, name, job, bits, float });
+        self.out.put(Field { scope: self.scope, name, job, bits, float });
     }
 
     fn f(&mut self, name: &'static str, v: f64) {
@@ -386,80 +442,97 @@ impl Canon<'_> {
     }
 }
 
-fn canonical_c(out: &mut Vec<Field>, scope: &'static str, s: &CStreamSnapshot) {
-    let mut put = Canon { out, scope };
-    put.f("alpha", s.alpha);
-    put.u("keep_segments", u64::from(s.keep_segments));
-    put.spill(&s.spill);
-    put.f("t", s.t);
-    put.f("watermark", s.watermark);
-    put.f("total_w", s.total_w);
-    put.u("events_since_sync", u64::from(s.events_since_sync));
-    put.u("has_last_seg", u64::from(s.last_seg.is_some()));
-    if let Some(seg) = &s.last_seg {
-        let (tag, a, b) = law_parts(seg.law);
-        put.f("last_seg.start", seg.start);
-        put.f("last_seg.end", seg.end);
-        put.u("last_seg.job", job_tag(seg));
-        put.u("last_seg.law", u64::from(tag));
-        put.f("last_seg.a", a);
-        put.f("last_seg.b", b);
-        put.f("last_seg.scale", seg.scale);
-    }
-    put.u("ingested", s.ingested as u64);
-    put.u("completed", s.completed as u64);
-    put.f("energy", s.energy);
-    put.f("frac_done", s.frac_done);
-    put.f("int_done", s.int_done);
+/// The buffers a canonical walk sorts in: which arena slots are live, the
+/// live slots in job-id order, and the heap entries as a set.
+#[derive(Debug, Default)]
+struct Walk {
+    live: Vec<bool>,
+    rows: Vec<usize>,
+    heap: Vec<(JobId, u64, u64, u64)>,
+}
 
-    // Live arena rows, keyed by job id.
-    let a = &s.arena;
-    let slots = [&a.release, &a.volume, &a.density, &a.remaining, &a.frac_flow, &a.acc_t]
-        .iter()
-        .map(|col| col.len())
-        .fold(a.id.len(), usize::min);
-    let mut live = vec![true; slots];
-    for &slot in &a.free {
-        if let Some(l) = live.get_mut(slot) {
-            *l = false;
+impl Walk {
+    fn c(&mut self, out: &mut impl Canonical, scope: &'static str, s: &CStreamSnapshot) {
+        let mut put = Canon { out, scope };
+        put.f("alpha", s.alpha);
+        put.u("keep_segments", u64::from(s.keep_segments));
+        put.spill(&s.spill);
+        put.f("t", s.t);
+        put.f("watermark", s.watermark);
+        put.f("total_w", s.total_w);
+        put.u("events_since_sync", u64::from(s.events_since_sync));
+        put.u("has_last_seg", u64::from(s.last_seg.is_some()));
+        if let Some(seg) = &s.last_seg {
+            let (tag, a, b) = law_parts(seg.law);
+            put.f("last_seg.start", seg.start);
+            put.f("last_seg.end", seg.end);
+            put.u("last_seg.job", job_tag(seg));
+            put.u("last_seg.law", u64::from(tag));
+            put.f("last_seg.a", a);
+            put.f("last_seg.b", b);
+            put.f("last_seg.scale", seg.scale);
         }
-    }
-    let mut rows: Vec<usize> = (0..slots).filter(|&slot| live[slot]).collect();
-    rows.sort_by_key(|&slot| a.id[slot]);
-    put.u("arena.live", a.live as u64);
-    put.u("arena.peak_live", a.peak_live as u64);
-    put.u("arena.rows", rows.len() as u64);
-    for slot in rows {
-        let job = Some(a.id[slot]);
-        for (name, col) in [
-            ("arena.release", &a.release),
-            ("arena.volume", &a.volume),
-            ("arena.density", &a.density),
-            ("arena.remaining", &a.remaining),
-            ("arena.frac_flow", &a.frac_flow),
-            ("arena.acc_t", &a.acc_t),
-        ] {
-            put.push(name, job, col[slot].to_bits(), true);
-        }
-    }
+        put.u("ingested", s.ingested as u64);
+        put.u("completed", s.completed as u64);
+        put.f("energy", s.energy);
+        put.f("frac_done", s.frac_done);
+        put.f("int_done", s.int_done);
 
-    // Heap entries as a sorted set, each with the job its slot holds (none
-    // for a retired or out-of-range slot).
-    let holder = |slot: usize| match live.get(slot) {
-        Some(true) => a.id[slot] as u64,
-        _ => u64::MAX,
-    };
-    let mut heap: Vec<(JobId, u64, u64, u64)> = s
-        .heap
-        .iter()
-        .map(|e| (e.id, e.density.to_bits(), e.release.to_bits(), holder(e.slot)))
-        .collect();
-    heap.sort_unstable();
-    put.u("heap.len", heap.len() as u64);
-    for (id, density, release, slot_job) in heap {
-        put.push("heap.density", Some(id), density, true);
-        put.push("heap.release", Some(id), release, true);
-        put.push("heap.slot_job", Some(id), slot_job, false);
+        // Live arena rows, keyed by job id.
+        let a = &s.arena;
+        let slots = [&a.release, &a.volume, &a.density, &a.remaining, &a.frac_flow, &a.acc_t]
+            .iter()
+            .map(|col| col.len())
+            .fold(a.id.len(), usize::min);
+        let live = &mut self.live;
+        live.clear();
+        live.resize(slots, true);
+        for &slot in &a.free {
+            if let Some(l) = live.get_mut(slot) {
+                *l = false;
+            }
+        }
+        let rows = &mut self.rows;
+        rows.clear();
+        rows.extend((0..slots).filter(|&slot| live[slot]));
+        rows.sort_by_key(|&slot| a.id[slot]);
+        put.u("arena.live", a.live as u64);
+        put.u("arena.peak_live", a.peak_live as u64);
+        put.u("arena.rows", rows.len() as u64);
+        for &slot in rows.iter() {
+            let job = Some(a.id[slot]);
+            for (name, col) in [
+                ("arena.release", &a.release),
+                ("arena.volume", &a.volume),
+                ("arena.density", &a.density),
+                ("arena.remaining", &a.remaining),
+                ("arena.frac_flow", &a.frac_flow),
+                ("arena.acc_t", &a.acc_t),
+            ] {
+                put.push(name, job, col[slot].to_bits(), true);
+            }
+        }
+
+        // Heap entries as a sorted set, each with the job its slot holds
+        // (none for a retired or out-of-range slot).
+        let holder = |slot: usize| match live.get(slot) {
+            Some(true) => a.id[slot] as u64,
+            _ => u64::MAX,
+        };
+        let heap = &mut self.heap;
+        heap.clear();
+        heap.extend(
+            s.heap
+                .iter()
+                .map(|e| (e.id, e.density.to_bits(), e.release.to_bits(), holder(e.slot))),
+        );
+        heap.sort_unstable();
+        put.u("heap.len", heap.len() as u64);
+        for &(id, density, release, slot_job) in heap.iter() {
+            put.push("heap.density", Some(id), density, true);
+            put.push("heap.release", Some(id), release, true);
+            put.push("heap.slot_job", Some(id), slot_job, false);
+        }
     }
 }
 
@@ -629,7 +702,7 @@ pub(crate) fn take_audit(c: &mut Cursor<'_>) -> Result<IncrementalSnapshot, Stri
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ncss_core::streaming::{CStream, NcStream, StreamConfig};
+    use ncss_core::streaming::{CStream, NcStream, NcStreamSnapshot, StreamConfig};
     use ncss_sim::{Job, PowerLaw};
 
     fn populated_c() -> CStreamSnapshot {
@@ -664,8 +737,7 @@ mod tests {
         assert_eq!(cp.ingested(), snap.ingested);
     }
 
-    #[test]
-    fn nc_checkpoint_round_trips_bitwise() {
+    fn populated_nc() -> NcStreamSnapshot {
         let law = PowerLaw::new(3.0).unwrap();
         let mut s = NcStream::new(law, StreamConfig::streaming(4));
         let mut sink = |_c| {};
@@ -673,7 +745,12 @@ mod tests {
             let t = f64::from(i) * 0.7;
             s.offer(Job::new(t, 0.5 + f64::from(i) * 0.2, 2.0), &mut sink).unwrap();
         }
-        let cp = Checkpoint::Nc(s.snapshot());
+        s.snapshot()
+    }
+
+    #[test]
+    fn nc_checkpoint_round_trips_bitwise() {
+        let cp = Checkpoint::Nc(populated_nc());
         let mut bytes = Vec::new();
         cp.encode_into(&mut bytes);
         let mut cursor = Cursor::new(&bytes);
@@ -706,14 +783,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn canonical_form_ignores_layout_but_not_values() {
-        let snap = populated_c();
-        assert!(snap.heap.len() >= 2, "the fixture holds several live jobs");
-        let base = Checkpoint::C(snap.clone()).canonical();
-
-        // The same state laid out differently: heap entries in another
-        // order, two arena slots swapped, and another ring capacity.
+    /// `snap`'s state laid out differently: heap entries in another order,
+    /// the first and last arena slots swapped, and another ring capacity.
+    fn relaid(snap: &CStreamSnapshot) -> CStreamSnapshot {
         let mut moved = snap.clone();
         moved.heap.reverse();
         moved.spill.capacity += 1;
@@ -738,11 +810,80 @@ mod tests {
             e.slot = relabel(e.slot);
         }
         CStream::from_snapshot(moved.clone()).unwrap();
-        assert_eq!(Checkpoint::C(moved).canonical(), base);
+        moved
+    }
+
+    /// The clairvoyant state of a checkpoint: C's own, or NC's shadow.
+    fn c_state(cp: &mut Checkpoint) -> &mut CStreamSnapshot {
+        match cp {
+            Checkpoint::C(s) => s,
+            Checkpoint::Nc(s) => &mut s.shadow,
+        }
+    }
+
+    #[test]
+    fn canonical_form_ignores_layout_but_not_values() {
+        let snap = populated_c();
+        assert!(snap.heap.len() >= 2, "the fixture holds several live jobs");
+        let base = Checkpoint::C(snap.clone()).canonical();
+        assert_eq!(Checkpoint::C(relaid(&snap)).canonical(), base);
 
         let mut edited = snap;
         edited.heap[0].release = edited.heap[0].release.next_up();
         assert_ne!(Checkpoint::C(edited).canonical(), base);
+    }
+
+    /// Replay compares checkpoints by bits and builds labels only to name
+    /// a difference, so the two comparisons must agree on every edit:
+    /// every one-bit change of every field that still decodes (an ulp of a
+    /// float, a counter, a job id, a slot, a tag, a spill segment), a live
+    /// row relabelled to another job with its values kept, and the layout
+    /// permutation, for the C fixture and the NC one.
+    #[test]
+    fn bits_equality_agrees_with_labelled_equality_on_every_single_field_edit() {
+        let mut eq = CanonicalEq::default();
+        for base in [Checkpoint::C(populated_c()), Checkpoint::Nc(populated_nc())] {
+            let labelled = base.canonical();
+            let mut same = |edited: &Checkpoint, what: &str| {
+                let bits = eq.same(&base, edited);
+                assert_eq!(
+                    bits,
+                    edited.canonical() == labelled,
+                    "{:?} {what}: bits and labels disagree",
+                    base.algo()
+                );
+                bits
+            };
+            assert!(same(&base.clone(), "no edit"));
+
+            let mut bytes = Vec::new();
+            base.encode_into(&mut bytes);
+            let (mut decoded, mut differ) = (0, 0);
+            for bit in 0..bytes.len() * 8 {
+                bytes[bit / 8] ^= 1 << (bit % 8);
+                let mut cursor = Cursor::new(&bytes);
+                if let Ok(edited) = Checkpoint::decode(&mut cursor) {
+                    if cursor.remaining() == 0 {
+                        decoded += 1;
+                        differ += usize::from(!same(&edited, &format!("bit {bit} flipped")));
+                    }
+                }
+                bytes[bit / 8] ^= 1 << (bit % 8);
+            }
+            assert!(decoded > bytes.len() * 4, "{:?}: most one-bit edits decode", base.algo());
+            assert!(differ > decoded / 2, "{:?}: most one-bit edits are differences", base.algo());
+
+            let mut relabelled = base.clone();
+            let a = &mut c_state(&mut relabelled).arena;
+            let slot = (0..a.id.len()).find(|s| !a.free.contains(s)).expect("a live row");
+            a.id[slot] += 1000;
+            assert!(!same(&relabelled, "live row relabelled"));
+
+            let mut moved = base.clone();
+            let c = c_state(&mut moved);
+            *c = relaid(c);
+            assert!(same(&moved, "layout permuted"));
+        }
     }
 
     fn populated_audit_snapshot() -> IncrementalSnapshot {

@@ -53,9 +53,10 @@
 #   9. replay gate: every committed golden trace replays bitwise and
 #      passes the audit, and re-recording the goldens with
 #      scripts/generate_golden.sh gives the committed bytes; a flat-memory
-#      tripwire replays a 100,000-release NC trace (~30 MiB) under a 64 MiB
-#      address-space cap and a 20 s timeout (it takes well under a second
-#      in a few MiB; a replay that holds the whole trace aborts at the
+#      tripwire records a 100,000-release NC trace (~30 MiB) under a
+#      32 MiB address-space cap and replays it under a 64 MiB one, each
+#      with a 20 s timeout (each takes well under a second in a few MiB;
+#      a recorder or a replay that holds the whole trace aborts at its
 #      cap); a tampered golden must go red; for C and NC, a record → kill
 #      → resume chain must equal the uninterrupted recording
 #  10. bench-diff smoke: each committed BENCH_*.json self-compares to
@@ -271,19 +272,25 @@ for golden in traces/*.nct; do
 done
 rm -rf "$golden_dir"
 echo "re-recorded $golden_count golden traces byte-identically"
-# Flat-memory tripwire (DESIGN.md §10.3): replay reads one frame at a time
-# and keeps only the jobs active at once, so this trace replays in a few
-# MiB. A replay that holds the file, its decoded events or an ever-growing
-# segment ring needs over 100 MiB and aborts at the cap.
+# Flat-memory tripwire (DESIGN.md §10.2, §10.3): record encodes each frame
+# into one reused buffer and drains the segment ring after every offer, and
+# replay reads one frame at a time and keeps only the jobs active at once,
+# so this ~32 MB trace records in under 8 MiB of address space and replays
+# in a few MiB. Record runs under 32 MiB, which a recorder whose frame
+# buffer grows instead of being reused exceeds (the trace alone fills
+# it; under 64 MiB such a recorder still passes). Replay runs under
+# 64 MiB; a replay that holds the file, its decoded events or an
+# ever-growing segment ring needs over 100 MiB.
 flat_csv="$(mktemp /tmp/ncss_verify_flat.XXXXXX.csv)"
 flat_nct="$(mktemp /tmp/ncss_verify_flat.XXXXXX.nct)"
 "$cli" generate --n 100000 --rate 4 --volumes exp:1.0 --seed 1 > "$flat_csv"
-"$cli" record --algorithm nc --alpha 3 --input "$flat_csv" --out "$flat_nct" > /dev/null \
-    || { echo "FAIL: record of the 100,000-release NC trace failed" >&2; rm -f "$flat_csv" "$flat_nct"; exit 1; }
+( ulimit -v 32768 && exec timeout 20 "$cli" record --algorithm nc --alpha 3 \
+        --input "$flat_csv" --out "$flat_nct" > /dev/null ) \
+    || { echo "FAIL: record of a 100,000-release NC trace exceeded 32 MiB or 20 s" >&2; rm -f "$flat_csv" "$flat_nct"; exit 1; }
 ( ulimit -v 65536 && exec timeout 20 "$cli" replay --trace "$flat_nct" > /dev/null ) \
     || { echo "FAIL: replay of a 100,000-release NC trace exceeded 64 MiB or 20 s" >&2; rm -f "$flat_csv" "$flat_nct"; exit 1; }
 rm -f "$flat_csv" "$flat_nct"
-echo "replayed a 100,000-release NC trace under a 64 MiB cap"
+echo "recorded a 100,000-release NC trace under a 32 MiB cap and replayed it under 64 MiB"
 # Mandatory-red probe: a tampered golden must be rejected with a named
 # trace error and a non-zero exit. Silent acceptance fails the gate.
 nct_tmp="$(mktemp /tmp/ncss_verify_tamper.XXXXXX.nct)"

@@ -14,9 +14,11 @@
 //!   tearing.
 //!
 //! Past the reader, replay holds a CRC-valid trace to the bits: a single
-//! re-encoded field edit, down to one ulp or the sign of a zero, must come
-//! back as `ReplayDivergence` for both algorithms — inside a checkpoint
-//! too, where a checkpoint that does not restore is named at its frame.
+//! re-encoded field edit, down to one ulp, the sign of a zero or the job id
+//! of a live row, must come back as `ReplayDivergence` for both algorithms
+//! — inside a checkpoint too, where the divergence names the first field
+//! that differs and a checkpoint that does not restore is named at its
+//! frame.
 
 use ncss::core::streaming::{CStreamSnapshot, NcStreamSnapshot};
 use ncss::core::{CStream, StreamConfig};
@@ -235,11 +237,14 @@ fn nc_checkpoint(events: &mut [Event]) -> &mut NcStreamSnapshot {
     }
 }
 
+/// The edit whose divergence message is checked word for word.
+const HALVED_REMAINING: &str = "checkpoint live arena row: remaining halved";
+
 #[test]
 fn single_field_edits_are_replay_divergences_for_both_algorithms() {
     type Edit = fn(&mut Vec<Event>);
     // (what, whether the edit applies to C traces, the edit)
-    let edits: [(&str, bool, Edit); 8] = [
+    let edits: [(&str, bool, Edit); 9] = [
         ("completion time +1 ulp", true, |events| {
             match first(events, |e| matches!(e, Event::CompleteC { .. } | Event::CompleteNc { .. }))
             {
@@ -265,10 +270,15 @@ fn single_field_edits_are_replay_divergences_for_both_algorithms() {
                 Checkpoint::Nc(s) => s.energy = s.energy.next_up(),
             }
         }),
-        ("checkpoint live arena row: remaining halved", true, |events| {
+        (HALVED_REMAINING, true, |events| {
             let arena = &mut c_state(live_checkpoint(events)).arena;
             let slot = (0..arena.id.len()).find(|s| !arena.free.contains(s)).expect("a live row");
             arena.remaining[slot] /= 2.0;
+        }),
+        ("checkpoint live arena row: job id relabelled, values kept", true, |events| {
+            let arena = &mut c_state(live_checkpoint(events)).arena;
+            let slot = (0..arena.id.len()).find(|s| !arena.free.contains(s)).expect("a live row");
+            arena.id[slot] += 1_000;
         }),
         ("checkpoint heap entry: release +1 ulp", true, |events| {
             let entry = &mut c_state(live_checkpoint(events)).heap[0];
@@ -304,7 +314,22 @@ fn single_field_edits_are_replay_divergences_for_both_algorithms() {
             let trace = read_bytes(&edited)
                 .unwrap_or_else(|e| panic!("{algo:?} {what}: reader refused [{}] {e}", e.name()));
             match replay(&trace) {
-                Err(TraceError::ReplayDivergence { .. }) => {}
+                Err(TraceError::ReplayDivergence { what: message }) => {
+                    if what == HALVED_REMAINING {
+                        // The first differing field, named with its job and
+                        // both values, at the checkpoint's frame.
+                        let scope = if algo == Algo::C { "c" } else { "nc.shadow" };
+                        let field = format!("{scope}.arena.remaining of job 6");
+                        assert_eq!(
+                            message,
+                            format!(
+                                "checkpoint at frame 22, after 7 releases: recorded {field} = \
+                                 0.1466162429848903 vs replayed {field} = 0.2932324859697806"
+                            ),
+                            "{algo:?} {what}"
+                        );
+                    }
+                }
                 Err(e) => panic!("{algo:?} {what}: want ReplayDivergence, got [{}] {e}", e.name()),
                 Ok(_) => panic!("{algo:?} {what}: replayed clean"),
             }
