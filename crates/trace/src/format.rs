@@ -363,15 +363,16 @@ pub(crate) fn take_segment(c: &mut Cursor<'_>, what: &str) -> Result<Segment, St
 /// `put_payload` writes the payload in place after a reserved head and
 /// returns the frame kind, which is then patched in with the length, so
 /// no payload is built in a buffer of its own and copied. Every frame of
-/// a trace is framed here.
+/// a trace is framed here. A payload longer than [`MAX_FRAME_LEN`] makes
+/// a frame every reader refuses as [`crate::TraceError::BadLength`], and
+/// [`crate::Recorder::append`] refuses to write one.
 pub fn put_frame(out: &mut Vec<u8>, put_payload: impl FnOnce(&mut Vec<u8>) -> u8) -> usize {
     let start = out.len();
     out.extend_from_slice(&[0; 5]);
     let frame_kind = put_payload(out);
-    let len = out.len() - start - 5;
-    debug_assert!(len <= MAX_FRAME_LEN as usize);
+    let len = u32::try_from(out.len() - start - 5).unwrap_or(u32::MAX);
     out[start] = frame_kind;
-    out[start + 1..start + 5].copy_from_slice(&(len as u32).to_le_bytes());
+    out[start + 1..start + 5].copy_from_slice(&len.to_le_bytes());
     let crc = crc32(&out[start..]);
     put_u32(out, crc);
     out.len() - start

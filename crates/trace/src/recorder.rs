@@ -16,6 +16,7 @@
 
 use crate::format::{
     put_event_frame, put_frame, put_header, Event, TraceHeader, TraceSummary, MAGIC,
+    MAX_FRAME_LEN,
 };
 use crate::stream::{Completion, Stream};
 use crate::{TraceError, FILE_BUFFER_BYTES};
@@ -61,13 +62,20 @@ impl<W: Write> Recorder<W> {
     ///
     /// [`Event::Summary`] finalizes the trace (prefer [`Recorder::finalize`],
     /// which also flushes); any append after that is a [`TraceError::Misuse`].
+    /// A frame whose payload exceeds [`MAX_FRAME_LEN`] (a checkpoint of
+    /// millions of active jobs) is not written: it is the
+    /// [`TraceError::BadLength`] every reader would refuse it as.
     pub fn append(&mut self, event: &Event) -> Result<u64, TraceError> {
         if self.finalized {
             return Err(TraceError::Misuse { what: "append after summary frame" });
         }
         let seq = self.seq;
         self.frame.clear();
-        put_event_frame(&mut self.frame, seq, event);
+        let payload = put_event_frame(&mut self.frame, seq, event) - 9;
+        if payload > MAX_FRAME_LEN as usize {
+            let len = u32::try_from(payload).unwrap_or(u32::MAX);
+            return Err(TraceError::BadLength { offset: self.bytes, len });
+        }
         self.sink.write_all(&self.frame)?;
         self.bytes += self.frame.len() as u64;
         self.seq += 1;
