@@ -366,7 +366,10 @@ pub(crate) fn take_segment(c: &mut Cursor<'_>, what: &str) -> Result<Segment, St
 /// a trace is framed here. A payload longer than [`MAX_FRAME_LEN`] makes
 /// a frame every reader refuses as [`crate::TraceError::BadLength`], and
 /// [`crate::Recorder::append`] refuses to write one.
-pub fn put_frame(out: &mut Vec<u8>, put_payload: impl FnOnce(&mut Vec<u8>) -> u8) -> usize {
+pub(crate) fn put_frame(
+    out: &mut Vec<u8>,
+    put_payload: impl FnOnce(&mut Vec<u8>) -> u8,
+) -> usize {
     let start = out.len();
     out.extend_from_slice(&[0; 5]);
     let frame_kind = put_payload(out);
@@ -378,8 +381,8 @@ pub fn put_frame(out: &mut Vec<u8>, put_payload: impl FnOnce(&mut Vec<u8>) -> u8
     out.len() - start
 }
 
-/// Append the frame of event `seq` to `out` (see [`put_frame`]) and
-/// return its length in bytes.
+/// Append the whole frame of event `seq` to `out`, its payload encoded
+/// in place, and return the frame's length in bytes.
 pub fn put_event_frame(out: &mut Vec<u8>, seq: u64, event: &Event) -> usize {
     put_frame(out, |out| {
         put_u64(out, seq);
