@@ -354,9 +354,9 @@ fn gate_record_replay(law: PowerLaw, seed: u64, rate: f64) -> AuditReport {
 /// Checkpoint interval of `ncss-cli record` (its default).
 const RECORD_CHECKPOINT_EVERY: usize = 64;
 
-/// Peak-RSS growth the 1M-release replay row may cause: its trace is
-/// ~335 MB, so a replay that held the file or its events would need
-/// hundreds of MiB.
+/// Peak-RSS growth that recording and replaying the 1M-release trace may
+/// cause: the trace is ~335 MB, so a recorder or a replay that held it or
+/// its events would need hundreds of MiB.
 const WAL_RSS_CEILING: u64 = 16 * 1024 * 1024;
 
 /// How much worse the 1M-release replay may read per release than the
