@@ -68,25 +68,6 @@ impl Table {
         }
         out
     }
-
-    /// Render as a CSV body (headers + rows, comma separated, quoted as
-    /// needed).
-    #[must_use]
-    pub fn to_csv(&self) -> String {
-        let esc = |s: &str| -> String {
-            if s.contains([',', '"', '\n']) {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        };
-        let mut out = String::new();
-        let _ = writeln!(out, "{}", self.headers.iter().map(|h| esc(h)).collect::<Vec<_>>().join(","));
-        for row in &self.rows {
-            let _ = writeln!(out, "{}", row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(","));
-        }
-        out
-    }
 }
 
 /// Format a float compactly for tables.
@@ -125,15 +106,6 @@ mod tests {
     fn row_width_checked() {
         let mut t = Table::new("t", &["a", "b"]);
         t.row(vec!["only-one".into()]);
-    }
-
-    #[test]
-    fn csv_escaping() {
-        let mut t = Table::new("", &["a", "b"]);
-        t.row(vec!["has,comma".into(), "has\"quote".into()]);
-        let csv = t.to_csv();
-        assert!(csv.contains("\"has,comma\""));
-        assert!(csv.contains("\"has\"\"quote\""));
     }
 
     #[test]

@@ -411,13 +411,6 @@ impl Suite {
         self.bench_audited_with(name, AuditVerdict::Skipped, warmup, iters, f);
     }
 
-    /// Measure `f` with the suite defaults, recording the audit verdict the
-    /// caller obtained by running the algorithm once through
-    /// `run_checked` / `run_checked_multi` before timing it.
-    pub fn bench_audited<F: FnMut()>(&mut self, name: &str, audit: AuditVerdict, f: F) {
-        self.bench_audited_with(name, audit, 3, 30, f);
-    }
-
     /// Measure `f` with an explicit audit verdict and warmup/iter counts.
     pub fn bench_audited_with<F: FnMut()>(
         &mut self,

@@ -21,7 +21,7 @@
 //! (< 1% on the sample instances). This measured breakage is itself a
 //! finding: the paper's exact structure is specific to unbounded speeds.
 
-use crate::nc_uniform::base_power;
+use crate::shadow::MachineShadow;
 use ncss_sim::kernel::{DecayKernel, GrowthKernel};
 use ncss_sim::{
     evaluate, Evaluated, Instance, PowerLaw, Schedule, ScheduleBuilder, Segment, SimError,
@@ -83,6 +83,11 @@ pub fn run_c_bounded(instance: &Instance, law: PowerLaw, s_max: f64) -> SimResul
         let total_w: f64 = active.iter().map(|&k| jobs[k].density * remaining[k]).sum();
         let t_release = if next < n { jobs[next].release } else { f64::INFINITY };
 
+        // An interval that reaches its completion time completes the job,
+        // as in `CStream`. Subtracting the delivered volume instead can
+        // leave a residue above the retirement threshold whose completion
+        // step is under half an ulp of `t`, and the clock never moves again.
+        //
         // Relative margin: at the exact crossing, rounding can leave W a
         // few ulps above the cap, which would yield an endless sequence of
         // zero-length flat segments.
@@ -93,8 +98,12 @@ pub fn run_c_bounded(instance: &Instance, law: PowerLaw, s_max: f64) -> SimResul
             let t_end = t_cross.min(t_complete).min(t_release);
             if t_end > t {
                 builder.push(Segment::new(t, t_end, Some(j), SpeedLaw::Constant { speed: s_max }));
-                remaining[j] = (remaining[j] - s_max * (t_end - t)).max(0.0);
             }
+            remaining[j] = if t_end == t_complete {
+                0.0
+            } else {
+                (remaining[j] - s_max * (t_end - t)).max(0.0)
+            };
             t = t_end;
         } else {
             // Unconstrained decay phase.
@@ -103,16 +112,15 @@ pub fn run_c_bounded(instance: &Instance, law: PowerLaw, s_max: f64) -> SimResul
             let t_end = t_complete.min(t_release);
             if t_end > t {
                 builder.push(Segment::new(t, t_end, Some(j), SpeedLaw::Decay { w0: total_w, rho }));
-                remaining[j] = (remaining[j] - kernel.volume(t_end - t)).max(0.0);
             }
+            remaining[j] = if t_end == t_complete {
+                0.0
+            } else {
+                (remaining[j] - kernel.volume(t_end - t)).max(0.0)
+            };
             t = t_end;
         }
         active.retain(|&k| remaining[k] > 1e-12 * jobs[k].volume);
-        for &k in &active.clone() {
-            if remaining[k] <= 1e-12 * jobs[k].volume {
-                remaining[k] = 0.0;
-            }
-        }
         admit(t, &mut next, &mut active);
     }
 
@@ -131,15 +139,15 @@ pub fn run_nc_uniform_bounded(
     if !instance.is_uniform_density() {
         return Err(SimError::NonUniformDensity);
     }
-    let jobs = instance.jobs();
     let u_cap = law.power(s_max);
     let mut builder = ScheduleBuilder::new(law);
+    let mut shadow = MachineShadow::new(law);
     let mut t = 0.0f64;
 
-    for (j, job) in jobs.iter().enumerate() {
+    for (j, job) in instance.jobs().iter().enumerate() {
         t = t.max(job.release);
         let rho = job.density;
-        let k_j = base_power(instance, law, j)?;
+        let k_j = shadow.admit(*job)?;
         let u_end = k_j + job.weight();
         if k_j < u_cap {
             // Growth phase up to the cap (or completion).

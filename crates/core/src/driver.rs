@@ -20,7 +20,7 @@
 //! through the firewall, which is the strongest possible evidence that the
 //! algorithm never peeks at a volume.
 
-use crate::clairvoyant::run_c;
+use crate::shadow::ShadowTimeline;
 use ncss_sim::{
     evaluate, Evaluated, Instance, Job, PowerLaw, Schedule, ScheduleBuilder, Segment, SimError,
     SimResult, SpeedLaw,
@@ -164,41 +164,40 @@ pub fn run_online(
 }
 
 /// The paper's Algorithm NC (uniform density) expressed as an online
-/// policy: FIFO order, growth law `P = W^{(C)}(r_j^-) + W̆_j(t)`, where the
-/// clairvoyant prefix simulation uses **only revealed volumes** — all jobs
-/// released before `r_j` have completed (FIFO), so their volumes are known.
+/// policy: FIFO order, growth law `P = W^{(C)}(r_j^-) + W̆_j(t)`.
+///
+/// Its clairvoyant shadow ([`ShadowTimeline`]) receives a job once its
+/// volume is revealed; under FIFO every job before the head has completed,
+/// so the head's `K` is read from completed jobs only and has the bits of
+/// a C re-run over the revealed prefix ([`crate::shadow::base_power`]).
 #[derive(Debug, Default)]
-pub struct NcUniformPolicy;
+pub struct NcUniformPolicy {
+    /// C over the completed jobs, built on the first completion.
+    shadow: Option<ShadowTimeline>,
+    /// Jobs the shadow has received: the first `received` ids.
+    received: usize,
+}
 
 impl NonClairvoyantPolicy for NcUniformPolicy {
     fn decide(&mut self, view: &NcView<'_>) -> Decision {
-        let Some(&j) = view.active().first() else {
+        // Job 0 completes first, so while it is active the policy holds
+        // nothing; this also starts a value reused across runs afresh.
+        if view.revealed_volume.first().is_some_and(Option::is_none) {
+            *self = Self::default();
+        }
+        while let Some(&Some(volume)) = view.revealed_volume.get(self.received) {
+            let r = view.released[self.received];
+            let job = Job { release: r.release, volume, density: r.density };
+            let shadow = self.shadow.get_or_insert_with(|| ShadowTimeline::new(view.law));
+            shadow.receive(job).expect("C run over the revealed jobs");
+            self.received += 1;
+        }
+        let Some(&me) = view.released.get(self.received) else {
             return Decision { job: None, law: SpeedLaw::Idle };
         };
-        let me = view.released[j];
-        // Rebuild the known prefix from revealed volumes.
-        let mut prefix = Vec::new();
-        let mut ties = 0.0;
-        for r in view.released {
-            if r.id == j {
-                break;
-            }
-            if let Some(v) = view.revealed_volume[r.id] {
-                if r.release < me.release {
-                    prefix.push(Job { release: r.release, volume: v, density: r.density });
-                } else {
-                    ties += r.density * v; // distinct-release-limit tie rule
-                }
-            }
-        }
-        let base = if prefix.is_empty() {
-            0.0
-        } else {
-            let inst = Instance::new(prefix).expect("revealed prefix is valid");
-            run_c(&inst, view.law).expect("prefix C run").remaining_weight_before(me.release)
-        };
-        let u0 = base + ties + me.density * view.processed[j];
-        Decision { job: Some(j), law: SpeedLaw::Growth { u0, rho: me.density } }
+        let k = self.shadow.as_mut().map_or(0.0, |s| s.weight_before(me.release));
+        let u0 = k + me.density * view.processed[me.id];
+        Decision { job: Some(me.id), law: SpeedLaw::Growth { u0, rho: me.density } }
     }
 
     fn name(&self) -> &'static str {
@@ -261,7 +260,7 @@ mod tests {
         for alpha in [2.0, 3.0] {
             for inst in instances() {
                 let direct = run_nc_uniform(&inst, pl(alpha)).unwrap();
-                let mut policy = NcUniformPolicy;
+                let mut policy = NcUniformPolicy::default();
                 let (_, online) = run_online(&inst, pl(alpha), &mut policy).unwrap();
                 assert!(
                     rel_diff(online.objective.fractional(), direct.objective.fractional()) < 1e-7,

@@ -213,8 +213,8 @@ pub fn run_nc_uniform_generic(instance: &Instance, pf: &PolyPower) -> SimResult<
 
     for (j, job) in jobs.iter().enumerate() {
         t = t.max(job.release);
-        // K_j with the same distinct-release-limit tie rule as the
-        // specialised implementation.
+        // K_j with the same distinct-release-limit tie rule as
+        // `crate::shadow::base_power`, over this power function's C run.
         let (prefix, _) = instance.prefix_before(job.release);
         let strictly_before = if prefix.is_empty() {
             0.0

@@ -15,6 +15,8 @@
 //!   and the preemption-interval structure,
 //! * [`streaming`] — the event-driven stream core with O(active jobs)
 //!   resident memory that the batch runners above delegate to,
+//! * [`shadow`] — the one reader of `W^{(C)}(r^-)` that NC's variants and
+//!   the parallel dispatchers share,
 //! * [`theory`] — every theoretical constant as an executable formula.
 
 #![deny(missing_docs)]
@@ -36,6 +38,7 @@ pub mod potential;
 pub mod preemption;
 pub mod properties;
 pub mod reduction;
+pub mod shadow;
 pub mod streaming;
 pub mod theory;
 

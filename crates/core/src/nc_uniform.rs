@@ -16,7 +16,6 @@
 //! volume of `j` enters only through the *termination* of the growth
 //! segment, which is exactly the adversary saying "the job just ended".
 
-use crate::clairvoyant::run_c;
 use crate::streaming::{NcStream, StreamConfig};
 use ncss_sim::{Instance, Objective, PerJob, PowerLaw, Schedule, ScheduleBuilder, SimError, SimResult};
 
@@ -39,34 +38,6 @@ impl NcRun {
     pub fn makespan(&self) -> f64 {
         self.schedule.end_time()
     }
-}
-
-/// `K_j = W^{(C)}(r_j^-)`: the remaining weight Algorithm C would have just
-/// before job `j`'s release, over the jobs that precede `j` in FIFO order.
-///
-/// The paper assumes w.l.o.g. distinct release times; simultaneous releases
-/// are handled as the limit of vanishing gaps, in which a job released "at
-/// the same instant but earlier in FIFO order" contributes its **full**
-/// weight (Algorithm C has had no time to process it). Concretely:
-/// simulate C on the strictly-earlier jobs and take the left limit at
-/// `r_j`, then add the whole weight of earlier-indexed jobs tied at `r_j`.
-/// Without the tie term, NC would restart its power curve from zero on
-/// every job of a simultaneous batch and the Lemma 3 energy equality would
-/// fail in the batch limit.
-pub fn base_power(instance: &Instance, law: PowerLaw, j: usize) -> SimResult<f64> {
-    let job = instance.job(j);
-    let (prefix, _) = instance.prefix_before(job.release);
-    let strictly_before = if prefix.is_empty() {
-        0.0
-    } else {
-        run_c(&prefix, law)?.remaining_weight_before(job.release)
-    };
-    let ties: f64 = instance.jobs()[..j]
-        .iter()
-        .filter(|i| i.release == job.release)
-        .map(|i| i.weight())
-        .sum();
-    Ok(strictly_before + ties)
 }
 
 /// Run Algorithm NC on a uniform-density instance.
@@ -102,7 +73,7 @@ pub fn run_nc_uniform(instance: &Instance, law: PowerLaw) -> SimResult<NcRun> {
     let mut base_powers = vec![0.0; n];
 
     // Delegate to the streaming core (DESIGN.md §9): the embedded shadow C
-    // run replaces the former per-job prefix re-simulation of base_power,
+    // run replaces a per-job prefix re-run (`crate::shadow::base_power`),
     // turning the O(n²) loop into a single O(n log n) pass.
     let mut stream = NcStream::new(law, StreamConfig::batch());
     let mut sink = |c: crate::streaming::NcCompletion| {
@@ -131,6 +102,7 @@ pub fn run_nc_uniform(instance: &Instance, law: PowerLaw) -> SimResult<NcRun> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run_c;
     use crate::theory;
     use ncss_sim::numeric::approx_eq;
     use ncss_sim::profile::rearrangement_distance;

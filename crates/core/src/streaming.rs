@@ -1249,7 +1249,6 @@ mod tests {
             Job::unit_density(1.0, 2.0),
             Job::unit_density(3.0, 0.7),
         ];
-        let inst = Instance::new(jobs.clone()).unwrap();
         let law = pl(2.0);
         let mut nc = NcStream::new(law, StreamConfig::batch());
         let mut ks = Vec::new();
@@ -1257,7 +1256,7 @@ mod tests {
             nc.offer(j, &mut |c| ks.push(c.base_power)).unwrap();
         }
         for (j, &k) in ks.iter().enumerate() {
-            let reference = crate::nc_uniform::base_power(&inst, law, j).unwrap();
+            let reference = crate::shadow::base_power(&jobs[..j], jobs[j].release, law).unwrap();
             assert!(approx_eq(k, reference, 1e-9), "K_{j}: stream {k} vs prefix {reference}");
         }
     }

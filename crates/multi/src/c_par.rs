@@ -12,7 +12,7 @@
 //! replays that log on one worker, and the sharded runner on many.
 
 use crate::fleet::{replay_c, DispatchLog};
-use crate::shadow::ShadowTimeline;
+use ncss_core::shadow::ShadowTimeline;
 use ncss_pool::Pool;
 use ncss_sim::{Instance, Job, Objective, PerJob, PowerLaw, Schedule, Segment, SimError, SimResult};
 
@@ -131,9 +131,8 @@ pub(crate) fn greedy_c_par_assignment(
     let mut timelines: Vec<Option<ShadowTimeline>> = (0..machines).map(|_| None).collect();
     let mut assignment = Vec::with_capacity(instance.len());
     for job in instance.jobs() {
-        // Remaining fractional weight of each machine just before r_j,
-        // counting same-instant earlier jobs at full weight (the
-        // distinct-release limit; see `ncss_core::nc_uniform::base_power`).
+        // Each machine's K for r_j: its remaining C weight just before r_j
+        // plus the full weight of its jobs tied at r_j (`ncss_core::shadow`).
         let mut best = 0usize;
         let mut best_w = f64::INFINITY;
         for (m, timeline) in timelines.iter_mut().enumerate() {

@@ -37,9 +37,9 @@ use crate::c_par::{
     validate_machines, ParOutcome,
 };
 use crate::dispatch::{collect_assignment, ImmediateDispatch};
-use crate::shadow::MachineShadow;
 use ncss_audit::{AuditConfig, AuditReport, MultiAudit};
 use ncss_core::run_c;
+use ncss_core::shadow::MachineShadow;
 use ncss_pool::Pool;
 use ncss_sim::kernel::GrowthKernel;
 use ncss_sim::{

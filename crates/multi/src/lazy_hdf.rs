@@ -17,7 +17,7 @@
 //!   density drives the curve.
 
 use crate::c_par::{validate_machines, ParOutcome};
-use ncss_core::nc_uniform::base_power;
+use ncss_core::shadow::base_power;
 use ncss_sim::kernel::GrowthKernel;
 use ncss_sim::{
     Instance, Job, Objective, PerJob, PowerLaw, ScheduleBuilder, Segment, SimError, SimResult,
@@ -103,11 +103,10 @@ pub fn run_lazy_hdf(
         start_time[j] = t_start;
 
         // Growth rule over this machine's own history, with the job's
-        // rounded density driving the curve.
-        let mut with_j = assigned[m].clone();
-        with_j.push(*rounded.job(j));
-        let machine_inst = Instance::new(with_j)?;
-        let k_j = base_power(&machine_inst, law, machine_inst.len() - 1)?;
+        // rounded density driving the curve. That history is in dispatch
+        // order, which a later, denser job can overtake, so `K_j` comes
+        // from the re-run over the machine's jobs released before `j`.
+        let k_j = base_power(&assigned[m], jobs[j].release, law)?;
         let rho = rounded.job(j).density;
         let kernel = GrowthKernel { law, u0: k_j, rho };
         let tau = kernel.time_to_volume(jobs[j].volume);
@@ -196,6 +195,32 @@ mod tests {
             "{:?}",
             lazy.per_job.completion
         );
+    }
+
+    #[test]
+    fn base_power_ignores_a_later_release_dispatched_earlier() {
+        // Job 2 overtakes job 1 on the one machine, so job 1's K is C over
+        // job 0 alone read at 0.1^-, not C over jobs 0 and 1 at 0.2^-.
+        let inst = Instance::new(vec![
+            Job::new(0.0, 3.0, 1.0),
+            Job::new(0.1, 1.0, 1.0),
+            Job::new(0.2, 0.5, 25.0),
+        ])
+        .unwrap();
+        let law = pl(2.0);
+        let lazy = run_lazy_hdf(&inst, law, 1, 5.0).unwrap();
+        let k_1 = lazy.schedules[0]
+            .segments()
+            .iter()
+            .find_map(|s| match (s.job, s.law) {
+                (Some(1), SpeedLaw::Growth { u0, .. }) => Some(u0),
+                _ => None,
+            })
+            .expect("job 1 is served");
+        let job_0 = Instance::new(vec![*inst.job(0)]).unwrap();
+        let want = ncss_core::run_c(&job_0, law).unwrap().remaining_weight_before(0.1);
+        assert_eq!(k_1.to_bits(), want.to_bits());
+        assert!(rel_diff(k_1, 2.8293) < 1e-4, "K_1 = {k_1}");
     }
 
     #[test]

@@ -20,7 +20,6 @@ pub mod fleet;
 pub mod lazy_hdf;
 pub mod lower_bound;
 pub mod nc_par;
-mod shadow;
 
 pub use c_par::{run_c_par, ParOutcome, MAX_MACHINES};
 pub use dispatch::{collect_assignment, run_immediate_dispatch, ImmediateDispatch, LeastCount, RoundRobin, SeededRandom};

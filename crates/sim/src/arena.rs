@@ -2,9 +2,10 @@
 //!
 //! The streaming scheduler core (ncss-core's `streaming` module) keeps only
 //! the *active* jobs resident. This arena backs that set with parallel flat
-//! `Vec`s — one per field — so the per-event accounting (`Σ ρ_i · R_i`
-//! total-weight recompute, waiting-flow accrual) runs as tight loops over
-//! contiguous slices instead of chasing a heap or a map.
+//! `Vec`s — one per field — so the `Σ ρ_i · R_i` total-weight recompute
+//! runs as a tight loop over contiguous slices instead of chasing a heap or
+//! a map, and a waiting job's flow is settled in one multiply when it next
+//! enters service ([`JobArena::settle_waiting`]).
 //!
 //! Slots are recycled through a free list, so the arena's footprint is
 //! `O(peak active jobs)` no matter how many jobs stream through. Retired
@@ -56,32 +57,6 @@ pub fn weighted_remaining(density: &[f64], remaining: &[f64]) -> f64 {
         w += density[i] * remaining[i];
     }
     w
-}
-
-/// Accrue waiting fractional flow `ρ_i · R_i · τ` into `frac_flow` for every
-/// slot except `in_service` (whose drain follows the evolution kernel, not a
-/// constant remainder).
-///
-/// ```
-/// use ncss_sim::arena::accrue_waiting_flow;
-/// let mut frac = [0.0, 0.0];
-/// accrue_waiting_flow(&[1.0, 2.0], &[3.0, 1.0], &mut frac, 0.5, 0);
-/// assert_eq!(frac, [0.0, 1.0]); // slot 0 is in service and skipped
-/// ```
-pub fn accrue_waiting_flow(
-    density: &[f64],
-    remaining: &[f64],
-    frac_flow: &mut [f64],
-    tau: f64,
-    in_service: usize,
-) {
-    debug_assert_eq!(density.len(), remaining.len());
-    debug_assert_eq!(density.len(), frac_flow.len());
-    for i in 0..density.len() {
-        if i != in_service {
-            frac_flow[i] += density[i] * remaining[i] * tau;
-        }
-    }
 }
 
 /// Structure-of-arrays store for the active-job working set.
@@ -221,12 +196,6 @@ impl JobArena {
         weighted_remaining(&self.density, &self.remaining)
     }
 
-    /// Accrue waiting flow over all slots except `in_service`
-    /// ([`accrue_waiting_flow`]).
-    pub fn accrue_waiting(&mut self, tau: f64, in_service: usize) {
-        accrue_waiting_flow(&self.density, &self.remaining, &mut self.frac_flow, tau, in_service);
-    }
-
     /// Settle the *deferred* waiting-flow accrual of one slot through `now`.
     ///
     /// The streaming core does not touch waiting jobs per event (that would
@@ -248,12 +217,6 @@ impl JobArena {
     /// added analytically by the kernel).
     pub fn set_accrued(&mut self, slot: usize, now: f64) {
         self.acc_t[slot] = now;
-    }
-
-    /// Time through which the flow of `slot` is already accounted.
-    #[must_use]
-    pub fn accrued_through(&self, slot: usize) -> f64 {
-        self.acc_t[slot]
     }
 
     /// Number of live (allocated, not yet retired) jobs.
@@ -398,15 +361,12 @@ mod tests {
     #[test]
     fn retired_slots_are_exact_noops() {
         let mut a = JobArena::new();
-        let s0 = a.alloc(Job::new(0.0, 2.0, 3.0), 0);
+        a.alloc(Job::new(0.0, 2.0, 3.0), 0);
         let s1 = a.alloc(Job::new(0.0, 1.0, 5.0), 1);
         let before = a.total_weight();
         assert_eq!(before, 3.0 * 2.0 + 5.0);
         a.retire(s1);
         assert_eq!(a.total_weight(), 6.0);
-        a.accrue_waiting(1.0, usize::MAX); // no slot in service
-        assert_eq!(a.frac_flow(s0), 6.0);
-        assert_eq!(a.frac_flow(s1), 0.0, "retired slot accrues nothing");
     }
 
     #[test]
@@ -461,9 +421,8 @@ mod tests {
         // eagerly in one piece; acc_t advances so a second settle is a no-op.
         let mut a = JobArena::new();
         let s = a.alloc(Job::new(1.0, 2.0, 3.0), 0);
-        assert_eq!(a.accrued_through(s), 1.0, "accounted through release at alloc");
         a.settle_waiting(s, 2.5);
-        assert_eq!(a.frac_flow(s), 3.0 * 2.0 * 1.5);
+        assert_eq!(a.frac_flow(s), 3.0 * 2.0 * 1.5, "accounted through release at alloc");
         a.settle_waiting(s, 2.5);
         assert_eq!(a.frac_flow(s), 9.0, "repeated settle at same time adds zero");
         a.set_accrued(s, 4.0);

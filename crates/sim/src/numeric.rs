@@ -24,20 +24,6 @@ pub fn ensure_finite(what: &'static str, value: f64) -> SimResult<f64> {
     }
 }
 
-/// Like [`ensure_finite`] but additionally requires `value >= 0`.
-///
-/// Energies, flow-times, volumes, and elapsed durations are all
-/// nonnegative-by-construction; a negative value signals catastrophic
-/// cancellation upstream.
-#[inline]
-pub fn ensure_finite_nonneg(what: &'static str, value: f64) -> SimResult<f64> {
-    if value.is_finite() && value >= 0.0 {
-        Ok(value)
-    } else {
-        Err(SimError::Numeric { what, value })
-    }
-}
-
 /// Relative difference `|a - b| / max(|a|, |b|, 1)`.
 ///
 /// The `1` floor makes the measure behave like an absolute difference near
@@ -225,9 +211,6 @@ mod tests {
         assert_eq!(ensure_finite("x", 2.5).unwrap(), 2.5);
         assert!(ensure_finite("x", f64::INFINITY).is_err());
         assert!(ensure_finite("x", f64::NAN).is_err());
-        assert_eq!(ensure_finite_nonneg("x", 0.0).unwrap(), 0.0);
-        assert!(ensure_finite_nonneg("x", -1.0).is_err());
-        assert!(ensure_finite_nonneg("x", f64::NEG_INFINITY).is_err());
     }
 
     #[test]

@@ -435,16 +435,6 @@ impl Schedule {
             .sum()
     }
 
-    /// Idle time within the span `[first start, end_time]`: gaps between
-    /// segments plus explicit idle segments.
-    #[must_use]
-    pub fn idle_time(&self) -> f64 {
-        let Some(first) = self.segments.first() else {
-            return 0.0;
-        };
-        (self.end_time() - first.start) - self.busy_time()
-    }
-
     /// Volume processed per job id (length `n_jobs`).
     #[must_use]
     pub fn volume_by_job(&self, n_jobs: usize) -> Vec<f64> {
@@ -568,13 +558,6 @@ impl SegmentIndex {
     #[must_use]
     pub fn first_reaching(&self, target: f64) -> usize {
         self.cum_volume.partition_point(|&p| !(p >= target))
-    }
-
-    /// Number of segments ending at or before `t` — equivalently, the
-    /// index of the first segment whose interior could contain `t`.
-    #[must_use]
-    pub fn segments_ending_by(&self, t: f64) -> usize {
-        self.ends.partition_point(|&e| e <= t)
     }
 
     /// Absolute time at which the cumulative volume reaches `v`, inverting
@@ -760,9 +743,8 @@ mod tests {
             Segment::new(4.0, 5.0, None, SpeedLaw::Idle),
         ];
         let s = Schedule::new(law, segs).unwrap();
+        // The explicit idle segment is not busy.
         assert!(approx_eq(s.busy_time(), 2.0, 1e-12));
-        // Span [1, 5] minus 2 busy = 2 idle (1 gap + 1 explicit idle).
-        assert!(approx_eq(s.idle_time(), 2.0, 1e-12));
         let v = s.volume_by_job(2);
         assert!(approx_eq(v[0], 2.0, 1e-12));
         assert!(approx_eq(v[1], 1.0, 1e-12));

@@ -75,11 +75,6 @@ pub fn instance_from_csv(text: &str) -> SimResult<Instance> {
     Instance::new(jobs)
 }
 
-/// Write an instance to a file.
-pub fn write_instance(path: &std::path::Path, instance: &Instance) -> std::io::Result<()> {
-    std::fs::write(path, instance_to_csv(instance))
-}
-
 /// Read an instance from a file.
 ///
 /// Filesystem errors surface as [`SimError::Io`], so the result is a single
@@ -171,7 +166,7 @@ mod tests {
         let dir = std::env::temp_dir().join("ncss_io_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("trace.csv");
-        write_instance(&path, &sample()).unwrap();
+        std::fs::write(&path, instance_to_csv(&sample())).unwrap();
         let back = read_instance(&path).unwrap();
         assert_eq!(back, sample());
         let _ = std::fs::remove_file(path);

@@ -43,7 +43,7 @@ fn main() -> SimResult<()> {
     println!();
     println!("{:<22} {:>10} {:>11} {:>12}", "policy", "energy", "frac flow", "frac obj");
 
-    let mut nc = NcUniformPolicy;
+    let mut nc = NcUniformPolicy::default();
     let mut ajc = ActiveCountPolicy;
     let mut eager = Eager;
     let policies: Vec<&mut dyn NonClairvoyantPolicy> = vec![&mut nc, &mut ajc, &mut eager];
@@ -61,7 +61,7 @@ fn main() -> SimResult<()> {
     // The paper's algorithm through the firewall is *identical* to the
     // direct closed-form simulation — the executable non-clairvoyance proof.
     let direct = run_nc_uniform(&instance, law)?;
-    let (_, online) = run_online(&instance, law, &mut NcUniformPolicy)?;
+    let (_, online) = run_online(&instance, law, &mut NcUniformPolicy::default())?;
     println!();
     println!(
         "firewalled NC vs direct simulation: {:.3e} relative difference",

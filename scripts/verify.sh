@@ -15,9 +15,13 @@
 #      reported so sharding/step-cap regressions are visible in CI logs
 #   5. closed-form-vs-quadrature property tests in --release (the
 #      analytic fast path must match the quadrature reference to 1e-12
-#      where debug_assert! is compiled out), and the non-uniform NC
+#      where debug_assert! is compiled out), the non-uniform NC
 #      oracle over every fault-suite case of seeds 1-4 (debug builds
-#      check every 7th)
+#      check every 7th), and the clairvoyant-shadow oracle in full: every
+#      reader of K_j against the prefix re-run on 2,500 jobs (debug
+#      builds check part of it), plus a tripwire that the capped and the
+#      firewalled NC finish 4,000 jobs in under 2 s together (re-running
+#      Algorithm C over the prefix for every job takes about 10 s)
 #   6. audit smoke: every schedule-producing algorithm on a generated
 #      trace must pass the independent audit; the parallel algorithms
 #      go through the cross-machine auditor, and a deliberately
@@ -86,9 +90,9 @@ fault_start=$(date +%s)
 cargo test --release -q --offline --test fault_contract
 echo "fault contract wall-time: $(($(date +%s) - fault_start))s"
 
-echo "==> cargo test --release -q --offline --test closed_form_quadrature --test audit_property --test fleet_identity --test nonuniform_identity"
+echo "==> cargo test --release -q --offline --test closed_form_quadrature --test audit_property --test fleet_identity --test nonuniform_identity --test shadow_identity"
 cargo test --release -q --offline --test closed_form_quadrature --test audit_property --test fleet_identity \
-    --test nonuniform_identity
+    --test nonuniform_identity --test shadow_identity
 
 echo "==> audit smoke (ncss-cli audit on a generated trace)"
 cli=target/release/ncss-cli

@@ -104,3 +104,25 @@ fn loose_cap_interpolates_to_unbounded() {
         }
     }
 }
+
+#[test]
+fn capped_c_finishes_at_two_thousand_jobs() {
+    // A completion can leave 1e-12–2e-12 of a job's volume behind in a step
+    // shorter than half an ulp of t. A loop that retired jobs by remainder
+    // never moved its clock again and hit its event guard from n = 300 on.
+    let law = PowerLaw::new(3.0).unwrap();
+    let inst = WorkloadSpec::uniform(2_000, 1.5, VolumeDist::Exponential { mean: 1.0 })
+        .generate(7)
+        .unwrap();
+    let unbounded = run_c(&inst, law).unwrap().objective.frac_flow;
+    for cap in [0.5, 1.0, 2.0, 4.0] {
+        let (sched, ev) = run_c_bounded(&inst, law, cap).unwrap();
+        assert!(sched.max_speed() <= cap * (1.0 + 1e-9), "cap {cap}: {}", sched.max_speed());
+        assert!(rel_diff(sched.total_volume(), inst.total_volume()) < 1e-9, "cap {cap}");
+        assert!(
+            ev.objective.frac_flow >= unbounded * (1.0 - 1e-9),
+            "cap {cap}: {} below uncapped {unbounded}",
+            ev.objective.frac_flow
+        );
+    }
+}

@@ -23,7 +23,7 @@ proptest! {
     fn firewalled_nc_equals_direct(inst in uniform_instance(), alpha in 1.5f64..4.0) {
         let law = PowerLaw::new(alpha).unwrap();
         let direct = run_nc_uniform(&inst, law).unwrap();
-        let (_, online) = run_online(&inst, law, &mut NcUniformPolicy).unwrap();
+        let (_, online) = run_online(&inst, law, &mut NcUniformPolicy::default()).unwrap();
         prop_assert!(
             rel_diff(online.objective.fractional(), direct.objective.fractional()) < 1e-6,
             "online {} vs direct {}",
@@ -74,7 +74,7 @@ fn volumes_revealed_only_at_completion() {
     ])
     .unwrap();
     let law = PowerLaw::new(2.0).unwrap();
-    let mut auditor = Auditor { inner: NcUniformPolicy, observed_volumes: Vec::new() };
+    let mut auditor = Auditor { inner: NcUniformPolicy::default(), observed_volumes: Vec::new() };
     let (_, ev) = run_online(&inst, law, &mut auditor).unwrap();
     // Every observation of (job, volume) must match the true volume (no
     // fabrication) — and the driver only populates it after completion, so
@@ -107,6 +107,6 @@ fn slow_policies_pay_in_flow_time() {
     let inst = Instance::new(vec![Job::unit_density(0.0, 1.0), Job::unit_density(0.1, 1.0)]).unwrap();
     let law = PowerLaw::new(2.0).unwrap();
     let (_, slow) = run_online(&inst, law, &mut Slowpoke).unwrap();
-    let (_, good) = run_online(&inst, law, &mut NcUniformPolicy).unwrap();
+    let (_, good) = run_online(&inst, law, &mut NcUniformPolicy::default()).unwrap();
     assert!(slow.objective.frac_flow > 5.0 * good.objective.frac_flow);
 }
