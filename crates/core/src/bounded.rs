@@ -22,7 +22,8 @@
 //! finding: the paper's exact structure is specific to unbounded speeds.
 
 use crate::shadow::MachineShadow;
-use ncss_sim::kernel::{DecayKernel, GrowthKernel};
+use crate::streaming::{CStream, DecayLaw, StreamConfig};
+use ncss_sim::kernel::{DecayServe, DecayStep, GrowthKernel};
 use ncss_sim::{
     evaluate, Evaluated, Instance, PowerLaw, Schedule, ScheduleBuilder, Segment, SimError,
     SimResult, SpeedLaw,
@@ -35,95 +36,106 @@ fn check_cap(s_max: f64) -> SimResult<()> {
     Ok(())
 }
 
-/// Run the speed-capped Algorithm C.
-pub fn run_c_bounded(instance: &Instance, law: PowerLaw, s_max: f64) -> SimResult<(Schedule, Evaluated)> {
-    check_cap(s_max)?;
-    let jobs = instance.jobs();
-    let n = jobs.len();
-    let w_cap = law.power(s_max);
-    let mut remaining: Vec<f64> = jobs.iter().map(|j| j.volume).collect();
-    let mut builder = ScheduleBuilder::new(law);
+/// Algorithm C's law under a hard speed cap: `s = min(P⁻¹(W), s_max)`.
+///
+/// While `W > P(s_max)` the machine runs flat at the cap and `W` falls
+/// linearly; from the crossing on it decays from exactly `P(s_max)`. One
+/// serve covers both phases, so an interval retires a `Constant` and then
+/// a `Decay` segment, and no segment starts above power `P(s_max)`. A
+/// crossing closer than an ulp of the clock retires no flat segment.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Capped {
+    /// The uncapped power law.
+    law: PowerLaw,
+    /// The speed cap.
+    s_max: f64,
+}
 
-    // Active set in HDF order, small-n scan (bounded runs are study tools,
-    // not the hot path).
-    let mut t = jobs.first().map_or(0.0, |j| j.release);
-    let mut next = 0usize;
-    let mut active: Vec<usize> = Vec::new();
-    let admit = |t: f64, next: &mut usize, active: &mut Vec<usize>| {
-        while *next < n && jobs[*next].release <= t {
-            active.push(*next);
-            *next += 1;
-        }
-    };
-    admit(t, &mut next, &mut active);
-
-    let mut guard = 0;
-    while !active.is_empty() || next < n {
-        guard += 1;
-        if guard > 20 * n + 64 {
-            return Err(SimError::NonConvergence { what: "bounded C event loop" });
-        }
-        if active.is_empty() {
-            t = jobs[next].release;
-            admit(t, &mut next, &mut active);
-            continue;
-        }
-        // HDF with (release, id) tie-break.
-        let &j = active
-            .iter()
-            .min_by(|&&a, &&b| {
-                jobs[b].density
-                    .partial_cmp(&jobs[a].density)
-                    .expect("finite")
-                    .then(jobs[a].release.partial_cmp(&jobs[b].release).expect("finite"))
-                    .then(a.cmp(&b))
-            })
-            .expect("non-empty");
-        let rho = jobs[j].density;
-        let total_w: f64 = active.iter().map(|&k| jobs[k].density * remaining[k]).sum();
-        let t_release = if next < n { jobs[next].release } else { f64::INFINITY };
-
-        // An interval that reaches its completion time completes the job,
-        // as in `CStream`. Subtracting the delivered volume instead can
-        // leave a residue above the retirement threshold whose completion
-        // step is under half an ulp of `t`, and the clock never moves again.
-        //
-        // Relative margin: at the exact crossing, rounding can leave W a
-        // few ulps above the cap, which would yield an endless sequence of
-        // zero-length flat segments.
-        if total_w > w_cap * (1.0 + 1e-9) {
-            // Flat phase at the cap: weight decays linearly at rho*s_max.
-            let t_cross = t + (total_w - w_cap) / (rho * s_max);
-            let t_complete = t + remaining[j] / s_max;
-            let t_end = t_cross.min(t_complete).min(t_release);
-            if t_end > t {
-                builder.push(Segment::new(t, t_end, Some(j), SpeedLaw::Constant { speed: s_max }));
-            }
-            remaining[j] = if t_end == t_complete {
-                0.0
-            } else {
-                (remaining[j] - s_max * (t_end - t)).max(0.0)
-            };
-            t = t_end;
-        } else {
-            // Unconstrained decay phase.
-            let kernel = DecayKernel { law, w0: total_w, rho };
-            let t_complete = t + kernel.time_to_volume(remaining[j]);
-            let t_end = t_complete.min(t_release);
-            if t_end > t {
-                builder.push(Segment::new(t, t_end, Some(j), SpeedLaw::Decay { w0: total_w, rho }));
-            }
-            remaining[j] = if t_end == t_complete {
-                0.0
-            } else {
-                (remaining[j] - kernel.volume(t_end - t)).max(0.0)
-            };
-            t = t_end;
-        }
-        active.retain(|&k| remaining[k] > 1e-12 * jobs[k].volume);
-        admit(t, &mut next, &mut active);
+impl Capped {
+    /// Power at the cap, `P(s_max)`.
+    fn w_cap(&self) -> f64 {
+        self.law.power(self.s_max)
     }
 
+    /// Time the flat phase takes to bring `w0 > P(s_max)` down to the cap.
+    fn flat_time(&self, w0: f64, rho: f64) -> f64 {
+        (w0 - self.w_cap()) / (rho * self.s_max)
+    }
+}
+
+impl DecayLaw for Capped {
+    type Seg = Segment;
+
+    fn serve(&self, w0: f64, rho: f64, rem: f64, dt: f64) -> DecayServe {
+        let w_cap = self.w_cap();
+        if !(w0 > w_cap) {
+            return self.law.serve(w0, rho, rem, dt);
+        }
+        let t_flat = self.flat_time(w0, rho);
+        // Served at the cap for `tau`: volume `s_max·tau`, power `P(s_max)`.
+        let flat = |tau: f64, volume: f64| DecayStep {
+            w_end: w0 - rho * volume,
+            energy: w_cap * tau,
+            volume,
+            volume_integral: 0.5 * volume * tau,
+        };
+        let t_done = rem / self.s_max;
+        if t_done <= t_flat.min(dt) {
+            return DecayServe { tau: t_done, completes: true, step: flat(t_done, rem) };
+        }
+        if dt <= t_flat {
+            return DecayServe { tau: dt, completes: false, step: flat(dt, self.s_max * dt) };
+        }
+        let head = flat(t_flat, self.s_max * t_flat);
+        let tail = self.law.serve(w_cap, rho, (rem - head.volume).max(0.0), dt - t_flat);
+        DecayServe {
+            tau: t_flat + tail.tau,
+            completes: tail.completes,
+            step: DecayStep {
+                w_end: tail.step.w_end,
+                energy: head.energy + tail.step.energy,
+                volume: head.volume + tail.step.volume,
+                volume_integral: head.volume_integral
+                    + head.volume * tail.tau
+                    + tail.step.volume_integral,
+            },
+        }
+    }
+
+    fn retire(&self, interval: Segment, _w_end: f64, mut emit: impl FnMut(Segment)) {
+        let SpeedLaw::Decay { w0, rho } = interval.law else {
+            unreachable!("CStream retires decay intervals")
+        };
+        let w_cap = self.w_cap();
+        if !(w0 > w_cap) {
+            return emit(interval);
+        }
+        let cross = (interval.start + self.flat_time(w0, rho)).min(interval.end);
+        if cross > interval.start {
+            emit(Segment { end: cross, law: SpeedLaw::Constant { speed: self.s_max }, ..interval });
+        }
+        if interval.end > cross {
+            emit(Segment { start: cross, law: SpeedLaw::Decay { w0: w_cap, rho }, ..interval });
+        }
+    }
+
+    fn power_before(&self, seg: &Segment, t: f64) -> f64 {
+        self.law.power_before(seg, t)
+    }
+}
+
+/// Run the speed-capped Algorithm C: [`CStream`] under the capped law.
+pub fn run_c_bounded(instance: &Instance, law: PowerLaw, s_max: f64) -> SimResult<(Schedule, Evaluated)> {
+    check_cap(s_max)?;
+    let mut stream = CStream::new(Capped { law, s_max }, StreamConfig::batch());
+    for &job in instance.jobs() {
+        stream.offer(job, &mut |_| {})?;
+    }
+    stream.finish(&mut |_| {})?;
+    let mut builder = ScheduleBuilder::new(law);
+    for seg in stream.spill_mut().drain() {
+        builder.push(seg);
+    }
     let schedule = builder.build()?;
     let ev = evaluate(&schedule, instance)?;
     Ok((schedule, ev))
@@ -222,7 +234,7 @@ mod tests {
         let law = pl(2.0);
         let s_max = 0.9;
         let (sched, _) = run_c_bounded(&inst(), law, s_max).unwrap();
-        assert!(sched.max_speed() <= s_max + 1e-9);
+        assert!(sched.max_speed() <= s_max * (1.0 + 4.0 * f64::EPSILON));
         let (sched, _) = run_nc_uniform_bounded(&inst(), law, s_max).unwrap();
         assert!(sched.max_speed() <= s_max + 1e-9);
     }

@@ -3,16 +3,19 @@
 //! The paper remarks (Section 3.1) that Lemma 6 — and with it Lemma 3's
 //! energy equality — "are actually true for all power functions, not just
 //! ones of the form `s^α`", while Lemma 4's exact flow-time ratio *needs*
-//! the power-law form. These runs make that split observable: they execute
-//! the same event logic as [`crate::clairvoyant`] / [`crate::nc_uniform`]
-//! but over [`ncss_sim::generic::PolyPower`] kernels (quadrature instead of
-//! closed forms), and the tests confirm that the energy equality and the
-//! measure-preserving profile survive a `s³ + ½s²` power function while the
-//! flow-time ratio stops being weight-invariant.
+//! the power-law form. These runs make that split observable: C is
+//! [`CStream`] under `&PolyPower`, whose [`DecayLaw`] serves by
+//! [`ncss_sim::generic::PolyPower`] quadratures instead of closed forms, and
+//! NC reads each `K_j` from one [`MachineShadow`] over the same law. The
+//! tests confirm that the energy equality and the measure-preserving
+//! profile survive a `s³ + ½s²` power function while the flow-time ratio
+//! stops being weight-invariant.
 
-use crate::clairvoyant::ActiveKey;
+use crate::shadow::MachineShadow;
+use crate::streaming::{CStream, DecayLaw, StreamConfig};
 use ncss_sim::generic::{GenericDecay, GenericGrowth, PolyPower};
-use ncss_sim::{Instance, Objective, SimError, SimResult};
+use ncss_sim::kernel::{DecayServe, DecayStep};
+use ncss_sim::{Instance, Objective, Segment, SimError, SimResult, SpeedLaw};
 
 /// One maximal service stint of a generic run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -94,108 +97,65 @@ pub fn generic_rearrangement_distance(pf: &PolyPower, a: &GenericRun, b: &Generi
     worst
 }
 
-/// Run Algorithm C under a general power function.
-pub fn run_c_generic(instance: &Instance, pf: &PolyPower) -> SimResult<GenericRun> {
-    let jobs = instance.jobs();
-    let n = jobs.len();
-    let mut remaining: Vec<f64> = jobs.iter().map(|j| j.volume).collect();
-    let mut completion = vec![f64::NAN; n];
-    let mut frac_flow = vec![0.0; n];
-    let mut energy = 0.0;
-    let mut stints = Vec::new();
+/// Algorithm C's law under a general power function: `dW/dt = −ρ·P⁻¹(W)`,
+/// served by [`GenericDecay`]'s quadratures and retired as decaying
+/// [`GenericStint`]s.
+impl DecayLaw for &PolyPower {
+    type Seg = GenericStint;
 
-    let mut heap = std::collections::BinaryHeap::new();
-    let mut next = 0usize;
-    let mut total_w = 0.0;
-    let mut t = jobs.first().map_or(0.0, |j| j.release);
-
-    let admit = |t: f64,
-                 next: &mut usize,
-                 heap: &mut std::collections::BinaryHeap<ActiveKey>,
-                 total_w: &mut f64| {
-        while *next < n && jobs[*next].release <= t {
-            let j = &jobs[*next];
-            heap.push(ActiveKey { density: j.density, release: j.release, id: *next });
-            *total_w += j.weight();
-            *next += 1;
+    fn serve(&self, w0: f64, rho: f64, rem: f64, dt: f64) -> DecayServe {
+        let kernel = GenericDecay { pf: self, w0, rho };
+        let w_done = (w0 - rho * rem).max(0.0);
+        let tau_done = kernel.time_to_weight(w_done);
+        let (tau, completes, w_end) =
+            if tau_done <= dt { (tau_done, true, w_done) } else { (dt, false, kernel.weight_at(dt)) };
+        DecayServe {
+            tau,
+            completes,
+            step: DecayStep {
+                w_end,
+                energy: kernel.energy_to_weight(w_end),
+                volume: (w0 - w_end) / rho,
+                volume_integral: kernel.volume_integral_to_weight(w_end),
+            },
         }
-    };
-    admit(t, &mut next, &mut heap, &mut total_w);
-
-    let mut guard = 0usize;
-    while !heap.is_empty() || next < n {
-        guard += 1;
-        if guard > 10 * n + 16 {
-            return Err(SimError::NonConvergence { what: "generic C event loop" });
-        }
-        if heap.is_empty() {
-            t = jobs[next].release;
-            admit(t, &mut next, &mut heap, &mut total_w);
-            continue;
-        }
-        let top = *heap.peek().expect("non-empty heap");
-        let j = top.id;
-        let rho = jobs[j].density;
-        let kernel = GenericDecay { pf, w0: total_w, rho };
-        let w_complete = total_w - rho * remaining[j];
-        let t_complete = t + kernel.time_to_weight(w_complete);
-        let t_release = if next < n { jobs[next].release } else { f64::INFINITY };
-        let completes = t_complete <= t_release;
-        let t_end = if completes { t_complete } else { t_release };
-        let tau = t_end - t;
-        let w_end = if completes { w_complete } else { kernel.weight_at(tau) };
-
-        if tau > 0.0 {
-            stints.push(GenericStint {
-                start: t,
-                end: t_end,
-                job: j,
-                rho,
-                level_start: total_w,
-                level_end: w_end,
-                decaying: true,
-            });
-            energy += kernel.energy_to_weight(w_end);
-            for key in heap.iter() {
-                if key.id != j {
-                    frac_flow[key.id] += jobs[key.id].density * remaining[key.id] * tau;
-                }
-            }
-            frac_flow[j] += rho * (remaining[j] * tau - kernel.volume_integral_to_weight(w_end));
-            remaining[j] = (remaining[j] - (total_w - w_end) / rho).max(0.0);
-        }
-        t = t_end;
-        if completes {
-            heap.pop();
-            remaining[j] = 0.0;
-            completion[j] = t;
-        }
-        total_w = heap.iter().map(|k| jobs[k.id].density * remaining[k.id]).sum();
-        admit(t, &mut next, &mut heap, &mut total_w);
     }
 
-    let int_flow: f64 = jobs
-        .iter()
-        .enumerate()
-        .map(|(j, job)| job.weight() * (completion[j] - job.release))
-        .sum();
-    Ok(GenericRun {
-        objective: Objective { energy, frac_flow: frac_flow.iter().sum(), int_flow },
-        completion,
-        stints,
-    })
+    fn retire(&self, interval: Segment, w_end: f64, mut emit: impl FnMut(GenericStint)) {
+        let (Some(job), SpeedLaw::Decay { w0, rho }) = (interval.job, interval.law) else {
+            unreachable!("CStream retires decay intervals of a served job")
+        };
+        emit(GenericStint {
+            start: interval.start,
+            end: interval.end,
+            job,
+            rho,
+            level_start: w0,
+            level_end: w_end,
+            decaying: true,
+        });
+    }
+
+    fn power_before(&self, seg: &GenericStint, t: f64) -> f64 {
+        if seg.start < t && t <= seg.end {
+            GenericDecay { pf: self, w0: seg.level_start, rho: seg.rho }.weight_at(t - seg.start)
+        } else {
+            0.0
+        }
+    }
 }
 
-/// Left limit of the remaining weight of a generic C run at time `t`,
-/// resolved by inverting the stint the instant falls into.
-fn generic_remaining_weight_before(pf: &PolyPower, run: &GenericRun, t: f64) -> f64 {
-    for s in &run.stints {
-        if s.start < t && t <= s.end {
-            let kernel = GenericDecay { pf, w0: s.level_start, rho: s.rho };
-            return kernel.weight_at(t - s.start);
-        }
+/// Run Algorithm C under a general power function.
+pub fn run_c_generic(instance: &Instance, pf: &PolyPower) -> SimResult<GenericRun> {
+    let mut completion = vec![f64::NAN; instance.len()];
+    let mut stream = CStream::new(pf, StreamConfig::batch());
+    let mut sink = |c: crate::streaming::CCompletion| completion[c.id] = c.completion;
+    for &job in instance.jobs() {
+        stream.offer(job, &mut sink)?;
     }
-    0.0
+    let summary = stream.finish(&mut sink)?;
+    let stints = stream.spill_mut().drain().collect();
+    Ok(GenericRun { objective: summary.objective, completion, stints })
 }
 
 /// Run Algorithm NC (uniform density) under a general power function.
@@ -203,32 +163,15 @@ pub fn run_nc_uniform_generic(instance: &Instance, pf: &PolyPower) -> SimResult<
     if !instance.is_uniform_density() {
         return Err(SimError::NonUniformDensity);
     }
-    let jobs = instance.jobs();
-    let n = jobs.len();
-    let mut completion = vec![f64::NAN; n];
-    let mut frac_flow = vec![0.0; n];
-    let mut energy = 0.0;
-    let mut stints = Vec::new();
+    let mut shadow = MachineShadow::new(pf);
+    let mut objective = Objective::default();
+    let mut completion = Vec::with_capacity(instance.len());
+    let mut stints = Vec::with_capacity(instance.len());
     let mut t = 0.0f64;
 
-    for (j, job) in jobs.iter().enumerate() {
+    for (j, job) in instance.jobs().iter().enumerate() {
         t = t.max(job.release);
-        // K_j with the same distinct-release-limit tie rule as
-        // `crate::shadow::base_power`, over this power function's C run.
-        let (prefix, _) = instance.prefix_before(job.release);
-        let strictly_before = if prefix.is_empty() {
-            0.0
-        } else {
-            let run = run_c_generic(&prefix, pf)?;
-            generic_remaining_weight_before(pf, &run, job.release)
-        };
-        let ties: f64 = jobs[..j]
-            .iter()
-            .filter(|i| i.release == job.release)
-            .map(|i| i.weight())
-            .sum();
-        let k_j = strictly_before + ties;
-
+        let k_j = shadow.admit(*job)?;
         let rho = job.density;
         let kernel = GenericGrowth { pf, u0: k_j, rho };
         let u_end = k_j + job.weight();
@@ -242,23 +185,15 @@ pub fn run_nc_uniform_generic(instance: &Instance, pf: &PolyPower) -> SimResult<
             level_end: u_end,
             decaying: false,
         });
-        energy += kernel.energy_to_u(u_end);
-        frac_flow[j] = rho * job.volume * (t - job.release)
+        objective.energy += kernel.energy_to_u(u_end);
+        objective.frac_flow += rho * job.volume * (t - job.release)
             + rho * (job.volume * tau - kernel.volume_integral_to_u(u_end));
         t += tau;
-        completion[j] = t;
+        objective.int_flow += job.weight() * (t - job.release);
+        completion.push(t);
     }
 
-    let int_flow: f64 = jobs
-        .iter()
-        .enumerate()
-        .map(|(j, job)| job.weight() * (completion[j] - job.release))
-        .sum();
-    Ok(GenericRun {
-        objective: Objective { energy, frac_flow: frac_flow.iter().sum(), int_flow },
-        completion,
-        stints,
-    })
+    Ok(GenericRun { objective, completion, stints })
 }
 
 #[cfg(test)]

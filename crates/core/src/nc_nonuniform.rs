@@ -148,7 +148,7 @@ impl CurrentC {
 
     /// A stream that keeps no segments: the reads need only the last one.
     fn stream(law: PowerLaw) -> CStream {
-        CStream::new(law, StreamConfig { keep_segments: false, spill_capacity: Some(1) })
+        CStream::new(law, StreamConfig::shadow())
     }
 
     /// Checkpoint the start of a stint of job `cur`: split the included

@@ -25,7 +25,7 @@
 //! (DESIGN.md §12.2).
 
 use crate::clairvoyant::run_c;
-use crate::streaming::{CStream, StreamConfig};
+use crate::streaming::{CStream, DecayLaw, StreamConfig};
 use ncss_sim::{Instance, Job, PowerLaw, Segment, SimResult};
 
 /// `K` for a job released at `release` on a machine whose earlier jobs are
@@ -44,23 +44,24 @@ pub fn base_power(history: &[Job], release: f64, law: PowerLaw) -> SimResult<f64
 }
 
 /// One machine's Algorithm C run, advanced to its latest release, plus the
-/// weight of its jobs released then.
+/// weight of its jobs released then. Over any [`DecayLaw`]: the general
+/// power functions read their `K` here too.
 #[derive(Debug)]
-pub struct MachineShadow {
-    stream: CStream,
+pub struct MachineShadow<M: DecayLaw = PowerLaw> {
+    stream: CStream<M>,
     tie_release: f64,
     tie_weight: f64,
 }
 
-impl MachineShadow {
-    fn with_config(law: PowerLaw, config: StreamConfig) -> Self {
+impl<M: DecayLaw> MachineShadow<M> {
+    fn with_config(law: M, config: StreamConfig) -> Self {
         Self { stream: CStream::new(law, config), tie_release: f64::NEG_INFINITY, tie_weight: 0.0 }
     }
 
     /// A shadow that keeps no segments.
     #[must_use]
-    pub fn new(law: PowerLaw) -> Self {
-        Self::with_config(law, StreamConfig { keep_segments: false, spill_capacity: Some(1) })
+    pub fn new(law: M) -> Self {
+        Self::with_config(law, StreamConfig::shadow())
     }
 
     /// Feed the next job (releases non-decreasing) and return its `K`:

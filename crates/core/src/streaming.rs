@@ -25,13 +25,70 @@
 //! non-decreasing release order — the online arrival order — and
 //! completions are pushed to a caller-supplied sink as the event loop
 //! crosses them.
+//!
+//! [`CStream`] is generic over its [`DecayLaw`], so every variant of
+//! Algorithm C runs this one event loop: the paper's `s^α` ([`PowerLaw`],
+//! the default), the speed-capped law (`crate::bounded::Capped`) and a
+//! general power function (`&PolyPower`, in `crate::generic_runs`).
 
 use crate::clairvoyant::ActiveKey;
 use ncss_sim::arena::{ArenaSnapshot, JobArena};
-use ncss_sim::kernel::{DecayKernel, GrowthKernel};
+use ncss_sim::kernel::{DecayKernel, DecayServe, GrowthKernel};
 use ncss_sim::spill::{SpillRing, SpillSnapshot};
 use ncss_sim::{Job, JobId, Objective, PowerLaw, Segment, SimError, SimResult, SpeedLaw};
 use std::collections::BinaryHeap;
+use std::fmt;
+
+/// What [`CStream`]'s event loop asks of a speed law. Algorithm C sets its
+/// power from the total remaining weight `W`; a law says how `W` drains
+/// while one job is served, and what the drained interval leaves on the
+/// record.
+pub trait DecayLaw: Copy + fmt::Debug {
+    /// What a service interval retires into the spill ring and keeps as
+    /// the last segment: [`Segment`] for the `s^α` laws.
+    type Seg: Copy + fmt::Debug;
+
+    /// Serve `rem` volume of a density-`rho` job from total weight `w0`
+    /// for at most `dt`: [`DecayKernel::serve`] for [`PowerLaw`].
+    fn serve(&self, w0: f64, rho: f64, rem: f64, dt: f64) -> DecayServe;
+
+    /// Hand `emit` the segments of one served interval, in time order and
+    /// none of them empty. `interval` is the interval as [`PowerLaw`]
+    /// records it (`SpeedLaw::Decay { w0, rho }` over `[start, end]`, with
+    /// `end > start`), and `w_end` is the weight the serve left.
+    fn retire(&self, interval: Segment, w_end: f64, emit: impl FnMut(Self::Seg));
+
+    /// The power `seg` reads just before `t`, with `(start, end]`
+    /// semantics and 0 outside: the remaining weight `W(t^-)` wherever the
+    /// power is the weight.
+    fn power_before(&self, seg: &Self::Seg, t: f64) -> f64;
+}
+
+/// The paper's law. Each method is a forced-inline shim, so the loop calls
+/// [`DecayKernel::serve`] and builds its segment as it did before it took a
+/// law: the same arithmetic in the same order, and the same bits.
+impl DecayLaw for PowerLaw {
+    type Seg = Segment;
+
+    #[inline(always)]
+    fn serve(&self, w0: f64, rho: f64, rem: f64, dt: f64) -> DecayServe {
+        DecayKernel { law: *self, w0, rho }.serve(rem, dt)
+    }
+
+    #[inline(always)]
+    fn retire(&self, interval: Segment, _w_end: f64, mut emit: impl FnMut(Segment)) {
+        emit(interval);
+    }
+
+    #[inline(always)]
+    fn power_before(&self, seg: &Segment, t: f64) -> f64 {
+        if seg.start < t && t <= seg.end {
+            seg.power_at(*self, t)
+        } else {
+            0.0
+        }
+    }
+}
 
 /// Initial capacity of the active-job heap: a generous pre-size trades a
 /// few KiB per stream for an allocation-free steady state, and streams
@@ -87,7 +144,14 @@ impl StreamConfig {
         Self { keep_segments: true, spill_capacity: Some(capacity) }
     }
 
-    fn ring(&self) -> SpillRing {
+    /// No segments kept — a shadow run that only reads `W(t^-)` off its
+    /// last segment, like NC's embedded C run.
+    #[must_use]
+    pub(crate) fn shadow() -> Self {
+        Self { keep_segments: false, spill_capacity: Some(1) }
+    }
+
+    fn ring<S>(&self) -> SpillRing<S> {
         match self.spill_capacity {
             Some(cap) => SpillRing::with_capacity(cap),
             None => SpillRing::unbounded(),
@@ -205,7 +269,8 @@ impl Ord for StreamKey {
 /// driven by an ordered release stream.
 ///
 /// This *is* the Algorithm C event loop — [`crate::run_c`] wraps it — with
-/// the per-job `Vec`s replaced by an arena over active jobs only.
+/// the per-job `Vec`s replaced by an arena over active jobs only. The
+/// capped and general-power runs wrap it too, through their [`DecayLaw`].
 ///
 /// # Examples
 ///
@@ -224,11 +289,11 @@ impl Ord for StreamKey {
 /// assert!((summary.objective.energy - summary.objective.frac_flow).abs() < 1e-9);
 /// ```
 #[derive(Debug)]
-pub struct CStream {
-    law: PowerLaw,
+pub struct CStream<M: DecayLaw = PowerLaw> {
+    law: M,
     arena: JobArena,
     heap: BinaryHeap<StreamKey>,
-    spill: SpillRing,
+    spill: SpillRing<M::Seg>,
     keep_segments: bool,
     t: f64,
     watermark: f64,
@@ -236,7 +301,7 @@ pub struct CStream {
     /// Events since the last exact `total_w` resync (see
     /// [`WEIGHT_RESYNC_EVERY`]).
     events_since_sync: u32,
-    last_seg: Option<Segment>,
+    last_seg: Option<M::Seg>,
     ingested: usize,
     completed: usize,
     energy: f64,
@@ -244,7 +309,7 @@ pub struct CStream {
     int_done: f64,
 }
 
-impl Clone for CStream {
+impl<M: DecayLaw> Clone for CStream<M> {
     fn clone(&self) -> Self {
         Self {
             arena: self.arena.clone(),
@@ -292,10 +357,10 @@ impl Clone for CStream {
     }
 }
 
-impl CStream {
-    /// A fresh stream under power law `law`.
+impl<M: DecayLaw> CStream<M> {
+    /// A fresh stream under speed law `law`.
     #[must_use]
-    pub fn new(law: PowerLaw, config: StreamConfig) -> Self {
+    pub fn new(law: M, config: StreamConfig) -> Self {
         Self {
             law,
             arena: JobArena::new(),
@@ -360,9 +425,9 @@ impl CStream {
     /// so a non-finite completion time cannot make progress and is a
     /// numeric error (same contract as the batch loop had).
     ///
-    /// Per service interval the loop makes exactly one fused
-    /// [`DecayKernel::serve`] call (2 power-kernel evaluations when the top
-    /// job completes, 3 when the interval is truncated at `bound`), touches
+    /// Per service interval the loop makes exactly one [`DecayLaw::serve`]
+    /// call (for [`PowerLaw`], 2 power-kernel evaluations when the top job
+    /// completes, 3 when the interval is truncated at `bound`), touches
     /// only the in-service job's arena slot (waiting jobs settle their flow
     /// lazily via [`JobArena::settle_waiting`]), maintains `W(t)` with one
     /// multiply (exact resync every [`WEIGHT_RESYNC_EVERY`] events), and
@@ -389,9 +454,8 @@ impl CStream {
             };
             let slot = top.slot;
             let rho = top.key.density;
-            let kernel = DecayKernel { law: self.law, w0: self.total_w, rho };
             let rem = self.arena.remaining(slot);
-            let sv = kernel.serve(rem, bound - self.t);
+            let sv = self.law.serve(self.total_w, rho, rem, bound - self.t);
             if finishing && !(self.t + sv.tau).is_finite() {
                 // Kernel overflow at extreme weight scales: with no further
                 // release to bound the segment, the event loop cannot make
@@ -409,16 +473,20 @@ impl CStream {
             // no segment and accrues nothing — same as a zero-length
             // interval; the job's waiting flow settles at completion below.
             if t_end > self.t {
-                let seg = Segment::new(
+                let interval = Segment::new(
                     self.t,
                     t_end,
                     Some(top.key.id),
                     SpeedLaw::Decay { w0: self.total_w, rho },
                 );
-                if self.keep_segments {
-                    self.spill.push(seg);
-                }
-                self.last_seg = Some(seg);
+                let (spill, last_seg) = (&mut self.spill, &mut self.last_seg);
+                let keep = self.keep_segments;
+                self.law.retire(interval, sv.step.w_end, |seg| {
+                    if keep {
+                        spill.push(seg);
+                    }
+                    *last_seg = Some(seg);
+                });
                 self.energy += sv.step.energy;
                 // Waiting stretches settle lazily: bring the in-service
                 // job's flow current through the interval start, add the
@@ -486,48 +554,16 @@ impl CStream {
         }
     }
 
-    /// The speed [`crate::run_c`]'s schedule reports at `t`
-    /// ([`ncss_sim::Schedule::speed_at`]) on an instance made of the jobs
-    /// offered so far followed by jobs released at `next_release` or later
-    /// (`f64::INFINITY` when there are none), for `t` at or past the last
-    /// offered release and before `next_release`.
-    ///
-    /// C is online, so the run up to `next_release` does not depend on the
-    /// later jobs: the event loop runs exactly as [`Self::advance_to`]
-    /// (`next_release`) or [`Self::finish`] would, but only until the first
-    /// segment that ends after `t`, and the read keeps `Schedule::speed_at`'s
-    /// rules: segments are half-open, a `t` within 1e-12 after the last
-    /// segment's end reads that segment's closing speed, and anything else
-    /// reads 0. Errors of the loop before that segment propagate as they
-    /// would from [`crate::run_c`]; those after it are never met.
-    ///
-    /// The stream is left at that event, so read once and then restore it
-    /// (`clone_from` a checkpoint) instead of offering more jobs. When the
-    /// clock is already past `t` (a completion that rounds past its bound),
-    /// only the last closed segment can be read.
-    pub fn speed_at(&mut self, t: f64, next_release: f64) -> SimResult<f64> {
-        if self.t <= t {
-            let finishing = !next_release.is_finite();
-            self.drain_events::<true, _>(next_release, finishing, t, &mut |_| {})?;
-        }
-        // Every earlier segment ended by the clock, so at or before `t`.
-        Ok(match self.last_seg {
-            Some(s) if s.start <= t && t < s.end => s.speed_at(self.law, t),
-            Some(s) if (t - s.end).abs() <= 1e-12 => s.speed_at(self.law, t),
-            _ => 0.0,
-        })
-    }
-
     /// The left limit `W(t^-)` of the total remaining weight — the quantity
     /// `W^{(C)}(r^-)` Algorithm NC reads at each release. Valid for `t` at
     /// or behind the stream clock; reads the last closed segment with
-    /// `(start, end]` semantics, exactly like the batch
-    /// [`crate::CRun::remaining_weight_before`].
+    /// `(start, end]` semantics ([`DecayLaw::power_before`]), exactly like
+    /// the batch [`crate::CRun::remaining_weight_before`].
     #[must_use]
     pub fn weight_before(&self, t: f64) -> f64 {
         match &self.last_seg {
-            Some(s) if s.start < t && t <= s.end => s.power_at(self.law, t),
-            _ => 0.0,
+            Some(s) => self.law.power_before(s, t),
+            None => 0.0,
         }
     }
 
@@ -561,8 +597,44 @@ impl CStream {
     }
 
     /// The spill ring of retired segments, for draining.
-    pub fn spill_mut(&mut self) -> &mut SpillRing {
+    pub fn spill_mut(&mut self) -> &mut SpillRing<M::Seg> {
         &mut self.spill
+    }
+}
+
+/// The reads and checkpoints of the `s^α` stream: its segments carry a
+/// [`SpeedLaw`] that a trace can store and a schedule can read.
+impl CStream {
+    /// The speed [`crate::run_c`]'s schedule reports at `t`
+    /// ([`ncss_sim::Schedule::speed_at`]) on an instance made of the jobs
+    /// offered so far followed by jobs released at `next_release` or later
+    /// (`f64::INFINITY` when there are none), for `t` at or past the last
+    /// offered release and before `next_release`.
+    ///
+    /// C is online, so the run up to `next_release` does not depend on the
+    /// later jobs: the event loop runs exactly as [`Self::advance_to`]
+    /// (`next_release`) or [`Self::finish`] would, but only until the first
+    /// segment that ends after `t`, and the read keeps `Schedule::speed_at`'s
+    /// rules: segments are half-open, a `t` within 1e-12 after the last
+    /// segment's end reads that segment's closing speed, and anything else
+    /// reads 0. Errors of the loop before that segment propagate as they
+    /// would from [`crate::run_c`]; those after it are never met.
+    ///
+    /// The stream is left at that event, so read once and then restore it
+    /// (`clone_from` a checkpoint) instead of offering more jobs. When the
+    /// clock is already past `t` (a completion that rounds past its bound),
+    /// only the last closed segment can be read.
+    pub fn speed_at(&mut self, t: f64, next_release: f64) -> SimResult<f64> {
+        if self.t <= t {
+            let finishing = !next_release.is_finite();
+            self.drain_events::<true, _>(next_release, finishing, t, &mut |_| {})?;
+        }
+        // Every earlier segment ended by the clock, so at or before `t`.
+        Ok(match self.last_seg {
+            Some(s) if s.start <= t && t < s.end => s.speed_at(self.law, t),
+            Some(s) if (t - s.end).abs() <= 1e-12 => s.speed_at(self.law, t),
+            _ => 0.0,
+        })
     }
 
     /// Capture the complete stream state as plain data (DESIGN.md §10).
@@ -755,10 +827,9 @@ impl NcStream {
     /// A fresh stream under power law `law`.
     #[must_use]
     pub fn new(law: PowerLaw, config: StreamConfig) -> Self {
-        let shadow_cfg = StreamConfig { keep_segments: false, spill_capacity: Some(1) };
         Self {
             law,
-            shadow: CStream::new(law, shadow_cfg),
+            shadow: CStream::new(law, StreamConfig::shadow()),
             spill: config.ring(),
             t_free: 0.0,
             density0: None,

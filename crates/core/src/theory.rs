@@ -137,14 +137,6 @@ pub fn optimal_reduction_epsilon(alpha: f64) -> f64 {
         .unwrap_or(f64::NAN)
 }
 
-/// Single-job fractional OPT identity: the optimal schedule for one job has
-/// flow-time exactly `(α − 1)` times its energy (derived from the
-/// Euler–Lagrange solution `P'(s(t)) = ρ(T − t)`; verified in `ncss-opt`).
-#[must_use]
-pub fn single_job_opt_flow_over_energy(alpha: f64) -> f64 {
-    alpha - 1.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

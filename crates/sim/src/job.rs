@@ -163,16 +163,6 @@ impl Instance {
         }
     }
 
-    /// The common density, if uniform.
-    #[must_use]
-    pub fn uniform_density(&self) -> Option<f64> {
-        if self.is_uniform_density() {
-            self.jobs.first().map(|j| j.density)
-        } else {
-            None
-        }
-    }
-
     /// The sub-instance of jobs released strictly before `t`, with ids
     /// preserved via the returned mapping (new id -> original id).
     ///
@@ -262,10 +252,8 @@ mod tests {
     fn uniform_density_detection() {
         let u = Instance::new(vec![Job::unit_density(0.0, 1.0), Job::unit_density(1.0, 2.0)]).unwrap();
         assert!(u.is_uniform_density());
-        assert_eq!(u.uniform_density(), Some(1.0));
         let m = Instance::new(vec![Job::new(0.0, 1.0, 1.0), Job::new(1.0, 1.0, 2.0)]).unwrap();
         assert!(!m.is_uniform_density());
-        assert_eq!(m.uniform_density(), None);
     }
 
     #[test]

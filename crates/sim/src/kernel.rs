@@ -22,15 +22,12 @@
 
 use crate::power::PowerLaw;
 
-/// Everything a streaming event loop needs to know about advancing a
-/// [`DecayKernel`] by `τ`, computed in one pass.
-///
-/// The fields are **bitwise identical** to calling [`DecayKernel::weight_at`],
-/// [`DecayKernel::energy`], [`DecayKernel::volume`], and
-/// [`DecayKernel::volume_integral`] separately — [`DecayKernel::step`] just
-/// evaluates the shared sub-expressions (`w0^β`, `W(τ)`, the energy) once
-/// instead of up to four times, which is what makes it the hot-path entry
-/// point.
+/// Everything a streaming event loop needs to know about one service
+/// interval of a [`DecayKernel`], computed in one pass by
+/// [`DecayKernel::serve`]: the values [`DecayKernel::weight_at`],
+/// [`DecayKernel::energy`], [`DecayKernel::volume`] and
+/// [`DecayKernel::volume_integral`] give at the interval's length, with the
+/// shared sub-expressions evaluated once.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DecayStep {
     /// Remaining weight at the end of the step, `W(τ)` (clamped at 0).
@@ -44,8 +41,7 @@ pub struct DecayStep {
 }
 
 /// The growth-side mirror of [`DecayStep`], produced by
-/// [`GrowthKernel::step`]. Same bitwise contract: each field equals the
-/// corresponding individual method call.
+/// [`GrowthKernel::serve_volume`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GrowthStep {
     /// Power level at the end of the step, `u(τ)`.
@@ -130,14 +126,7 @@ impl DecayKernel {
     /// `∫P dt = ∫W dt = (w0^{1+β} − W(τ)^{1+β}) / (ρ(1+β))`.
     #[must_use]
     pub fn energy(&self, tau: f64) -> f64 {
-        self.energy_to_weight(self.weight_at(tau))
-    }
-
-    /// Energy consumed draining from `w0` down to `w_end` (a `weight_at`
-    /// value): the shared body of [`Self::energy`] and [`Self::step`].
-    #[inline]
-    fn energy_to_weight(&self, w_end: f64) -> f64 {
-        (self.law.pow_one_plus_beta(self.w0) - self.law.pow_one_plus_beta(w_end))
+        (self.law.pow_one_plus_beta(self.w0) - self.law.pow_one_plus_beta(self.weight_at(tau)))
             / (self.rho * self.law.one_plus_beta())
     }
 
@@ -148,10 +137,12 @@ impl DecayKernel {
         (self.w0 - self.weight_at(tau)) / self.rho
     }
 
-    /// Local time at which the processed job has received `v` volume.
+    /// Local time at which the processed job has received `v` volume. A
+    /// `v` of the whole weight `w0/ρ` can leave a target weight an ulp
+    /// below 0; it is clamped to 0, as in [`Self::serve`].
     #[must_use]
     pub fn time_to_volume(&self, v: f64) -> f64 {
-        self.time_to_weight(self.w0 - self.rho * v)
+        self.time_to_weight((self.w0 - self.rho * v).max(0.0))
     }
 
     /// `∫₀^τ volume(x) dx`, the time-integral of the processed volume (used
@@ -171,33 +162,12 @@ impl DecayKernel {
         self.time_to_weight(w_for_x.max(self.weight_at(tau))).min(tau)
     }
 
-    /// Advance the kernel by `tau` in one fused pass.
-    ///
-    /// Returns the same values as [`Self::weight_at`], [`Self::energy`],
-    /// [`Self::volume`], and [`Self::volume_integral`] at `tau` — **bitwise**
-    /// — but evaluates `w0^β`, the end weight, and the energy once each
-    /// instead of re-deriving them per quantity (4 power-kernel calls total
-    /// versus 12 for the separate methods). The streaming cores call this
-    /// once per service interval.
-    #[must_use]
-    #[inline]
-    pub fn step(&self, tau: f64) -> DecayStep {
-        let w_end = self.weight_at(tau);
-        let energy = self.energy_to_weight(w_end);
-        DecayStep {
-            w_end,
-            energy,
-            volume: (self.w0 - w_end) / self.rho,
-            volume_integral: (self.w0 * tau - energy) / self.rho,
-        }
-    }
-
     /// Plan serving `rem` volume of the in-service job with at most `dt`
     /// time available, in one fused pass — the event loop's sole kernel
     /// entry point for Algorithm C.
     ///
-    /// This is cheaper than `time_to_volume` followed by [`Self::step`]
-    /// because it exploits two identities:
+    /// This is cheaper than `time_to_volume` followed by the individual
+    /// methods because it exploits two identities:
     ///
     /// * the end weight on completion is **exact**: `W = w0 − ρ·rem` (no
     ///   `(·)^{1/β}` inversion of the linearized curve is ever needed);
@@ -300,14 +270,7 @@ impl GrowthKernel {
     /// Energy consumed in `[0, τ]`: `(u(τ)^{1+β} − u0^{1+β}) / (ρ(1+β))`.
     #[must_use]
     pub fn energy(&self, tau: f64) -> f64 {
-        self.energy_to_u(self.u_at(tau))
-    }
-
-    /// Energy consumed growing from `u0` up to `u_end` (a `u_at` value):
-    /// the shared body of [`Self::energy`] and [`Self::step`].
-    #[inline]
-    fn energy_to_u(&self, u_end: f64) -> f64 {
-        (self.law.pow_one_plus_beta(u_end) - self.law.pow_one_plus_beta(self.u0))
+        (self.law.pow_one_plus_beta(self.u_at(tau)) - self.law.pow_one_plus_beta(self.u0))
             / (self.rho * self.law.one_plus_beta())
     }
 
@@ -341,22 +304,6 @@ impl GrowthKernel {
             return 0.0;
         }
         tau - self.time_to_u(u_for_x)
-    }
-
-    /// Advance the kernel by `tau` in one fused pass — the growth-side
-    /// mirror of [`DecayKernel::step`], with the same bitwise contract
-    /// against the individual methods.
-    #[must_use]
-    #[inline]
-    pub fn step(&self, tau: f64) -> GrowthStep {
-        let u_end = self.u_at(tau);
-        let energy = self.energy_to_u(u_end);
-        GrowthStep {
-            u_end,
-            energy,
-            volume: (u_end - self.u0) / self.rho,
-            volume_integral: (energy - self.u0 * tau) / self.rho,
-        }
     }
 
     /// Plan the interval that processes exactly `v` volume, in one fused
@@ -552,52 +499,19 @@ mod tests {
     }
 
     #[test]
-    fn fused_step_is_bitwise_equal_to_individual_methods() {
-        // The streaming cores depend on step() being a pure fusion: every
-        // field must be bit-identical to the corresponding method call,
-        // under every kernel variant.
-        for &alpha in &[1.5, 2.0, 2.5, 3.0, 4.0, 2.75, 7.3] {
-            let l = law(alpha);
-            for &tau in &[0.0, 0.3, 1.1, 5.0] {
-                let kd = DecayKernel { law: l, w0: 6.0, rho: 1.3 };
-                let s = kd.step(tau);
-                assert_eq!(s.w_end.to_bits(), kd.weight_at(tau).to_bits(), "α={alpha}");
-                assert_eq!(s.energy.to_bits(), kd.energy(tau).to_bits(), "α={alpha}");
-                assert_eq!(s.volume.to_bits(), kd.volume(tau).to_bits(), "α={alpha}");
-                assert_eq!(
-                    s.volume_integral.to_bits(),
-                    kd.volume_integral(tau).to_bits(),
-                    "α={alpha}"
-                );
-                let kg = GrowthKernel { law: l, u0: 0.4, rho: 2.0 };
-                let g = kg.step(tau);
-                assert_eq!(g.u_end.to_bits(), kg.u_at(tau).to_bits(), "α={alpha}");
-                assert_eq!(g.energy.to_bits(), kg.energy(tau).to_bits(), "α={alpha}");
-                assert_eq!(g.volume.to_bits(), kg.volume(tau).to_bits(), "α={alpha}");
-                assert_eq!(
-                    g.volume_integral.to_bits(),
-                    kg.volume_integral(tau).to_bits(),
-                    "α={alpha}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn serve_agrees_with_step_and_completes_exactly() {
+    fn serve_agrees_with_individual_methods_and_completes_exactly() {
         for &alpha in &[1.5, 2.0, 2.5, 3.0, 2.75, 7.3] {
             let l = law(alpha);
             let kd = DecayKernel { law: l, w0: 6.0, rho: 1.3 };
-            // Truncated at the horizon: same numbers as step(dt).
+            // Truncated at the horizon: the individual methods' numbers at dt.
             let rem = 4.0 / kd.rho; // more volume than a short dt can drain
             let sv = kd.serve(rem, 0.2);
             assert!(!sv.completes);
             assert_eq!(sv.tau, 0.2);
-            let st = kd.step(0.2);
-            assert!(approx_eq(sv.step.w_end, st.w_end, 1e-13), "α={alpha}");
-            assert!(approx_eq(sv.step.energy, st.energy, 1e-13), "α={alpha}");
-            assert!(approx_eq(sv.step.volume, st.volume, 1e-13), "α={alpha}");
-            assert!(approx_eq(sv.step.volume_integral, st.volume_integral, 1e-13));
+            assert!(approx_eq(sv.step.w_end, kd.weight_at(0.2), 1e-13), "α={alpha}");
+            assert!(approx_eq(sv.step.energy, kd.energy(0.2), 1e-13), "α={alpha}");
+            assert!(approx_eq(sv.step.volume, kd.volume(0.2), 1e-13), "α={alpha}");
+            assert!(approx_eq(sv.step.volume_integral, kd.volume_integral(0.2), 1e-13));
 
             // Completing: volume and end weight are exact, tau matches the
             // inverse map, energy matches the τ-parameterized form.
@@ -609,16 +523,15 @@ mod tests {
             assert!(approx_eq(sv.tau, kd.time_to_volume(rem), 1e-12), "α={alpha}");
             assert!(approx_eq(sv.step.energy, kd.energy(sv.tau), 1e-10), "α={alpha}");
 
-            // Growth side: serve_volume vs time_to_volume + step.
+            // Growth side: serve_volume vs time_to_volume + the methods.
             let kg = GrowthKernel { law: l, u0: 0.4, rho: 2.0 };
             let v = 1.3;
             let gs = kg.serve_volume(v);
             assert_eq!(gs.step.volume, v);
             assert_eq!(gs.step.u_end, kg.u0 + kg.rho * v, "end level is exact");
             assert!(approx_eq(gs.tau, kg.time_to_volume(v), 1e-12), "α={alpha}");
-            let st = kg.step(gs.tau);
-            assert!(approx_eq(gs.step.energy, st.energy, 1e-10), "α={alpha}");
-            assert!(approx_eq(gs.step.volume_integral, st.volume_integral, 1e-10));
+            assert!(approx_eq(gs.step.energy, kg.energy(gs.tau), 1e-10), "α={alpha}");
+            assert!(approx_eq(gs.step.volume_integral, kg.volume_integral(gs.tau), 1e-10));
         }
     }
 

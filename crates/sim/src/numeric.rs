@@ -7,23 +7,6 @@
 
 use crate::error::{SimError, SimResult};
 
-/// Guard rail: pass `value` through unchanged when it is finite, otherwise
-/// return [`SimError::Numeric`] naming the quantity.
-///
-/// This is the release-build replacement for the `debug_assert!`s that used
-/// to protect kernel outputs: at extreme `α`/volume scales (1e±150 and
-/// beyond) closed forms overflow to `inf` or collapse to NaN, and every
-/// public run function funnels its outputs through this check so callers see
-/// a structured error instead of a poisoned objective.
-#[inline]
-pub fn ensure_finite(what: &'static str, value: f64) -> SimResult<f64> {
-    if value.is_finite() {
-        Ok(value)
-    } else {
-        Err(SimError::Numeric { what, value })
-    }
-}
-
 /// Relative difference `|a - b| / max(|a|, |b|, 1)`.
 ///
 /// The `1` floor makes the measure behave like an absolute difference near
@@ -204,13 +187,6 @@ mod tests {
         // f saturates below the target: expansion can never bracket it.
         let err = solve_increasing(|x| x.min(1.0), 2.0, 0.0, 0.5, 1e-10).unwrap_err();
         assert!(matches!(err, SimError::NonConvergence { .. }), "{err}");
-    }
-
-    #[test]
-    fn ensure_finite_guards() {
-        assert_eq!(ensure_finite("x", 2.5).unwrap(), 2.5);
-        assert!(ensure_finite("x", f64::INFINITY).is_err());
-        assert!(ensure_finite("x", f64::NAN).is_err());
     }
 
     #[test]

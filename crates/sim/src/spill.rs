@@ -38,17 +38,20 @@ use crate::error::{SimError, SimResult};
 use crate::schedule::Segment;
 use std::collections::VecDeque;
 
-/// Drop-oldest ring buffer of retired [`Segment`]s with drop accounting.
+/// Drop-oldest ring buffer of retired segments with drop accounting.
+///
+/// `S` is the segment type a stream retires: [`Segment`] for the `s^α`
+/// laws, which are the ones that snapshot.
 #[derive(Debug, Clone)]
-pub struct SpillRing {
-    buf: VecDeque<Segment>,
+pub struct SpillRing<S = Segment> {
+    buf: VecDeque<S>,
     capacity: usize,
     dropped: u64,
     total: u64,
     peak: usize,
 }
 
-impl SpillRing {
+impl<S> SpillRing<S> {
     /// A ring holding at most `capacity` resident segments (≥ 1).
     ///
     /// Small bounded rings pre-allocate their full backing store up front
@@ -74,7 +77,7 @@ impl SpillRing {
     }
 
     /// Retire a segment; evicts (and counts) the oldest when full.
-    pub fn push(&mut self, seg: Segment) {
+    pub fn push(&mut self, seg: S) {
         if self.buf.len() == self.capacity {
             self.buf.pop_front();
             self.dropped += 1;
@@ -85,7 +88,7 @@ impl SpillRing {
     }
 
     /// Drain all resident segments in retirement (chronological) order.
-    pub fn drain(&mut self) -> impl Iterator<Item = Segment> + '_ {
+    pub fn drain(&mut self) -> impl Iterator<Item = S> + '_ {
         self.buf.drain(..)
     }
 
@@ -118,7 +121,9 @@ impl SpillRing {
     pub fn capacity(&self) -> usize {
         self.capacity
     }
+}
 
+impl SpillRing {
     /// Capture the ring — resident segments *and* accounting counters — as
     /// plain data for checkpointing. Restoring via [`SpillRing::restore`]
     /// preserves drop accounting across a crash/resume boundary, so a

@@ -21,7 +21,11 @@
 #      reader of K_j against the prefix re-run on 2,500 jobs (debug
 #      builds check part of it), plus a tripwire that the capped and the
 #      firewalled NC finish 4,000 jobs in under 2 s together (re-running
-#      Algorithm C over the prefix for every job takes about 10 s)
+#      Algorithm C over the prefix for every job takes about 10 s); and the
+#      capped and general-power runs against copies of their old loops
+#      (debug builds check 4 of the 16 random instances), plus a tripwire
+#      that general-power C and NC finish 50 jobs in under 20 s together
+#      (re-running general-power C for every NC job takes about a minute)
 #   6. audit smoke: every schedule-producing algorithm on a generated
 #      trace must pass the independent audit; the parallel algorithms
 #      go through the cross-machine auditor, and a deliberately
@@ -90,9 +94,9 @@ fault_start=$(date +%s)
 cargo test --release -q --offline --test fault_contract
 echo "fault contract wall-time: $(($(date +%s) - fault_start))s"
 
-echo "==> cargo test --release -q --offline --test closed_form_quadrature --test audit_property --test fleet_identity --test nonuniform_identity --test shadow_identity"
+echo "==> cargo test --release -q --offline --test closed_form_quadrature --test audit_property --test fleet_identity --test nonuniform_identity --test shadow_identity --test generic_and_bounded"
 cargo test --release -q --offline --test closed_form_quadrature --test audit_property --test fleet_identity \
-    --test nonuniform_identity --test shadow_identity
+    --test nonuniform_identity --test shadow_identity --test generic_and_bounded
 
 echo "==> audit smoke (ncss-cli audit on a generated trace)"
 cli=target/release/ncss-cli
