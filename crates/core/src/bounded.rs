@@ -21,12 +21,11 @@
 //! (< 1% on the sample instances). This measured breakage is itself a
 //! finding: the paper's exact structure is specific to unbounded speeds.
 
-use crate::shadow::MachineShadow;
-use crate::streaming::{CStream, DecayLaw, StreamConfig};
-use ncss_sim::kernel::{DecayServe, DecayStep, GrowthKernel};
+use crate::streaming::{CStream, DecayLaw, GrowthLaw, NcStream, StreamConfig};
+use ncss_sim::kernel::{DecayServe, DecayStep, GrowthKernel, GrowthServe, GrowthStep};
 use ncss_sim::{
-    evaluate, Evaluated, Instance, PowerLaw, Schedule, ScheduleBuilder, Segment, SimError,
-    SimResult, SpeedLaw,
+    evaluate, Evaluated, Instance, PowerLaw, Schedule, ScheduleBuilder, Segment, SimError, SimResult,
+    SpeedLaw,
 };
 
 fn check_cap(s_max: f64) -> SimResult<()> {
@@ -36,13 +35,16 @@ fn check_cap(s_max: f64) -> SimResult<()> {
     Ok(())
 }
 
-/// Algorithm C's law under a hard speed cap: `s = min(P⁻¹(W), s_max)`.
+/// Algorithm C's law under a hard speed cap, `s = min(P⁻¹(W), s_max)`, and
+/// NC's growth curve clipped the same way.
 ///
 /// While `W > P(s_max)` the machine runs flat at the cap and `W` falls
 /// linearly; from the crossing on it decays from exactly `P(s_max)`. One
 /// serve covers both phases, so an interval retires a `Constant` and then
 /// a `Decay` segment, and no segment starts above power `P(s_max)`. A
-/// crossing closer than an ulp of the clock retires no flat segment.
+/// crossing closer than an ulp of the clock retires no flat segment. NC
+/// grows to `P(s_max)` and then runs flat: a `Growth` and then a `Constant`
+/// segment.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Capped {
     /// The uncapped power law.
@@ -60,6 +62,17 @@ impl Capped {
     /// Time the flat phase takes to bring `w0 > P(s_max)` down to the cap.
     fn flat_time(&self, w0: f64, rho: f64) -> f64 {
         (w0 - self.w_cap()) / (rho * self.s_max)
+    }
+
+    /// How long NC's capped growth curve from `u0` grows and then runs flat
+    /// to serve volume `v`: all flat when `u0` is already at the cap.
+    fn growth_phases(&self, u0: f64, rho: f64, v: f64) -> (f64, f64) {
+        let (u_cap, u_end) = (self.w_cap(), u0 + rho * v);
+        if !(u0 < u_cap) {
+            return (0.0, v / self.s_max);
+        }
+        let growth = GrowthKernel { law: self.law, u0, rho }.time_to_u(u_end.min(u_cap));
+        (growth, if u_end > u_cap { (u_end - u_cap) / rho / self.s_max } else { 0.0 })
     }
 }
 
@@ -124,6 +137,42 @@ impl DecayLaw for Capped {
     }
 }
 
+/// Capped NC reads `K_j` from an uncapped shadow.
+impl From<Capped> for PowerLaw {
+    fn from(capped: Capped) -> Self {
+        capped.law
+    }
+}
+
+impl GrowthLaw for Capped {
+    type Shadow = PowerLaw;
+
+    fn serve_volume(&self, u0: f64, rho: f64, v: f64) -> GrowthServe {
+        let (growth, flat) = self.growth_phases(u0, rho, v);
+        let grown = self.law.serve_volume(u0, rho, (v - self.s_max * flat).max(0.0)).step;
+        let step = GrowthStep {
+            u_end: u0 + rho * v,
+            energy: grown.energy + self.w_cap() * flat,
+            volume: v,
+            volume_integral: grown.volume_integral + 0.5 * (v + grown.volume) * flat,
+        };
+        GrowthServe { tau: growth + flat, step }
+    }
+
+    fn complete(&self, interval: Segment, sv: &GrowthServe, mut emit: impl FnMut(Segment)) -> f64 {
+        let SpeedLaw::Growth { u0, rho } = interval.law else { unreachable!("NC serves growth intervals") };
+        let (growth, flat) = self.growth_phases(u0, rho, sv.step.volume);
+        let mut t = interval.start;
+        for (tau, law) in [(growth, interval.law), (flat, SpeedLaw::Constant { speed: self.s_max })] {
+            if tau > 0.0 {
+                emit(Segment { start: t, end: t + tau, law, ..interval });
+                t += tau;
+            }
+        }
+        t
+    }
+}
+
 /// Run the speed-capped Algorithm C: [`CStream`] under the capped law.
 pub fn run_c_bounded(instance: &Instance, law: PowerLaw, s_max: f64) -> SimResult<(Schedule, Evaluated)> {
     check_cap(s_max)?;
@@ -132,59 +181,24 @@ pub fn run_c_bounded(instance: &Instance, law: PowerLaw, s_max: f64) -> SimResul
         stream.offer(job, &mut |_| {})?;
     }
     stream.finish(&mut |_| {})?;
-    let mut builder = ScheduleBuilder::new(law);
-    for seg in stream.spill_mut().drain() {
-        builder.push(seg);
-    }
-    let schedule = builder.build()?;
+    let schedule = ScheduleBuilder::build_from(law, stream.spill_mut().drain())?;
     let ev = evaluate(&schedule, instance)?;
     Ok((schedule, ev))
 }
 
-/// Run the speed-capped Algorithm NC (uniform densities).
+/// Run the speed-capped Algorithm NC (uniform densities): [`NcStream`]
+/// under the capped law.
 pub fn run_nc_uniform_bounded(
     instance: &Instance,
     law: PowerLaw,
     s_max: f64,
 ) -> SimResult<(Schedule, Evaluated)> {
     check_cap(s_max)?;
-    if !instance.is_uniform_density() {
-        return Err(SimError::NonUniformDensity);
+    let mut stream = NcStream::new(Capped { law, s_max }, StreamConfig::batch());
+    for &job in instance.jobs() {
+        stream.offer(job, &mut |_| {})?;
     }
-    let u_cap = law.power(s_max);
-    let mut builder = ScheduleBuilder::new(law);
-    let mut shadow = MachineShadow::new(law);
-    let mut t = 0.0f64;
-
-    for (j, job) in instance.jobs().iter().enumerate() {
-        t = t.max(job.release);
-        let rho = job.density;
-        let k_j = shadow.admit(*job)?;
-        let u_end = k_j + job.weight();
-        if k_j < u_cap {
-            // Growth phase up to the cap (or completion).
-            let kernel = GrowthKernel { law, u0: k_j, rho };
-            let u_stop = u_end.min(u_cap);
-            let tau = kernel.time_to_u(u_stop);
-            builder.push(Segment::new(t, t + tau, Some(j), SpeedLaw::Growth { u0: k_j, rho }));
-            t += tau;
-            if u_stop < u_end {
-                // Saturated phase: remaining volume at the cap speed.
-                let rem = (u_end - u_cap) / rho;
-                let tau2 = rem / s_max;
-                builder.push(Segment::new(t, t + tau2, Some(j), SpeedLaw::Constant { speed: s_max }));
-                t += tau2;
-            }
-        } else {
-            // The base power already exceeds the cap: the whole job runs
-            // saturated.
-            let tau = job.volume / s_max;
-            builder.push(Segment::new(t, t + tau, Some(j), SpeedLaw::Constant { speed: s_max }));
-            t += tau;
-        }
-    }
-
-    let schedule = builder.build()?;
+    let schedule = ScheduleBuilder::build_from(law, stream.spill_mut().drain())?;
     let ev = evaluate(&schedule, instance)?;
     Ok((schedule, ev))
 }

@@ -126,13 +126,8 @@ pub fn run_c(instance: &Instance, law: PowerLaw) -> SimResult<CRun> {
         stream.offer(job, &mut sink)?;
     }
     let summary = stream.finish(&mut sink)?;
-
-    let mut builder = ScheduleBuilder::new(law);
-    for seg in stream.spill_mut().drain() {
-        builder.push(seg);
-    }
     Ok(CRun {
-        schedule: builder.build()?,
+        schedule: ScheduleBuilder::build_from(law, stream.spill_mut().drain())?,
         objective: summary.objective,
         per_job: PerJob { completion, frac_flow, int_flow },
     })

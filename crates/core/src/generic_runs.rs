@@ -4,18 +4,17 @@
 //! energy equality — "are actually true for all power functions, not just
 //! ones of the form `s^α`", while Lemma 4's exact flow-time ratio *needs*
 //! the power-law form. These runs make that split observable: C is
-//! [`CStream`] under `&PolyPower`, whose [`DecayLaw`] serves by
-//! [`ncss_sim::generic::PolyPower`] quadratures instead of closed forms, and
-//! NC reads each `K_j` from one [`MachineShadow`] over the same law. The
-//! tests confirm that the energy equality and the measure-preserving
-//! profile survive a `s³ + ½s²` power function while the flow-time ratio
-//! stops being weight-invariant.
+//! [`CStream`] and NC is [`NcStream`] under `&PolyPower`, whose
+//! [`DecayLaw`] and [`GrowthLaw`] serve by [`ncss_sim::generic::PolyPower`]
+//! quadratures instead of closed forms; NC reads each `K_j` from a shadow
+//! over the same law. The tests confirm that the energy equality and the
+//! measure-preserving profile survive a `s³ + ½s²` power function while the
+//! flow-time ratio stops being weight-invariant.
 
-use crate::shadow::MachineShadow;
-use crate::streaming::{CStream, DecayLaw, StreamConfig};
+use crate::streaming::{CStream, DecayLaw, GrowthLaw, NcStream, StreamConfig};
 use ncss_sim::generic::{GenericDecay, GenericGrowth, PolyPower};
-use ncss_sim::kernel::{DecayServe, DecayStep};
-use ncss_sim::{Instance, Objective, Segment, SimError, SimResult, SpeedLaw};
+use ncss_sim::kernel::{DecayServe, DecayStep, GrowthServe, GrowthStep};
+use ncss_sim::{Instance, Objective, Segment, SimResult, SpeedLaw};
 
 /// One maximal service stint of a generic run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -35,6 +34,19 @@ pub struct GenericStint {
     pub level_end: f64,
     /// Whether the power level decays (Algorithm C) or grows (NC).
     pub decaying: bool,
+}
+
+impl GenericStint {
+    /// The stint of a served `interval` as the `s^α` law records it (C's
+    /// `Decay` or NC's `Growth`), ending at power level `level_end`.
+    fn of(interval: Segment, level_end: f64) -> Self {
+        let (job, level_start, rho, decaying) = match (interval.job, interval.law) {
+            (Some(job), SpeedLaw::Decay { w0, rho }) => (job, w0, rho, true),
+            (Some(job), SpeedLaw::Growth { u0, rho }) => (job, u0, rho, false),
+            _ => unreachable!("the streams serve decay or growth intervals of a job"),
+        };
+        Self { start: interval.start, end: interval.end, job, rho, level_start, level_end, decaying }
+    }
 }
 
 /// Outcome of a generic-power-function run.
@@ -122,26 +134,38 @@ impl DecayLaw for &PolyPower {
     }
 
     fn retire(&self, interval: Segment, w_end: f64, mut emit: impl FnMut(GenericStint)) {
-        let (Some(job), SpeedLaw::Decay { w0, rho }) = (interval.job, interval.law) else {
-            unreachable!("CStream retires decay intervals of a served job")
-        };
-        emit(GenericStint {
-            start: interval.start,
-            end: interval.end,
-            job,
-            rho,
-            level_start: w0,
-            level_end: w_end,
-            decaying: true,
-        });
+        emit(GenericStint::of(interval, w_end));
     }
 
+    /// At the end, the weight the serve left (a truncating serve computed
+    /// it with this `weight_at`); inside, a bisection.
     fn power_before(&self, seg: &GenericStint, t: f64) -> f64 {
-        if seg.start < t && t <= seg.end {
+        if t == seg.end {
+            seg.level_end
+        } else if seg.start < t && t < seg.end {
             GenericDecay { pf: self, w0: seg.level_start, rho: seg.rho }.weight_at(t - seg.start)
         } else {
             0.0
         }
+    }
+}
+
+/// Algorithm NC's law under a general power function: `du/dt = ρ·P⁻¹(u)`
+/// from `K_j`, served by [`GenericGrowth`]'s quadratures and retired as one
+/// growing [`GenericStint`]; `K_j` comes from a shadow over the same law.
+impl<'a> GrowthLaw for &'a PolyPower {
+    type Shadow = &'a PolyPower;
+
+    fn serve_volume(&self, u0: f64, rho: f64, v: f64) -> GrowthServe {
+        let kernel = GenericGrowth { pf: self, u0, rho };
+        let u_end = u0 + rho * v;
+        let (energy, volume_integral) = (kernel.energy_to_u(u_end), kernel.volume_integral_to_u(u_end));
+        GrowthServe { tau: kernel.time_to_u(u_end), step: GrowthStep { u_end, energy, volume: v, volume_integral } }
+    }
+
+    fn complete(&self, interval: Segment, sv: &GrowthServe, mut emit: impl FnMut(GenericStint)) -> f64 {
+        emit(GenericStint::of(interval, sv.step.u_end));
+        interval.end
     }
 }
 
@@ -160,40 +184,14 @@ pub fn run_c_generic(instance: &Instance, pf: &PolyPower) -> SimResult<GenericRu
 
 /// Run Algorithm NC (uniform density) under a general power function.
 pub fn run_nc_uniform_generic(instance: &Instance, pf: &PolyPower) -> SimResult<GenericRun> {
-    if !instance.is_uniform_density() {
-        return Err(SimError::NonUniformDensity);
+    let mut completion = vec![f64::NAN; instance.len()];
+    let mut stream = NcStream::new(pf, StreamConfig::batch());
+    for &job in instance.jobs() {
+        stream.offer(job, &mut |c| completion[c.id] = c.completion)?;
     }
-    let mut shadow = MachineShadow::new(pf);
-    let mut objective = Objective::default();
-    let mut completion = Vec::with_capacity(instance.len());
-    let mut stints = Vec::with_capacity(instance.len());
-    let mut t = 0.0f64;
-
-    for (j, job) in instance.jobs().iter().enumerate() {
-        t = t.max(job.release);
-        let k_j = shadow.admit(*job)?;
-        let rho = job.density;
-        let kernel = GenericGrowth { pf, u0: k_j, rho };
-        let u_end = k_j + job.weight();
-        let tau = kernel.time_to_u(u_end);
-        stints.push(GenericStint {
-            start: t,
-            end: t + tau,
-            job: j,
-            rho,
-            level_start: k_j,
-            level_end: u_end,
-            decaying: false,
-        });
-        objective.energy += kernel.energy_to_u(u_end);
-        objective.frac_flow += rho * job.volume * (t - job.release)
-            + rho * (job.volume * tau - kernel.volume_integral_to_u(u_end));
-        t += tau;
-        objective.int_flow += job.weight() * (t - job.release);
-        completion.push(t);
-    }
-
-    Ok(GenericRun { objective, completion, stints })
+    let summary = stream.finish()?;
+    let stints = stream.spill_mut().drain().collect();
+    Ok(GenericRun { objective: summary.objective, completion, stints })
 }
 
 #[cfg(test)]

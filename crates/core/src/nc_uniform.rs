@@ -17,7 +17,7 @@
 //! segment, which is exactly the adversary saying "the job just ended".
 
 use crate::streaming::{NcStream, StreamConfig};
-use ncss_sim::{Instance, Objective, PerJob, PowerLaw, Schedule, ScheduleBuilder, SimError, SimResult};
+use ncss_sim::{Instance, Objective, PerJob, PowerLaw, Schedule, ScheduleBuilder, SimResult};
 
 /// A completed run of Algorithm NC.
 #[derive(Debug, Clone)]
@@ -42,8 +42,8 @@ impl NcRun {
 
 /// Run Algorithm NC on a uniform-density instance.
 ///
-/// Returns [`SimError::NonUniformDensity`] when densities differ; use
-/// [`crate::nc_nonuniform`] for the general case.
+/// Returns [`ncss_sim::SimError::NonUniformDensity`] when densities
+/// differ; use [`crate::nc_nonuniform`] for the general case.
 ///
 /// # Examples
 ///
@@ -63,17 +63,14 @@ impl NcRun {
 /// assert!((nc.objective.frac_flow / c.objective.frac_flow - 1.5).abs() < 1e-9);
 /// ```
 pub fn run_nc_uniform(instance: &Instance, law: PowerLaw) -> SimResult<NcRun> {
-    if !instance.is_uniform_density() {
-        return Err(SimError::NonUniformDensity);
-    }
     let n = instance.len();
     let mut completion = vec![f64::NAN; n];
     let mut frac_flow = vec![0.0; n];
     let mut int_flow = vec![0.0; n];
     let mut base_powers = vec![0.0; n];
 
-    // Delegate to the streaming core (DESIGN.md §9): the embedded shadow C
-    // run replaces a per-job prefix re-run (`crate::shadow::base_power`),
+    // Delegate to the streaming core (DESIGN.md §9): its shadow C run
+    // replaces a per-job prefix re-run (`crate::shadow::base_power`),
     // turning the O(n²) loop into a single O(n log n) pass.
     let mut stream = NcStream::new(law, StreamConfig::batch());
     let mut sink = |c: crate::streaming::NcCompletion| {
@@ -86,13 +83,8 @@ pub fn run_nc_uniform(instance: &Instance, law: PowerLaw) -> SimResult<NcRun> {
         stream.offer(job, &mut sink)?;
     }
     let summary = stream.finish()?;
-
-    let mut builder = ScheduleBuilder::new(law);
-    for seg in stream.spill_mut().drain() {
-        builder.push(seg);
-    }
     Ok(NcRun {
-        schedule: builder.build()?,
+        schedule: ScheduleBuilder::build_from(law, stream.spill_mut().drain())?,
         objective: summary.objective,
         per_job: PerJob { completion, frac_flow, int_flow },
         base_powers,
@@ -106,7 +98,7 @@ mod tests {
     use crate::theory;
     use ncss_sim::numeric::approx_eq;
     use ncss_sim::profile::rearrangement_distance;
-    use ncss_sim::Job;
+    use ncss_sim::{Job, SimError};
 
     fn pl(alpha: f64) -> PowerLaw {
         PowerLaw::new(alpha).unwrap()

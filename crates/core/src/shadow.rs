@@ -4,10 +4,10 @@
 //! gaps; without it the Lemma 3 energy equality fails on a simultaneous
 //! batch).
 //!
-//! NC serves job `j` at power `K_j + W̆_j(t)` (Section 3). NC-PAR reads `K_j`
-//! per machine (Theorem 17), C-PAR sends each job where it is least
-//! (Lemma 19), the capped NC clips the same growth curve, and the
-//! firewalled NC reads it from revealed volumes. All four read it here:
+//! NC serves job `j` at power `K_j + W̆_j(t)` (Section 3), under every law
+//! of [`crate::NcStream`]. NC-PAR reads `K_j` per machine (Theorem 17),
+//! C-PAR sends each job where it is least (Lemma 19), and the firewalled NC
+//! reads it from revealed volumes. All of them read it here:
 //!
 //! * [`base_power`] is the definition, a fresh [`run_c`] per read; lazy HDF,
 //!   whose histories are not in release order, and the tests use it.
@@ -19,10 +19,7 @@
 //! Both give [`base_power`]'s bits. [`MachineShadow::admit`] offers the job
 //! *before* it reads: `offer` makes the one `advance_to(r)` that `run_c`
 //! over the history makes, so the shadow passes the same events and
-//! `WEIGHT_RESYNC_EVERY` resyncs as the re-run. [`crate::NcStream`] reads
-//! first, which shifts the resyncs and, past 4,096 events, `K` by a few
-//! ulps; it keeps that shadow because the committed NC goldens pin its bits
-//! (DESIGN.md §12.2).
+//! `WEIGHT_RESYNC_EVERY` resyncs as the re-run (DESIGN.md §12.2).
 
 use crate::clairvoyant::run_c;
 use crate::streaming::{CStream, DecayLaw, StreamConfig};
@@ -46,7 +43,7 @@ pub fn base_power(history: &[Job], release: f64, law: PowerLaw) -> SimResult<f64
 /// One machine's Algorithm C run, advanced to its latest release, plus the
 /// weight of its jobs released then. Over any [`DecayLaw`]: the general
 /// power functions read their `K` here too.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct MachineShadow<M: DecayLaw = PowerLaw> {
     stream: CStream<M>,
     tie_release: f64,
@@ -76,6 +73,17 @@ impl<M: DecayLaw> MachineShadow<M> {
         let k = self.stream.weight_before(job.release) + self.tie_weight;
         self.tie_weight += job.weight();
         Ok(k)
+    }
+
+    /// The C run and `(tie_release, tie_weight)`, which an NC checkpoint
+    /// copies.
+    pub(crate) fn parts(&self) -> (&CStream<M>, f64, f64) {
+        (&self.stream, self.tie_release, self.tie_weight)
+    }
+
+    /// The shadow whose [`Self::parts`] these are.
+    pub(crate) fn from_parts(stream: CStream<M>, tie_release: f64, tie_weight: f64) -> Self {
+        Self { stream, tie_release, tie_weight }
     }
 }
 
@@ -115,10 +123,7 @@ impl ShadowTimeline {
         while self.future.get(self.cursor).is_some_and(|s| s.end < r) {
             self.cursor += 1;
         }
-        let strictly_before = match self.future.get(self.cursor) {
-            Some(s) if s.start < r && r <= s.end => s.power_at(self.law, r),
-            _ => 0.0,
-        };
+        let strictly_before = self.future.get(self.cursor).map_or(0.0, |s| self.law.power_before(s, r));
         let shadow = &self.shadow;
         strictly_before + if r == shadow.tie_release { shadow.tie_weight } else { 0.0 }
     }

@@ -26,14 +26,15 @@
 //! completions are pushed to a caller-supplied sink as the event loop
 //! crosses them.
 //!
-//! [`CStream`] is generic over its [`DecayLaw`], so every variant of
-//! Algorithm C runs this one event loop: the paper's `s^α` ([`PowerLaw`],
-//! the default), the speed-capped law (`crate::bounded::Capped`) and a
-//! general power function (`&PolyPower`, in `crate::generic_runs`).
+//! [`CStream`] is generic over its [`DecayLaw`] and [`NcStream`] over its
+//! [`GrowthLaw`], so each algorithm runs one loop under the paper's `s^α`
+//! ([`PowerLaw`], the default), the speed-capped law (`bounded::Capped`)
+//! and a general power function (`&PolyPower`, in `generic_runs`).
 
 use crate::clairvoyant::ActiveKey;
+use crate::shadow::MachineShadow;
 use ncss_sim::arena::{ArenaSnapshot, JobArena};
-use ncss_sim::kernel::{DecayKernel, DecayServe, GrowthKernel};
+use ncss_sim::kernel::{DecayKernel, DecayServe, GrowthKernel, GrowthServe};
 use ncss_sim::spill::{SpillRing, SpillSnapshot};
 use ncss_sim::{Job, JobId, Objective, PowerLaw, Segment, SimError, SimResult, SpeedLaw};
 use std::collections::BinaryHeap;
@@ -90,10 +91,51 @@ impl DecayLaw for PowerLaw {
     }
 }
 
+/// What [`NcStream`]'s FIFO loop asks of a speed law. NC serves each job
+/// whole, at base power `K_j` plus the weight it has processed, and reads
+/// `K_j` from a shadow C run under the law's [`DecayLaw`], whose segment
+/// type the served jobs retire too.
+pub trait GrowthLaw: Copy + fmt::Debug {
+    /// The law of the clairvoyant shadow, built from this one.
+    type Shadow: DecayLaw + From<Self>;
+
+    /// Serve a whole job of volume `v` and density `rho` from base power
+    /// `u0`: [`GrowthKernel::serve_volume`] for [`PowerLaw`].
+    fn serve_volume(&self, u0: f64, rho: f64, v: f64) -> GrowthServe;
+
+    /// Hand `emit` the segments of a job served as `sv`, in time order, and
+    /// return its completion time. `interval` is the service as
+    /// [`PowerLaw`] records it: `SpeedLaw::Growth { u0, rho }` over
+    /// `[start, start + sv.tau]`.
+    fn complete(&self, interval: Segment, sv: &GrowthServe, emit: impl FnMut(Seg<Self>)) -> f64;
+}
+
+/// The segment type of `G`'s shadow law, which `G`'s served jobs retire.
+type Seg<G> = <<G as GrowthLaw>::Shadow as DecayLaw>::Seg;
+
+/// The paper's law, through forced-inline shims like its [`DecayLaw`]: one
+/// growth segment when the service takes time.
+impl GrowthLaw for PowerLaw {
+    type Shadow = PowerLaw;
+
+    #[inline(always)]
+    fn serve_volume(&self, u0: f64, rho: f64, v: f64) -> GrowthServe {
+        GrowthKernel { law: *self, u0, rho }.serve_volume(v)
+    }
+
+    #[inline(always)]
+    fn complete(&self, interval: Segment, sv: &GrowthServe, mut emit: impl FnMut(Segment)) -> f64 {
+        if sv.tau > 0.0 {
+            emit(interval);
+        }
+        interval.end
+    }
+}
+
 /// Initial capacity of the active-job heap: a generous pre-size trades a
 /// few KiB per stream for an allocation-free steady state, and streams
 /// whose active set outgrows it fall back to amortized doubling. A run can
-/// hold many streams — NC embeds a shadow C stream, and the fleet
+/// hold many streams — NC keeps a shadow C stream, and the fleet
 /// dispatcher builds one clairvoyant shadow per used machine (which C-PAR
 /// clones into its cached timelines) — and each new or restored one pays
 /// the pre-size.
@@ -122,7 +164,7 @@ const WEIGHT_CANCEL_GUARD: f64 = 1e-3;
 #[derive(Debug, Clone, Copy)]
 pub struct StreamConfig {
     /// Retire closed segments into the spill ring (`false` for shadow runs
-    /// that only need the weight trajectory, e.g. NC's embedded C run).
+    /// that only need the weight trajectory, e.g. [`MachineShadow`]).
     pub keep_segments: bool,
     /// Resident cap of the spill ring; `None` means unbounded (the batch
     /// wrappers, which drain once at the end).
@@ -145,7 +187,7 @@ impl StreamConfig {
     }
 
     /// No segments kept — a shadow run that only reads `W(t^-)` off its
-    /// last segment, like NC's embedded C run.
+    /// last segment, like [`MachineShadow`].
     #[must_use]
     pub(crate) fn shadow() -> Self {
         Self { keep_segments: false, spill_capacity: Some(1) }
@@ -417,7 +459,8 @@ impl<M: DecayLaw> CStream<M> {
     /// objective (validated for finiteness).
     pub fn finish<F: FnMut(CCompletion)>(&mut self, sink: &mut F) -> SimResult<StreamSummary> {
         self.drain_events::<false, F>(f64::INFINITY, true, f64::INFINITY, sink)?;
-        let objective = self.objective_so_far().validated("run_c: objective")?;
+        let objective = Objective { energy: self.energy, frac_flow: self.frac_done, int_flow: self.int_done }
+            .validated("run_c: objective")?;
         Ok(StreamSummary { objective, completed: self.completed, makespan: self.t })
     }
 
@@ -561,23 +604,7 @@ impl<M: DecayLaw> CStream<M> {
     /// the batch [`crate::CRun::remaining_weight_before`].
     #[must_use]
     pub fn weight_before(&self, t: f64) -> f64 {
-        match &self.last_seg {
-            Some(s) => self.law.power_before(s, t),
-            None => 0.0,
-        }
-    }
-
-    /// Objective accumulated so far: energy spent (including on
-    /// partially-served jobs), flow-times of *completed* jobs.
-    #[must_use]
-    pub fn objective_so_far(&self) -> Objective {
-        Objective { energy: self.energy, frac_flow: self.frac_done, int_flow: self.int_done }
-    }
-
-    /// Current event-loop clock.
-    #[must_use]
-    pub fn clock(&self) -> f64 {
-        self.t
+        self.last_seg.map_or(0.0, |s| self.law.power_before(&s, t))
     }
 
     /// Resident-memory counters.
@@ -779,14 +806,14 @@ pub struct CStreamSnapshot {
     pub int_done: f64,
 }
 
-/// Streaming Algorithm NC for uniform densities: FIFO, one growth segment
-/// per job, `P(s(t)) = K_j + W̆_j(t)`.
+/// Streaming Algorithm NC for uniform densities: FIFO, each job served
+/// whole at power `K_j + W̆_j(t)`.
 ///
 /// Completions are emitted *eagerly at offer time*: under FIFO without
 /// preemption, a later arrival can never change an already-queued job's
 /// service curve, so the moment job `j` is offered its start (when the
 /// machine frees up), growth curve (from `K_j`), and completion are all
-/// determined. The embedded shadow [`CStream`] supplies `K_j = W^{(C)}(r_j^-)`
+/// determined. One [`MachineShadow`] supplies `K_j = W^{(C)}(r_j^-)`
 /// without ever re-running a prefix — which also makes the batch wrapper
 /// [`crate::run_nc_uniform`] O(n log n) instead of the former O(n²).
 ///
@@ -807,14 +834,12 @@ pub struct CStreamSnapshot {
 /// assert_eq!(summary.completed, 2);
 /// ```
 #[derive(Debug, Clone)]
-pub struct NcStream {
-    law: PowerLaw,
-    shadow: CStream,
-    spill: SpillRing,
+pub struct NcStream<G: GrowthLaw = PowerLaw> {
+    law: G,
+    shadow: MachineShadow<G::Shadow>,
+    spill: SpillRing<Seg<G>>,
     t_free: f64,
     density0: Option<f64>,
-    tie_release: f64,
-    tie_weight: f64,
     watermark: f64,
     ingested: usize,
     energy: f64,
@@ -823,18 +848,16 @@ pub struct NcStream {
     makespan: f64,
 }
 
-impl NcStream {
-    /// A fresh stream under power law `law`.
+impl<G: GrowthLaw> NcStream<G> {
+    /// A fresh stream under speed law `law`.
     #[must_use]
-    pub fn new(law: PowerLaw, config: StreamConfig) -> Self {
+    pub fn new(law: G, config: StreamConfig) -> Self {
         Self {
             law,
-            shadow: CStream::new(law, StreamConfig::shadow()),
+            shadow: MachineShadow::new(law.into()),
             spill: config.ring(),
             t_free: 0.0,
             density0: None,
-            tie_release: f64::NEG_INFINITY,
-            tie_weight: 0.0,
             watermark: f64::NEG_INFINITY,
             ingested: 0,
             energy: 0.0,
@@ -866,42 +889,22 @@ impl NcStream {
             }
         }
 
-        // K_j = W^(C)(r_j^-) from the shadow clairvoyant run, plus the full
-        // weight of jobs tied at r_j that arrived earlier (the
-        // distinct-release limit of the paper's w.l.o.g. assumption).
-        let mut drop_sink = |_c: CCompletion| {};
-        self.shadow.advance_to(job.release, &mut drop_sink)?;
-        if job.release != self.tie_release {
-            self.tie_release = job.release;
-            self.tie_weight = 0.0;
-        }
-        let k_j = self.shadow.weight_before(job.release) + self.tie_weight;
-        self.shadow.offer(job, &mut drop_sink)?;
-        self.tie_weight += job.weight();
-
+        let k_j = self.shadow.admit(job)?;
         // FIFO: job j starts once jobs 0..j are done and j is released.
         let start = self.t_free.max(job.release);
         let rho = job.density;
-        let kernel = GrowthKernel { law: self.law, u0: k_j, rho };
-        let sv = kernel.serve_volume(job.volume);
+        let sv = self.law.serve_volume(k_j, rho, job.volume);
         if !sv.tau.is_finite() {
             return Err(SimError::Numeric { what: "run_nc_uniform: service time", value: sv.tau });
         }
-        let (tau, step) = (sv.tau, sv.step);
-        if tau > 0.0 {
-            self.spill.push(Segment::new(
-                start,
-                start + tau,
-                Some(id),
-                SpeedLaw::Growth { u0: k_j, rho },
-            ));
-        }
-        self.energy += step.energy;
+        let interval = Segment::new(start, start + sv.tau, Some(id), SpeedLaw::Growth { u0: k_j, rho });
+        let spill = &mut self.spill;
+        let completion = self.law.complete(interval, &sv, |seg| spill.push(seg));
+        self.energy += sv.step.energy;
         // Fractional flow: full volume waits from release to service start,
         // then drains along the growth curve.
         let frac = rho * job.volume * (start - job.release)
-            + rho * (job.volume * tau - step.volume_integral);
-        let completion = start + tau;
+            + rho * (job.volume * sv.tau - sv.step.volume_integral);
         let int = job.weight() * (completion - job.release);
         self.frac_sum += frac;
         self.int_sum += int;
@@ -923,60 +926,49 @@ impl NcStream {
     /// Declare the stream exhausted: every offered job already completed
     /// (FIFO emits eagerly), so this validates and returns the tally.
     pub fn finish(&mut self) -> SimResult<StreamSummary> {
-        let objective = self.objective_so_far().validated("run_nc_uniform: objective")?;
+        let objective = Objective { energy: self.energy, frac_flow: self.frac_sum, int_flow: self.int_sum }
+            .validated("run_nc_uniform: objective")?;
         Ok(StreamSummary { objective, completed: self.ingested, makespan: self.makespan })
     }
 
-    /// Objective accumulated so far (all offered jobs, completed by
-    /// construction).
-    #[must_use]
-    pub fn objective_so_far(&self) -> Objective {
-        Objective { energy: self.energy, frac_flow: self.frac_sum, int_flow: self.int_sum }
-    }
-
-    /// Time at which the machine frees up (completion of the last queued job).
-    #[must_use]
-    pub fn clock(&self) -> f64 {
-        self.t_free
-    }
-
     /// Resident-memory counters. `spill_*` describe this stream's own ring;
-    /// the arena/heap numbers come from the embedded shadow C run, which is
-    /// the only per-job state NC keeps.
+    /// the arena/heap numbers come from the shadow C run, which is the only
+    /// per-job state NC keeps.
     #[must_use]
     pub fn stats(&self) -> StreamStats {
-        let shadow = self.shadow.stats();
         StreamStats {
             ingested: self.ingested,
             completed: self.ingested,
-            active: shadow.active,
-            peak_active: shadow.peak_active,
-            arena_slots: shadow.arena_slots,
             spill_resident: self.spill.resident(),
             spill_peak_resident: self.spill.peak_resident(),
             spill_dropped: self.spill.dropped(),
             spill_total: self.spill.total_retired(),
+            ..self.shadow.parts().0.stats()
         }
     }
 
     /// The spill ring of retired segments, for draining.
-    pub fn spill_mut(&mut self) -> &mut SpillRing {
+    pub fn spill_mut(&mut self) -> &mut SpillRing<Seg<G>> {
         &mut self.spill
     }
+}
 
-    /// Capture the complete stream state — including the embedded shadow
-    /// [`CStream`] — as plain data. Same bitwise-resume contract as
-    /// [`CStream::snapshot`].
+/// The checkpoints of the `s^α` stream, whose shadow is a [`CStream`].
+impl NcStream {
+    /// Capture the complete stream state — including the shadow's
+    /// [`CStream`] and tie pair — as plain data. Same bitwise-resume
+    /// contract as [`CStream::snapshot`].
     #[must_use]
     pub fn snapshot(&self) -> NcStreamSnapshot {
+        let (shadow, tie_release, tie_weight) = self.shadow.parts();
         NcStreamSnapshot {
             alpha: self.law.alpha(),
-            shadow: self.shadow.snapshot(),
+            shadow: shadow.snapshot(),
             spill: self.spill.snapshot(),
             t_free: self.t_free,
             density0: self.density0,
-            tie_release: self.tie_release,
-            tie_weight: self.tie_weight,
+            tie_release,
+            tie_weight,
             watermark: self.watermark,
             ingested: self.ingested,
             energy: self.energy,
@@ -1004,12 +996,10 @@ impl NcStream {
         let spill = SpillRing::restore(snap.spill)?;
         Ok(Self {
             law,
-            shadow,
+            shadow: MachineShadow::from_parts(shadow, snap.tie_release, snap.tie_weight),
             spill,
             t_free: snap.t_free,
             density0: snap.density0,
-            tie_release: snap.tie_release,
-            tie_weight: snap.tie_weight,
             watermark: snap.watermark,
             ingested: snap.ingested,
             energy: snap.energy,
@@ -1026,7 +1016,7 @@ impl NcStream {
 pub struct NcStreamSnapshot {
     /// Power-law exponent α.
     pub alpha: f64,
-    /// The embedded shadow clairvoyant stream supplying `K_j`.
+    /// The shadow clairvoyant stream supplying `K_j`.
     pub shadow: CStreamSnapshot,
     /// This stream's own spill ring.
     pub spill: SpillSnapshot,
@@ -1034,9 +1024,9 @@ pub struct NcStreamSnapshot {
     pub t_free: f64,
     /// Locked-in uniform density (None before the first offer).
     pub density0: Option<f64>,
-    /// Release time of the current tie group.
+    /// Release time of the shadow's current tie group.
     pub tie_release: f64,
-    /// Weight of earlier arrivals tied at `tie_release`.
+    /// Weight of the shadow's earlier arrivals tied at `tie_release`.
     pub tie_weight: f64,
     /// Highest release offered so far.
     pub watermark: f64,
@@ -1313,7 +1303,8 @@ mod tests {
 
     #[test]
     fn shadow_base_power_matches_prefix_rerun() {
-        // The NC shadow's K_j against the O(n²) prefix-rerun definition.
+        // The NC shadow's K_j against the O(n²) prefix-rerun definition,
+        // bit for bit.
         let jobs = vec![
             Job::unit_density(0.0, 4.0),
             Job::unit_density(1.0, 1.0),
@@ -1328,7 +1319,7 @@ mod tests {
         }
         for (j, &k) in ks.iter().enumerate() {
             let reference = crate::shadow::base_power(&jobs[..j], jobs[j].release, law).unwrap();
-            assert!(approx_eq(k, reference, 1e-9), "K_{j}: stream {k} vs prefix {reference}");
+            assert_eq!(k.to_bits(), reference.to_bits(), "K_{j}: stream {k} vs prefix {reference}");
         }
     }
 }

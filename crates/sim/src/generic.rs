@@ -49,12 +49,6 @@ impl PolyPower {
         Self { terms: vec![(1.0, law.alpha())] }
     }
 
-    /// The terms `(coefficient, exponent)`.
-    #[must_use]
-    pub fn terms(&self) -> &[(f64, f64)] {
-        &self.terms
-    }
-
     /// Smallest exponent (governs the behaviour near `s = 0`).
     #[must_use]
     pub fn min_exponent(&self) -> f64 {
@@ -176,15 +170,19 @@ impl GenericDecay<'_> {
         if tau <= 0.0 {
             return self.w0;
         }
-        let total = self.time_to_weight(0.0);
-        if tau >= total {
+        // `time_to_weight(w)` is `top − ∫₀^w`, with the same `top` at every
+        // bisection step, and `time_to_weight(0) = top − 0`.
+        let f = |w: f64| 1.0 / (self.rho * self.pf.speed_for_power(w));
+        let p = reg_exponent(self.pf);
+        let top = integrate_from_zero(&f, self.w0, p);
+        if tau >= top {
             return 0.0;
         }
         // The bracket [0, w0] is valid by the monotonicity of
         // `time_to_weight` and the range checks above, so the root finder
         // can only fail if the quadrature itself produced NaN; surface that
         // as NaN and let the run-level finiteness guards reject it.
-        crate::numeric::bisect(|w| self.time_to_weight(w) - tau, 0.0, self.w0, 1e-12 * (1.0 + self.w0))
+        crate::numeric::bisect(|w| top - integrate_from_zero(&f, w, p) - tau, 0.0, self.w0, 1e-12 * (1.0 + self.w0))
             .unwrap_or(f64::NAN)
     }
 
@@ -232,22 +230,17 @@ pub struct GenericGrowth<'a> {
 }
 
 impl GenericGrowth<'_> {
-    /// Time for the level to rise from `u0` to `u_target`.
+    /// Time for the level to rise from `u0` to `u_target`: the time the
+    /// decay from `u_target` takes to fall back to `u0`.
     #[must_use]
     pub fn time_to_u(&self, u_target: f64) -> f64 {
-        let f = |u: f64| 1.0 / (self.rho * self.pf.speed_for_power(u));
-        let p = reg_exponent(self.pf);
-        integrate_from_zero(&f, u_target, p) - integrate_from_zero(&f, self.u0, p)
+        GenericDecay { pf: self.pf, w0: u_target, rho: self.rho }.time_to_weight(self.u0)
     }
 
-    /// Energy consumed while the level rises to `u_target`.
+    /// Energy consumed while the level rises to `u_target`: that decay's.
     #[must_use]
     pub fn energy_to_u(&self, u_target: f64) -> f64 {
-        // The integrand u/s(u) → 0 as u → 0, but its derivative is
-        // singular; use the same regularising substitution from zero.
-        let f = |u: f64| u / (self.rho * self.pf.speed_for_power(u));
-        let p = reg_exponent(self.pf);
-        integrate_from_zero(&f, u_target, p) - integrate_from_zero(&f, self.u0, p)
+        GenericDecay { pf: self.pf, w0: u_target, rho: self.rho }.energy_to_weight(self.u0)
     }
 
     /// Time-integral of the processed volume while rising to `u_target`:
@@ -371,6 +364,31 @@ mod tests {
                 g.time_with_speed_at_least(x, w),
                 1e-7
             ));
+        }
+    }
+
+    #[test]
+    fn weight_at_is_the_per_step_bisection_bitwise() {
+        // `weight_at` as it was: every bisection step calls `time_to_weight`,
+        // which integrates from zero to `w0` again.
+        fn per_step(d: &GenericDecay<'_>, tau: f64) -> f64 {
+            if tau <= 0.0 {
+                return d.w0;
+            }
+            if tau >= d.time_to_weight(0.0) {
+                return 0.0;
+            }
+            crate::numeric::bisect(|w| d.time_to_weight(w) - tau, 0.0, d.w0, 1e-12 * (1.0 + d.w0))
+                .unwrap_or(f64::NAN)
+        }
+        let (cube, mix) = (cube(), mixed());
+        for (pf, w0, rho) in [(&mix, 4.0, 1.0), (&mix, 0.3, 2.5), (&cube, 7.5, 0.8)] {
+            let d = GenericDecay { pf, w0, rho };
+            let total = d.time_to_weight(0.0);
+            for i in 0..=12 {
+                let tau = total * (i as f64 / 10.0 - 0.1);
+                assert_eq!(d.weight_at(tau).to_bits(), per_step(&d, tau).to_bits(), "w0 {w0}, tau {tau}");
+            }
         }
     }
 

@@ -605,6 +605,16 @@ impl ScheduleBuilder {
     pub fn build(self) -> SimResult<Schedule> {
         Schedule::new(self.law, self.segments)
     }
+
+    /// [`Self::push`] each of `segments` in order, then [`Self::build`]:
+    /// the schedule a drained spill ring holds.
+    pub fn build_from(law: PowerLaw, segments: impl IntoIterator<Item = Segment>) -> SimResult<Schedule> {
+        let mut builder = Self::new(law);
+        for seg in segments {
+            builder.push(seg);
+        }
+        builder.build()
+    }
 }
 
 #[cfg(test)]

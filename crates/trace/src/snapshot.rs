@@ -31,7 +31,7 @@ use ncss_sim::{ArenaSnapshot, JobId, SpillSnapshot};
 pub enum Checkpoint {
     /// Algorithm C state.
     C(CStreamSnapshot),
-    /// Algorithm NC state (includes its embedded shadow C state).
+    /// Algorithm NC state (includes its shadow C state).
     Nc(NcStreamSnapshot),
 }
 

@@ -13,11 +13,13 @@
 #
 #   bash benchmark/run.sh --workload W --seed S --seconds 12 --trace 0
 #
-# on both sides, alternating which side runs first. For each end-to-end
-# metric of BENCHMARK.json it prints each side's median, q1 and q3, the
-# median change and how many pairs the change won, and flags the metric
-# when the parent's IQR is wider than the metric's bound times the
-# parent's median: the runs spread too widely to tell a change of that
+# on both sides, parent then change in every pair, so the runs alternate
+# strictly (parent, change, parent, change, ...) and no side runs twice in
+# a row: a host phase longer than one run lands on both sides. For each
+# end-to-end metric of BENCHMARK.json it prints each side's median, q1
+# and q3, the median change and how many pairs the change won, and flags
+# the metric when the parent's IQR is wider than the metric's bound times
+# the parent's median: the runs spread too widely to tell a change of that
 # size. Every run's result line goes to results/ in the work tree's build
 # directory. Nothing in the repository changes.
 
@@ -78,13 +80,8 @@ run() {
 
 for i in $(seq 0 $((pairs - 1))); do
     seed=$((first_seed + i))
-    if [ $((i % 2)) -eq 0 ]; then
-        run parent "$base" "$seed"
-        run change "$change" "$seed"
-    else
-        run change "$change" "$seed"
-        run parent "$base" "$seed"
-    fi
+    run parent "$base" "$seed"
+    run change "$change" "$seed"
 done
 
 python3 - "$repo/BENCHMARK.json" "$results" "$workload" "$first_seed" "$pairs" <<'EOF'

@@ -18,14 +18,16 @@
 #      where debug_assert! is compiled out), the non-uniform NC
 #      oracle over every fault-suite case of seeds 1-4 (debug builds
 #      check every 7th), and the clairvoyant-shadow oracle in full: every
-#      reader of K_j against the prefix re-run on 2,500 jobs (debug
-#      builds check part of it), plus a tripwire that the capped and the
-#      firewalled NC finish 4,000 jobs in under 2 s together (re-running
-#      Algorithm C over the prefix for every job takes about 10 s); and the
+#      reader of K_j, NcStream's emitted K_j among them, against the
+#      prefix re-run on 2,500 jobs (debug builds check part of it), plus
+#      a tripwire that the capped and the firewalled NC finish 4,000 jobs
+#      in under 2 s together (re-running Algorithm C over the prefix for
+#      every job takes about 10 s); and the
 #      capped and general-power runs against copies of their old loops
 #      (debug builds check 4 of the 16 random instances), plus a tripwire
-#      that general-power C and NC finish 50 jobs in under 20 s together
-#      (re-running general-power C for every NC job takes about a minute)
+#      that general-power C and NC finish 50 jobs in under 8 s together
+#      (they take about 3 s; re-running general-power C for every NC job
+#      takes about a minute)
 #   6. audit smoke: every schedule-producing algorithm on a generated
 #      trace must pass the independent audit; the parallel algorithms
 #      go through the cross-machine auditor, and a deliberately

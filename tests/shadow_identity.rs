@@ -4,8 +4,9 @@
 //! Every reader of `K_j = W^{(C)}(r_j^-)` plus the tie term must give the
 //! bits of a fresh Algorithm C run over the earlier jobs:
 //!
-//! * (a) `MachineShadow::admit`, and `ShadowTimeline::weight_before` read
-//!   before the job is received, against `shadow::base_power`;
+//! * (a) `MachineShadow::admit`, `ShadowTimeline::weight_before` read
+//!   before the job is received, and every `NcCompletion::base_power` of
+//!   an `NcStream`, against `shadow::base_power`;
 //! * (b) the capped NC against a copy of the loop that called the re-run
 //!   for every job, at a cap that never binds and at one that does;
 //! * (c) the firewalled NC against a copy of the policy that rebuilt the
@@ -15,12 +16,15 @@
 //! The instance is fleet_identity's 2,500-job Poisson(4)/Exp(1) one at
 //! α = 3: about 5,000 shadow events, past the 4,096-event exact resync of
 //! the shadow's total weight, where a read in the wrong order moves `K` by
-//! a few ulps. Debug builds check every 4th job in (a) and run (b) and (c)
-//! on the first 1,000 jobs, which keeps this file near fleet_identity's
-//! 2,500-job case; `scripts/verify.sh` runs it in release, in full.
+//! a few ulps (an `NcStream` that read before it offered differed on 604
+//! of the 2,500 jobs). Debug builds check every 4th job in (a) and run (b)
+//! and (c) on the first 1,000 jobs, which keeps this file near
+//! fleet_identity's 2,500-job case; `scripts/verify.sh` runs it in
+//! release, in full.
 
 use ncss::core::driver::{run_online, Decision, NcUniformPolicy, NcView, NonClairvoyantPolicy};
 use ncss::core::shadow::{base_power, MachineShadow, ShadowTimeline};
+use ncss::core::streaming::{NcStream, StreamConfig};
 use ncss::core::{run_c, run_nc_uniform_bounded};
 use ncss::sim::kernel::GrowthKernel;
 use ncss::sim::{
@@ -76,14 +80,18 @@ fn shadows_read_the_prefix_rerun() {
     let jobs = inst.jobs();
     let mut shadow = MachineShadow::new(law);
     let mut timeline = ShadowTimeline::new(law);
+    let mut nc = NcStream::new(law, StreamConfig::streaming(1));
     for (j, &job) in jobs.iter().enumerate() {
         let ahead = timeline.weight_before(job.release);
         let admitted = shadow.admit(job).unwrap();
         timeline.receive(job).unwrap();
+        let mut emitted = None;
+        nc.offer(job, &mut |c| emitted = Some(c.base_power)).unwrap();
         if j % ORACLE_STRIDE == 0 {
             let want = base_power(&jobs[..j], job.release, law).unwrap();
             assert_eq!(admitted.to_bits(), want.to_bits(), "admit K_{j}");
             assert_eq!(ahead.to_bits(), want.to_bits(), "timeline K_{j}");
+            assert_eq!(emitted.map(f64::to_bits), Some(want.to_bits()), "NcStream K_{j}");
         }
     }
 }
