@@ -1,7 +1,7 @@
 //! Property tests for the general-power-function runs and the
 //! speed-bounded variants, and oracle tests that hold capped C,
 //! general-power C (both `CStream` under their own law) and general-power
-//! NC (`NcStream` under its law) to copies of the loops they replaced.
+//! NC (one clairvoyant shadow) to copies of the loops they replaced.
 
 use ncss::core::generic_runs::{
     generic_rearrangement_distance, run_c_generic, run_nc_uniform_generic, GenericRun,
