@@ -21,7 +21,7 @@
 //!   each k, with `metrics` `ratio` (measured cost ÷ feasible spread
 //!   bound), `bound` (`k^{1−1/α}`), and `max_colocated`. The game's final
 //!   adversarial instance is reconstructed with the same deterministic
-//!   policy and replayed sharded (`replay_nc_assigned`), audit-gated, and
+//!   policy and replayed sharded (`replay_nc`), audit-gated, and
 //!   checked bitwise against the game's own serial cost. A
 //!   `dispatch_slope/aA` summary row fits `ln ratio` against `ln k` and
 //!   records the slope next to the theoretical exponent `1 − 1/α`.
@@ -33,7 +33,7 @@
 
 use ncss_audit::AuditConfig;
 use ncss_bench::harness::{black_box, Suite};
-use ncss_multi::fleet::{audit_fleet, replay_c, replay_nc, replay_nc_assigned, DispatchLog};
+use ncss_multi::fleet::{audit_fleet, replay_c, replay_nc, DispatchLog};
 use ncss_multi::{collect_assignment, fit_loglog_slope, immediate_dispatch_game, RoundRobin};
 use ncss_pool::Pool;
 use ncss_sim::{Instance, Job, PowerLaw};
@@ -163,7 +163,7 @@ fn main() {
             let inst = lookalike_batch(k, &high_ids, 1.0, 1e-4).expect("adversary batch");
             let log =
                 DispatchLog::from_assignment(&inst, &assignment, k).expect("dispatch log");
-            let out = replay_nc_assigned(&inst, law, &log, &pool).expect("sharded game replay");
+            let out = replay_nc(&inst, law, &log, &pool).expect("sharded game replay");
             // The sharded replay must reproduce the serial game's cost to
             // the bit — the fleet contract, asserted inside the study.
             assert_eq!(
@@ -183,9 +183,7 @@ fn main() {
                 1,
                 5,
                 || {
-                    black_box(
-                        replay_nc_assigned(&inst, law, &log, &pool).expect("sharded game replay"),
-                    );
+                    black_box(replay_nc(&inst, law, &log, &pool).expect("sharded game replay"));
                 },
             );
         }

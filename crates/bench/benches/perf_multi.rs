@@ -40,11 +40,11 @@ fn main() {
         .generate(3)
         .expect("valid spec");
     for k in [2usize, 4, 8] {
-        let r = multi_gate(&inst, law, k, |i, l, m| run_c_par(i, l, m).map(Into::into));
+        let r = multi_gate(&inst, law, k, run_c_par);
         suite.bench_report_with(&format!("c_par/60x{k}"), Some(&r), 2, 20, || {
             black_box(run_c_par(&inst, law, k).expect("C-PAR"));
         });
-        let r = multi_gate(&inst, law, k, |i, l, m| run_nc_par(i, l, m).map(Into::into));
+        let r = multi_gate(&inst, law, k, run_nc_par);
         suite.bench_report_with(&format!("nc_par/60x{k}"), Some(&r), 2, 20, || {
             black_box(run_nc_par(&inst, law, k).expect("NC-PAR"));
         });

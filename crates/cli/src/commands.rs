@@ -347,11 +347,11 @@ fn multi_run_of(
 ) -> Result<MultiRun, String> {
     let err = |e: ncss_sim::SimError| e.to_string();
     match name {
-        "c-par" => run_c_par(inst, law, machines).map(Into::into).map_err(err),
-        "nc-par" => run_nc_par(inst, law, machines).map(Into::into).map_err(err),
+        "c-par" => run_c_par(inst, law, machines).map_err(err),
+        "nc-par" => run_nc_par(inst, law, machines).map_err(err),
         "dispatch" => {
             let mut policy = LeastCount::default();
-            run_immediate_dispatch(inst, law, machines, &mut policy).map(Into::into).map_err(err)
+            run_immediate_dispatch(inst, law, machines, &mut policy).map_err(err)
         }
         _ => Err(format!("unknown parallel algorithm '{name}'; see 'ncss help'")),
     }

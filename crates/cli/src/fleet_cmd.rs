@@ -11,9 +11,7 @@
 use crate::args::ParsedArgs;
 use ncss_analysis::{fmt_f, Table};
 use ncss_audit::AuditConfig;
-use ncss_multi::fleet::{
-    audit_fleet, replay_c, replay_nc, replay_nc_assigned, DispatchLog,
-};
+use ncss_multi::fleet::{audit_fleet, first_divergence, replay_c, replay_nc, DispatchLog};
 use ncss_multi::{run_c_par, run_immediate_dispatch, run_nc_par, LeastCount, ParOutcome};
 use ncss_pool::Pool;
 use ncss_sim::{Instance, PowerLaw};
@@ -56,42 +54,11 @@ fn corrupt_outcome(out: &mut ParOutcome, what: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Assert the sharded outcome is bitwise the serial runner's. Returns a
-/// description of the first divergence, if any.
-fn serial_divergence(serial: &ParOutcome, sharded: &ParOutcome) -> Option<String> {
-    if serial.assignment != sharded.assignment {
-        return Some("job->machine assignment differs".into());
-    }
-    let pairs = [
-        ("energy", serial.objective.energy, sharded.objective.energy),
-        ("frac flow", serial.objective.frac_flow, sharded.objective.frac_flow),
-        ("int flow", serial.objective.int_flow, sharded.objective.int_flow),
-    ];
-    for (what, s, p) in pairs {
-        if s.to_bits() != p.to_bits() {
-            return Some(format!("objective {what}: serial {s:?} != sharded {p:?}"));
-        }
-    }
-    for (j, (s, p)) in
-        serial.per_job.completion.iter().zip(&sharded.per_job.completion).enumerate()
-    {
-        if s.to_bits() != p.to_bits() {
-            return Some(format!("job {j} completion: serial {s:?} != sharded {p:?}"));
-        }
-    }
-    for (m, (ss, ps)) in serial.schedules.iter().zip(&sharded.schedules).enumerate() {
-        if ss.segments() != ps.segments() {
-            return Some(format!("machine {m} timeline differs"));
-        }
-    }
-    None
-}
-
 /// Per-machine queue/timeline summary of the sharded run.
 fn fleet_table(log: &DispatchLog, out: &ParOutcome, max_rows: usize) -> String {
     let mut queued = vec![0usize; log.machines()];
-    for e in log.entries() {
-        queued[e.machine] += 1;
+    for &m in log.assignment() {
+        queued[m] += 1;
     }
     let mut t = Table::new(
         "per-machine shards (dispatch-log queues, pool-task timelines)".to_string(),
@@ -156,8 +123,7 @@ pub fn cmd_fleet(args: &ParsedArgs) -> Result<String, String> {
             let mut policy = LeastCount::default();
             let log = DispatchLog::from_policy(&inst, machines, &mut policy)
                 .map_err(|e| e.to_string())?;
-            let sharded =
-                replay_nc_assigned(&inst, law, &log, &pool).map_err(|e| e.to_string())?;
+            let sharded = replay_nc(&inst, law, &log, &pool).map_err(|e| e.to_string())?;
             let serial = check_serial
                 .then(|| {
                     let mut policy = LeastCount::default();
@@ -175,7 +141,7 @@ pub fn cmd_fleet(args: &ParsedArgs) -> Result<String, String> {
     };
 
     if let Some(serial) = &serial {
-        if let Some(divergence) = serial_divergence(serial, &sharded) {
+        if let Some(divergence) = first_divergence(serial, &sharded) {
             return Err(format!(
                 "fleet determinism contract VIOLATED (serial != sharded): {divergence}"
             ));

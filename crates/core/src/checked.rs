@@ -115,8 +115,8 @@ pub fn run_checked(
 ///
 /// This crate cannot depend on `ncss-multi` (it would be a cycle), so
 /// [`run_checked_multi`] is generic over a closure producing this struct;
-/// `ncss-multi` provides `From<ParOutcome> for MultiRun` so every parallel
-/// runner plugs in with `.map(Into::into)`.
+/// every `ncss-multi` runner returns it (as `ncss_multi::ParOutcome`), so
+/// the runners plug in as they are.
 #[derive(Debug, Clone)]
 pub struct MultiRun {
     /// Machine index assigned to each job (by original job id).
@@ -163,8 +163,8 @@ impl CheckedMultiRun {
 /// # Examples
 ///
 /// Any runner producing a [`MultiRun`] plugs in — `ncss-multi`'s runners
-/// via `.map(Into::into)`, or a hand-built closure like this one-machine
-/// "fleet" backed by Algorithm C:
+/// as they are, or a hand-built closure like this one-machine "fleet"
+/// backed by Algorithm C:
 ///
 /// ```
 /// use ncss_audit::AuditConfig;

@@ -12,9 +12,10 @@
 //! replays that log on one worker, and the sharded runner on many.
 
 use crate::fleet::{replay_c, DispatchLog};
+use crate::ParOutcome;
 use ncss_core::shadow::ShadowTimeline;
 use ncss_pool::Pool;
-use ncss_sim::{Instance, Job, Objective, PerJob, PowerLaw, Schedule, Segment, SimError, SimResult};
+use ncss_sim::{Instance, Job, PerJob, PowerLaw, Schedule, Segment, SimError, SimResult};
 
 /// Largest supported machine count. Parallel-machine state is `O(m)` even
 /// when most machines stay idle, so an adversarial `m` near `usize::MAX`
@@ -31,34 +32,6 @@ pub(crate) fn validate_machines(machines: usize) -> SimResult<()> {
         return Err(SimError::InvalidInstance { reason: "machine count exceeds MAX_MACHINES" });
     }
     Ok(())
-}
-
-/// Outcome of a parallel-machine run.
-#[derive(Debug, Clone)]
-pub struct ParOutcome {
-    /// Machine index assigned to each job (by original job id).
-    pub assignment: Vec<usize>,
-    /// Total objective summed over machines.
-    pub objective: Objective,
-    /// Per-job outcomes in original job ids.
-    pub per_job: PerJob,
-    /// Per-machine timelines (one [`Schedule`] per machine, empty for idle
-    /// machines), with segments labelled by **original** job ids so the
-    /// cross-machine auditor can check them against the instance.
-    pub schedules: Vec<Schedule>,
-}
-
-impl From<ParOutcome> for ncss_core::MultiRun {
-    /// Bridge into [`ncss_core::run_checked_multi`]: every parallel runner
-    /// here plugs into the cross-machine audit driver via `.map(Into::into)`.
-    fn from(out: ParOutcome) -> Self {
-        Self {
-            assignment: out.assignment,
-            objective: out.objective,
-            per_job: out.per_job,
-            schedules: out.schedules,
-        }
-    }
 }
 
 /// Split an instance by a given assignment; returns per-machine instances

@@ -7,8 +7,8 @@
 //! adversary can defeat *any* deterministic policy (the `Ω(k^{1−1/α})`
 //! lower bound): look-alike jobs cannot be load-balanced.
 
-use crate::c_par::ParOutcome;
 use crate::fleet::run_immediate_dispatch_sharded;
+use crate::ParOutcome;
 use ncss_pool::Pool;
 use ncss_sim::{Instance, PowerLaw, SimResult};
 

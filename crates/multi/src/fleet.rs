@@ -5,17 +5,19 @@
 //! and *executing* each machine's own event queue. Only the decision is
 //! inherently serial — C-PAR's greedy rule and NC-PAR's global FIFO both
 //! depend on the whole fleet's state at each release. Execution is
-//! embarrassingly parallel: once the assignment (and, for NC-PAR, each
-//! job's dispatch time) is fixed, every machine's timeline is a pure
-//! function of its own queue.
+//! embarrassingly parallel: once the assignment is fixed, every machine's
+//! timeline is a pure function of its own queue.
 //!
 //! This module splits the two phases. A [`DispatchLog`] records the
-//! dispatcher's decisions — one `(job, machine, start)` entry per job, in
-//! release order — reading each machine's Algorithm C weight from a
-//! per-machine shadow stream, so recording is linear in the jobs. The
-//! replays run one pool task per machine over the persistent worker pool
-//! (`ncss-pool`) and merge per-machine results in a fixed order. The
-//! serial runners [`crate::run_c_par`], [`crate::run_nc_par`],
+//! dispatcher's decisions — the machine of each job, in release order —
+//! in time linear in the jobs: C-PAR reads each machine's Algorithm C
+//! weight from a per-machine shadow, and NC-PAR offers each job to its
+//! machine's own [`NcStream`], whose completion is that machine's next
+//! availability. The replays run one pool task per machine over the
+//! persistent worker pool (`ncss-pool`), Algorithm C ([`replay_c`]) or
+//! Algorithm NC ([`replay_nc`]) over the machine's queue, and merge
+//! per-machine results in machine order. The serial runners
+//! [`crate::run_c_par`], [`crate::run_nc_par`],
 //! [`crate::run_immediate_dispatch`] and [`crate::run_nc_with_assignment`]
 //! are a log replayed on one worker, so each loop exists once, and because
 //! [`ncss_pool::Pool::map`] is order-preserving and interleaving-free,
@@ -24,54 +26,29 @@
 //! k ∈ {2..4096} tractable with [`audit_fleet`] gating every cell of the
 //! `Ω(k^{1−1/α})` dispatch study (EXPERIMENTS.md, "Fleet k-sweep").
 //!
-//! Why the log records a **start time** and not just a machine: NC-PAR
-//! dispatches the queue head at `t = max(release, earliest availability)`
-//! to any machine with `avail[m] ≤ t + 1e-12` — a machine may legally begin
-//! a job up to `1e-12` *before* its own previous completion. A
-//! machine-local replay that re-derived starts as `max(release, avail[m])`
-//! would produce different bits on exactly those ties, so the dispatcher's
-//! `t_start` travels with the entry and the replay honours it verbatim.
+//! An NC-PAR log needs no start times: a machine starts each job at
+//! `max(release, its previous completion)`, which is Algorithm NC's own
+//! FIFO rule, so [`replay_nc`] over a machine's queue is the run the
+//! dispatcher read that machine's availability from, bit for bit.
 
 use crate::c_par::{
-    greedy_c_par_assignment, merge_per_job, remap_schedule, split_by_assignment,
-    validate_machines, ParOutcome,
+    greedy_c_par_assignment, merge_per_job, remap_schedule, split_by_assignment, validate_machines,
 };
 use crate::dispatch::{collect_assignment, ImmediateDispatch};
+use crate::ParOutcome;
 use ncss_audit::{AuditConfig, AuditReport, MultiAudit};
-use ncss_core::run_c;
-use ncss_core::shadow::MachineShadow;
+use ncss_core::streaming::{NcStream, StreamConfig};
+use ncss_core::{run_c, run_nc_uniform};
 use ncss_pool::Pool;
-use ncss_sim::kernel::GrowthKernel;
-use ncss_sim::{
-    Evaluated, Instance, Job, Objective, PerJob, PowerLaw, Schedule, ScheduleBuilder, Segment,
-    SimError, SimResult, SpeedLaw,
-};
+use ncss_sim::{Evaluated, Instance, Objective, PerJob, PowerLaw, Schedule, SimError, SimResult};
 
-/// One dispatch decision: job `job` goes to machine `machine`, beginning
-/// service at time `start`.
+/// A deterministic dispatch log: the machine the serial dispatcher chose
+/// for each job, in job-id (release) order, ready to feed the sharded
+/// executors.
 ///
-/// For immediate-dispatch algorithms (C-PAR, the [`ImmediateDispatch`]
-/// policies) `start` is the job's release time; for NC-PAR it is the global
-/// FIFO dispatch time `max(release, earliest machine availability)`, which
-/// the sharded replay must honour verbatim (see the module docs for why it
-/// cannot be re-derived machine-locally without changing bits).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DispatchEntry {
-    /// Original job id (its position in the release-sorted instance).
-    pub job: usize,
-    /// Machine index in `0..machines`.
-    pub machine: usize,
-    /// Time at which the machine begins serving the job.
-    pub start: f64,
-}
-
-/// A deterministic dispatch log: the serial dispatcher's decisions, one
-/// entry per job in release order, ready to feed the sharded executors.
-///
-/// The canonical entry order is by job id (equivalently, release order —
-/// [`Instance::new`] sorts jobs stably by release). Each machine's event
-/// queue is the subsequence of entries naming it, which for both C-PAR and
-/// NC-PAR is exactly that machine's dispatch order.
+/// [`Instance::new`] sorts jobs stably by release, so each machine's event
+/// queue — the jobs the log names it for, in job-id order — is exactly that
+/// machine's dispatch order, for C-PAR and NC-PAR alike.
 ///
 /// # Examples
 ///
@@ -89,10 +66,6 @@ pub struct DispatchEntry {
 /// let log = DispatchLog::c_par(&inst, law, 2).unwrap();
 /// assert_eq!(log.machines(), 2);
 /// assert_eq!(log.len(), 3);
-/// // C-PAR is immediate dispatch: every entry starts at its release.
-/// for (entry, job) in log.entries().iter().zip(inst.jobs()) {
-///     assert_eq!(entry.start, job.release);
-/// }
 /// // The greedy rule spreads the first two jobs across the fleet.
 /// let assignment = log.assignment();
 /// assert_ne!(assignment[0], assignment[1]);
@@ -100,34 +73,21 @@ pub struct DispatchEntry {
 #[derive(Debug, Clone, PartialEq)]
 pub struct DispatchLog {
     machines: usize,
-    entries: Vec<DispatchEntry>,
+    assignment: Vec<usize>,
 }
 
 impl DispatchLog {
-    /// Build a log from raw entries, validating the invariants the sharded
-    /// executors rely on: a usable machine count, exactly one entry per job
-    /// in job-id order (`entries[j].job == j`), machine indices in range,
-    /// and finite start times.
-    pub fn new(machines: usize, entries: Vec<DispatchEntry>) -> SimResult<Self> {
+    /// Build a log from a job-id-indexed assignment, validating what the
+    /// sharded executors rely on: a usable machine count and machine
+    /// indices in range.
+    pub fn new(machines: usize, assignment: Vec<usize>) -> SimResult<Self> {
         validate_machines(machines)?;
-        for (j, e) in entries.iter().enumerate() {
-            if e.job != j {
-                return Err(SimError::InvalidInstance {
-                    reason: "dispatch log entries must be one per job, in job-id order",
-                });
-            }
-            if e.machine >= machines {
-                return Err(SimError::InvalidInstance {
-                    reason: "dispatch log machine index out of range",
-                });
-            }
-            if !e.start.is_finite() {
-                return Err(SimError::InvalidInstance {
-                    reason: "dispatch log start time is not finite",
-                });
-            }
+        if assignment.iter().any(|&m| m >= machines) {
+            return Err(SimError::InvalidInstance {
+                reason: "dispatch log machine index out of range",
+            });
         }
-        Ok(Self { machines, entries })
+        Ok(Self { machines, assignment })
     }
 
     /// The fleet size this log dispatches over.
@@ -136,43 +96,37 @@ impl DispatchLog {
         self.machines
     }
 
-    /// All decisions, in job-id (release) order.
-    #[must_use]
-    pub fn entries(&self) -> &[DispatchEntry] {
-        &self.entries
-    }
-
     /// Number of dispatched jobs.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.assignment.len()
     }
 
     /// True when no job was dispatched.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.assignment.is_empty()
     }
 
-    /// The job-id-indexed machine assignment this log encodes.
+    /// The machine of each job, indexed by job id.
     #[must_use]
-    pub fn assignment(&self) -> Vec<usize> {
-        self.entries.iter().map(|e| e.machine).collect()
+    pub fn assignment(&self) -> &[usize] {
+        &self.assignment
     }
 
     /// Record C-PAR's greedy least-remaining-weight dispatch decisions
-    /// (Section 6, Theorem 18); `start` is each job's release time
-    /// (immediate dispatch). [`crate::run_c_par`] is this log replayed by
-    /// [`replay_c`] on one worker.
+    /// (Section 6, Theorem 18). [`crate::run_c_par`] is this log replayed
+    /// by [`replay_c`] on one worker.
     pub fn c_par(instance: &Instance, law: PowerLaw, machines: usize) -> SimResult<Self> {
-        let assignment = greedy_c_par_assignment(instance, law, machines)?;
-        Self::from_assignment(instance, &assignment, machines)
+        Self::new(machines, greedy_c_par_assignment(instance, law, machines)?)
     }
 
     /// Record NC-PAR's global-FIFO dispatch decisions (Section 6,
     /// Theorem 17): the queue head goes to the lowest-indexed machine
-    /// available at `max(release, earliest availability)` (with `1e-12`
-    /// slack), which is the recorded `start`. This is NC-PAR's only
+    /// available at `max(release, earliest availability)`, with `1e-12`
+    /// slack. Each used machine runs Algorithm NC over its jobs in an
+    /// [`NcStream`] that keeps no schedule, and a machine's availability is
+    /// the completion its stream emitted last. This is NC-PAR's only
     /// dispatch loop: [`crate::run_nc_par`] is this log replayed by
     /// [`replay_nc`] on one worker.
     ///
@@ -183,51 +137,40 @@ impl DispatchLog {
         if !instance.is_uniform_density() {
             return Err(SimError::NonUniformDensity);
         }
+        // The log reads only completions: a one-segment ring that evicts as
+        // it goes holds no schedule.
+        let config = StreamConfig { keep_segments: false, spill_capacity: Some(1) };
         let mut avail = vec![0.0f64; machines];
-        let mut shadows: Vec<Option<MachineShadow>> = (0..machines).map(|_| None).collect();
-        let mut entries = Vec::with_capacity(instance.len());
-        for (j, job) in instance.jobs().iter().enumerate() {
+        let mut streams: Vec<Option<NcStream>> = (0..machines).map(|_| None).collect();
+        let mut assignment = Vec::with_capacity(instance.len());
+        for job in instance.jobs() {
             let earliest = avail.iter().copied().fold(f64::INFINITY, f64::min);
-            let start = job.release.max(earliest);
+            let t = job.release.max(earliest);
             let m = (0..machines)
-                .find(|&m| avail[m] <= start + 1e-12)
-                .expect("some machine is available at t_start");
-            // Service time under the growth law P(s) = K_j + processed
-            // weight — needed here because the next dispatch decision
-            // depends on this machine's completion time.
-            let k_j = shadows[m].get_or_insert_with(|| MachineShadow::new(law)).admit(*job)?;
-            let kernel = GrowthKernel { law, u0: k_j, rho: job.density };
-            let tau = kernel.time_to_volume(job.volume);
-            if !tau.is_finite() {
-                // Guard before `avail` is poisoned: a NaN availability would
-                // panic the machine-selection `expect` on the next job.
-                return Err(SimError::Numeric {
-                    what: "DispatchLog::nc_par: service time",
-                    value: tau,
-                });
-            }
-            avail[m] = start + tau;
-            entries.push(DispatchEntry { job: j, machine: m, start });
+                .find(|&m| avail[m] <= t + 1e-12)
+                .expect("the earliest-available machine is available at t");
+            // The stream refuses a non-finite service time before `avail`
+            // could be poisoned with a NaN.
+            let stream = streams[m].get_or_insert_with(|| NcStream::new(law, config));
+            stream.offer(*job, &mut |c| avail[m] = c.completion)?;
+            assignment.push(m);
         }
-        Self::new(machines, entries)
+        Ok(Self { machines, assignment })
     }
 
     /// Record an [`ImmediateDispatch`] policy's decisions (round-robin,
-    /// least-count, seeded-random, …). `start` is each job's release time;
-    /// the policy never sees volumes (the information firewall the
-    /// `Ω(k^{1−1/α})` adversary exploits).
+    /// least-count, seeded-random, …). The policy never sees volumes (the
+    /// information firewall the `Ω(k^{1−1/α})` adversary exploits).
     pub fn from_policy(
         instance: &Instance,
         machines: usize,
         policy: &mut dyn ImmediateDispatch,
     ) -> SimResult<Self> {
         validate_machines(machines)?;
-        let assignment = collect_assignment(instance, machines, policy);
-        Self::from_assignment(instance, &assignment, machines)
+        Self::new(machines, collect_assignment(instance, machines, policy))
     }
 
-    /// Wrap a fixed job→machine assignment as an immediate-dispatch log
-    /// (`start` = release).
+    /// Wrap a fixed job→machine assignment of `instance` as a log.
     pub fn from_assignment(
         instance: &Instance,
         assignment: &[usize],
@@ -236,14 +179,7 @@ impl DispatchLog {
         if assignment.len() != instance.len() {
             return Err(SimError::InvalidInstance { reason: "assignment length mismatch" });
         }
-        let entries = instance
-            .jobs()
-            .iter()
-            .zip(assignment)
-            .enumerate()
-            .map(|(j, (job, &m))| DispatchEntry { job: j, machine: m, start: job.release })
-            .collect();
-        Self::new(machines, entries)
+        Self::new(machines, assignment.to_vec())
     }
 }
 
@@ -300,7 +236,7 @@ pub fn replay_c(
 ) -> SimResult<ParOutcome> {
     replay_split(
         instance,
-        &log.assignment(),
+        log.assignment(),
         log.machines(),
         pool,
         |inst| run_c(inst, law).map(|r| (r.objective, r.per_job, r.schedule)),
@@ -308,11 +244,15 @@ pub fn replay_c(
     )
 }
 
-/// Replay a dispatch log with per-machine **Algorithm NC** event queues
-/// (each machine restarts NC over its own queue, ignoring recorded starts)
-/// — [`crate::run_nc_with_assignment`] on a pool, used for the
-/// [`ImmediateDispatch`] policies and the lower-bound game.
-pub fn replay_nc_assigned(
+/// Replay a dispatch log with per-machine **Algorithm NC** event queues as
+/// pool tasks. With a [`DispatchLog::nc_par`] log this is NC-PAR; with an
+/// [`ImmediateDispatch`] log it is per-machine NC under that policy, which
+/// the lower-bound game plays.
+///
+/// The same bits at every pool width, as for [`replay_c`]: each machine's
+/// `run_nc_uniform` is a pure function of its own queue, and the objective
+/// folds machine 0, 1, 2, … in order.
+pub fn replay_nc(
     instance: &Instance,
     law: PowerLaw,
     log: &DispatchLog,
@@ -320,102 +260,58 @@ pub fn replay_nc_assigned(
 ) -> SimResult<ParOutcome> {
     replay_split(
         instance,
-        &log.assignment(),
+        log.assignment(),
         log.machines(),
         pool,
-        |inst| ncss_core::run_nc_uniform(inst, law).map(|r| (r.objective, r.per_job, r.schedule)),
-        "replay_nc_assigned: objective",
+        |inst| run_nc_uniform(inst, law).map(|r| (r.objective, r.per_job, r.schedule)),
+        "replay_nc: objective",
     )
 }
 
-/// One machine's NC-PAR replay: per-job rows in dispatch order plus the
-/// machine's timeline.
-struct NcMachineRun {
-    /// `(job id, energy, completion, frac flow, int flow)` per queue entry.
-    rows: Vec<(usize, f64, f64, f64, f64)>,
-    schedule: Schedule,
-}
-
-/// Replay one machine's NC-PAR event queue: growth-law service at the
-/// recorded start times, with `K_j` from the machine's own shadow fed the
-/// same jobs in the same order as [`DispatchLog::nc_par`]'s, so every row
-/// has the bits the dispatcher's service times were computed from.
-fn replay_nc_machine(law: PowerLaw, queue: &[(usize, Job, f64)]) -> SimResult<NcMachineRun> {
-    let mut shadow = None;
-    let mut builder = ScheduleBuilder::new(law);
-    let mut rows = Vec::with_capacity(queue.len());
-    for &(id, job, start) in queue {
-        let k_j = shadow.get_or_insert_with(|| MachineShadow::new(law)).admit(job)?;
-        let rho = job.density;
-        let kernel = GrowthKernel { law, u0: k_j, rho };
-        let tau = kernel.time_to_volume(job.volume);
-        if !tau.is_finite() {
-            return Err(SimError::Numeric { what: "replay_nc: service time", value: tau });
+/// The first difference between two fleet outcomes, all compared bit for
+/// bit: the assignment, the objective, each job's completion and flows (a
+/// different job count included) and each machine's timeline (a different
+/// machine count included). `None` when they are the same bits — the fleet
+/// determinism contract (DESIGN.md §12) that `ncss fleet` checks between
+/// its serial and sharded runs.
+#[must_use]
+pub fn first_divergence(a: &ParOutcome, b: &ParOutcome) -> Option<String> {
+    if a.assignment != b.assignment {
+        return Some("job->machine assignment differs".into());
+    }
+    let (oa, ob) = (&a.objective, &b.objective);
+    for (what, x, y) in [
+        ("energy", oa.energy, ob.energy),
+        ("frac flow", oa.frac_flow, ob.frac_flow),
+        ("int flow", oa.int_flow, ob.int_flow),
+    ] {
+        if x.to_bits() != y.to_bits() {
+            return Some(format!("objective {what}: {x:?} != {y:?}"));
         }
-        let completion = start + tau;
-        let frac = rho * job.volume * (start - job.release)
-            + rho * (job.volume * tau - kernel.volume_integral(tau));
-        let int = job.weight() * (completion - job.release);
-        builder.push(Segment::new(start, completion, Some(id), SpeedLaw::Growth { u0: k_j, rho }));
-        rows.push((id, kernel.energy(tau), completion, frac, int));
     }
-    Ok(NcMachineRun { rows, schedule: builder.build()? })
-}
-
-/// Replay an NC-PAR dispatch log with per-machine growth-law event queues
-/// as pool tasks, honouring the recorded start times. With a
-/// [`DispatchLog::nc_par`] log this is NC-PAR.
-///
-/// The same bits at every pool width: per-job energies are collected into
-/// a job-id-indexed array and summed in job-id order, like the flow sums,
-/// so no total depends on which machine or worker produced a row.
-pub fn replay_nc(
-    instance: &Instance,
-    law: PowerLaw,
-    log: &DispatchLog,
-    pool: &Pool,
-) -> SimResult<ParOutcome> {
-    let machines = log.machines();
-    if log.len() != instance.len() {
-        return Err(SimError::InvalidInstance { reason: "dispatch log length mismatch" });
-    }
-    let mut queues: Vec<Vec<(usize, Job, f64)>> = vec![Vec::new(); machines];
-    for e in log.entries() {
-        queues[e.machine].push((e.job, *instance.job(e.job), e.start));
-    }
-    let results = pool.map(&queues, |q| replay_nc_machine(law, q));
-
-    let n = instance.len();
-    let mut energy_by_job = vec![0.0f64; n];
-    let mut completion = vec![f64::NAN; n];
-    let mut frac_flow = vec![0.0f64; n];
-    let mut int_flow = vec![0.0f64; n];
-    let mut schedules = Vec::with_capacity(machines);
-    for res in results {
-        let run = res?;
-        for (id, e, c, ff, fi) in run.rows {
-            energy_by_job[id] = e;
-            completion[id] = c;
-            frac_flow[id] = ff;
-            int_flow[id] = fi;
+    let (pa, pb) = (&a.per_job, &b.per_job);
+    for (what, xs, ys) in [
+        ("completion", &pa.completion, &pb.completion),
+        ("frac flow", &pa.frac_flow, &pb.frac_flow),
+        ("int flow", &pa.int_flow, &pb.int_flow),
+    ] {
+        if xs.len() != ys.len() {
+            return Some(format!("per-job {what}: {} jobs != {} jobs", xs.len(), ys.len()));
         }
-        schedules.push(run.schedule);
+        if let Some(j) = (0..xs.len()).find(|&j| xs[j].to_bits() != ys[j].to_bits()) {
+            return Some(format!("job {j} {what}: {:?} != {:?}", xs[j], ys[j]));
+        }
     }
-    // Job-id order is the dispatch order, so this is the `energy +=` fold
-    // of a single loop over the jobs (the reference in
-    // tests/fleet_identity.rs), whatever the sharding.
-    let objective = Objective {
-        energy: energy_by_job.iter().sum(),
-        frac_flow: frac_flow.iter().sum(),
-        int_flow: int_flow.iter().sum(),
+    if a.schedules.len() != b.schedules.len() {
+        return Some(format!(
+            "machine timelines: {} != {}",
+            a.schedules.len(),
+            b.schedules.len()
+        ));
     }
-    .validated("replay_nc: objective")?;
-    Ok(ParOutcome {
-        assignment: log.assignment(),
-        objective,
-        per_job: PerJob { completion, frac_flow, int_flow },
-        schedules,
-    })
+    let m =
+        (0..a.schedules.len()).find(|&m| a.schedules[m].segments() != b.schedules[m].segments())?;
+    Some(format!("machine {m} timeline differs"))
 }
 
 /// Sharded C-PAR: serial greedy dispatch (via [`DispatchLog::c_par`]), then
@@ -457,8 +353,8 @@ pub fn run_c_par_sharded(
 }
 
 /// Sharded NC-PAR: serial global-FIFO dispatch (via [`DispatchLog::nc_par`]),
-/// then per-machine growth-law event queues as pool tasks. Bitwise identical
-/// to [`crate::run_nc_par`].
+/// then per-machine Algorithm NC event queues as pool tasks. Bitwise
+/// identical to [`crate::run_nc_par`].
 ///
 /// # Examples
 ///
@@ -502,7 +398,7 @@ pub fn run_immediate_dispatch_sharded(
     pool: &Pool,
 ) -> SimResult<ParOutcome> {
     let log = DispatchLog::from_policy(instance, machines, policy)?;
-    replay_nc_assigned(instance, law, &log, pool)
+    replay_nc(instance, law, &log, pool)
 }
 
 /// Gate a fleet outcome with the cross-machine auditor: every release,
@@ -549,6 +445,7 @@ mod tests {
     use crate::dispatch::RoundRobin;
     use crate::nc_par::{run_nc_par, run_nc_with_assignment};
     use crate::run_immediate_dispatch;
+    use ncss_sim::Job;
 
     fn pl(alpha: f64) -> PowerLaw {
         PowerLaw::new(alpha).unwrap()
@@ -566,30 +463,18 @@ mod tests {
         .unwrap()
     }
 
+    #[track_caller]
     fn assert_outcomes_bitwise(a: &ParOutcome, b: &ParOutcome) {
-        assert_eq!(a.assignment, b.assignment);
-        assert_eq!(a.objective.energy.to_bits(), b.objective.energy.to_bits());
-        assert_eq!(a.objective.frac_flow.to_bits(), b.objective.frac_flow.to_bits());
-        assert_eq!(a.objective.int_flow.to_bits(), b.objective.int_flow.to_bits());
-        for j in 0..a.per_job.completion.len() {
-            assert_eq!(a.per_job.completion[j].to_bits(), b.per_job.completion[j].to_bits());
-            assert_eq!(a.per_job.frac_flow[j].to_bits(), b.per_job.frac_flow[j].to_bits());
-            assert_eq!(a.per_job.int_flow[j].to_bits(), b.per_job.int_flow[j].to_bits());
-        }
-        assert_eq!(a.schedules.len(), b.schedules.len());
-        for (sa, sb) in a.schedules.iter().zip(&b.schedules) {
-            assert_eq!(sa.segments(), sb.segments());
-        }
+        assert_eq!(first_divergence(a, b), None);
     }
 
     #[test]
     fn log_validation_rejects_malformed_logs() {
-        let e = |job, machine, start| DispatchEntry { job, machine, start };
         assert!(DispatchLog::new(0, vec![]).is_err());
-        assert!(DispatchLog::new(2, vec![e(1, 0, 0.0)]).is_err()); // wrong id order
-        assert!(DispatchLog::new(2, vec![e(0, 2, 0.0)]).is_err()); // machine range
-        assert!(DispatchLog::new(2, vec![e(0, 0, f64::NAN)]).is_err()); // bad start
-        assert!(DispatchLog::new(2, vec![e(0, 1, 0.5)]).is_ok());
+        assert!(DispatchLog::new(2, vec![2]).is_err()); // machine range
+        assert!(DispatchLog::new(2, vec![1, 0]).is_ok());
+        let one = Instance::new(vec![Job::unit_density(0.0, 1.0)]).unwrap();
+        assert!(DispatchLog::from_assignment(&one, &[0, 1], 2).is_err()); // length
     }
 
     #[test]
@@ -598,9 +483,6 @@ mod tests {
         let log = DispatchLog::c_par(&inst, pl(2.0), 3).unwrap();
         let serial = run_c_par(&inst, pl(2.0), 3).unwrap();
         assert_eq!(log.assignment(), serial.assignment);
-        for (e, job) in log.entries().iter().zip(inst.jobs()) {
-            assert_eq!(e.start, job.release);
-        }
     }
 
     #[test]
@@ -612,9 +494,53 @@ mod tests {
             assert_eq!(log.assignment(), serial.assignment, "k={k}");
             // NC-PAR starts can sit strictly after release (queueing) but
             // never before.
-            for (e, job) in log.entries().iter().zip(inst.jobs()) {
-                assert!(e.start >= job.release);
+            for seg in serial.schedules.iter().flat_map(|s| s.segments()) {
+                assert!(seg.start >= inst.job(seg.job.unwrap()).release);
             }
+        }
+    }
+
+    #[test]
+    fn a_machine_starts_a_job_only_once_its_previous_job_completes() {
+        // Job 0 completes on machine 0 about 1e-13 after job 1 does on
+        // machine 1, so job 2 is dispatched at machine 1's completion and
+        // goes to machine 0, which is available within the 1e-12 slack. It
+        // must still wait there for job 0.
+        let inst = Instance::new(vec![
+            Job::unit_density(0.0, 1.0 + 1e-13),
+            Job::unit_density(0.0, 1.0),
+            Job::unit_density(0.1, 1.0),
+        ])
+        .unwrap();
+        let out = run_nc_par(&inst, pl(2.0), 2).unwrap();
+        assert_eq!(out.assignment, vec![0, 1, 0]);
+        for (m, s) in out.schedules.iter().enumerate() {
+            for w in s.segments().windows(2) {
+                let (prev, next) = (w[0], w[1]);
+                assert!(next.start >= prev.end, "machine {m}: {next:?} starts before {prev:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn first_divergence_names_flows_and_extra_machines() {
+        let out = run_nc_par(&inst(), pl(2.0), 2).unwrap();
+        assert_eq!(first_divergence(&out, &out), None);
+        let flip = |x: &mut f64| *x = f64::from_bits(x.to_bits() ^ 1);
+        let mut frac = out.clone();
+        flip(&mut frac.per_job.frac_flow[3]);
+        let mut int = out.clone();
+        flip(&mut int.per_job.int_flow[3]);
+        let mut extra = out.clone();
+        extra.schedules.push(Schedule::new(pl(2.0), vec![]).unwrap());
+        for (edited, want) in [
+            (&frac, "job 3 frac flow"),
+            (&int, "job 3 int flow"),
+            (&extra, "machine timelines: 2 != 3"),
+        ] {
+            let got = first_divergence(&out, edited).expect("an edit is a divergence");
+            assert!(got.starts_with(want), "{got}");
+            assert!(first_divergence(edited, &out).is_some(), "{want}, reversed");
         }
     }
 

@@ -16,7 +16,8 @@
 //!   own past, plus the job's processed weight) — the job's *own* rounded
 //!   density drives the curve.
 
-use crate::c_par::{validate_machines, ParOutcome};
+use crate::c_par::validate_machines;
+use crate::ParOutcome;
 use ncss_core::shadow::base_power;
 use ncss_sim::kernel::GrowthKernel;
 use ncss_sim::{

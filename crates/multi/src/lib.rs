@@ -21,11 +21,16 @@ pub mod lazy_hdf;
 pub mod lower_bound;
 pub mod nc_par;
 
-pub use c_par::{run_c_par, ParOutcome, MAX_MACHINES};
+/// The outcome of every parallel-machine runner here: the assignment, the
+/// fleet objective, per-job outcomes and one timeline per machine, in the
+/// shape [`ncss_core::run_checked_multi`] audits.
+pub use ncss_core::MultiRun as ParOutcome;
+
+pub use c_par::{run_c_par, MAX_MACHINES};
 pub use dispatch::{collect_assignment, run_immediate_dispatch, ImmediateDispatch, LeastCount, RoundRobin, SeededRandom};
 pub use fleet::{
-    audit_fleet, replay_c, replay_nc, replay_nc_assigned, run_c_par_sharded,
-    run_immediate_dispatch_sharded, run_nc_par_sharded, DispatchEntry, DispatchLog,
+    audit_fleet, first_divergence, replay_c, replay_nc, run_c_par_sharded,
+    run_immediate_dispatch_sharded, run_nc_par_sharded, DispatchLog,
 };
 pub use lazy_hdf::run_lazy_hdf;
 pub use lower_bound::{fit_loglog_slope, immediate_dispatch_game, GameOutcome};

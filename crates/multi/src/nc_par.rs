@@ -7,26 +7,28 @@
 //! machine runs Algorithm NC over the jobs it has been assigned, so a
 //! machine serves one job at a time with the growth-law speed rule
 //! `P(s) = W^{(C)}(r_j^-) + W̆_j(t)`, where the inner C run is over that
-//! machine's own previously-assigned jobs — kept alive as a per-machine
-//! shadow stream, so each `K_j` costs one offer.
+//! machine's own previously-assigned jobs.
 //!
-//! The dispatch loop is [`DispatchLog::nc_par`]; [`run_nc_par`] replays
-//! that log on one worker, and the sharded runner on many.
+//! The dispatch loop is [`DispatchLog::nc_par`], which keeps one
+//! [`ncss_core::streaming::NcStream`] per used machine and reads the machine's
+//! availability from its completions. [`run_nc_par`] replays that log with
+//! per-machine [`ncss_core::run_nc_uniform`] on one worker, and the sharded
+//! runner on many.
 //!
 //! Lemma 20 — verified by the tests and experiment E6 — shows the resulting
 //! assignment is *identical* to clairvoyant C-PAR's, which is what lets the
 //! single-machine Lemmas 3 and 4 lift to Theorem 17.
 
-use crate::c_par::ParOutcome;
-use crate::fleet::{replay_nc, replay_nc_assigned, replay_split, DispatchLog};
+use crate::fleet::{replay_nc, replay_split, DispatchLog};
+use crate::ParOutcome;
 use ncss_pool::Pool;
 use ncss_sim::{Instance, Objective, PerJob, PowerLaw, Schedule, SimResult};
 
 /// Run NC-PAR on `machines` identical machines (uniform densities only,
 /// matching the paper's Theorem 17 setting): record the global-FIFO
 /// dispatch ([`DispatchLog::nc_par`]) and replay it with per-machine
-/// growth-law queues on a one-worker pool ([`replay_nc`]) — the sharded
-/// path with the width pinned to one, so the dispatch loop exists once.
+/// Algorithm NC on a one-worker pool ([`replay_nc`]) — the sharded path
+/// with the width pinned to one, so the dispatch loop exists once.
 pub fn run_nc_par(instance: &Instance, law: PowerLaw, machines: usize) -> SimResult<ParOutcome> {
     let log = DispatchLog::nc_par(instance, law, machines)?;
     replay_nc(instance, law, &log, &Pool::with_threads(1))
@@ -34,7 +36,7 @@ pub fn run_nc_par(instance: &Instance, law: PowerLaw, machines: usize) -> SimRes
 
 /// Run per-machine Algorithm NC under a **fixed** assignment (used by the
 /// immediate-dispatch policies and the lower-bound game): the assignment
-/// as a [`DispatchLog`], replayed by [`replay_nc_assigned`] on one worker.
+/// as a [`DispatchLog`], replayed by [`replay_nc`] on one worker.
 pub fn run_nc_with_assignment(
     instance: &Instance,
     law: PowerLaw,
@@ -42,7 +44,7 @@ pub fn run_nc_with_assignment(
     machines: usize,
 ) -> SimResult<ParOutcome> {
     let log = DispatchLog::from_assignment(instance, assignment, machines)?;
-    replay_nc_assigned(instance, law, &log, &Pool::with_threads(1))
+    replay_nc(instance, law, &log, &Pool::with_threads(1))
 }
 
 /// Run per-machine **non-uniform** Algorithm NC under a fixed assignment —
@@ -161,7 +163,13 @@ mod tests {
         let inst = instances().remove(0);
         let nc1 = run_nc_par(&inst, pl(2.0), 1).unwrap();
         let nc = ncss_core::run_nc_uniform(&inst, pl(2.0)).unwrap();
-        assert!(approx_eq(nc1.objective.fractional(), nc.objective.fractional(), 1e-9));
+        let single = ParOutcome {
+            assignment: vec![0; inst.len()],
+            objective: nc.objective,
+            per_job: nc.per_job,
+            schedules: vec![nc.schedule],
+        };
+        assert_eq!(crate::first_divergence(&nc1, &single), None);
     }
 
     #[test]

@@ -74,7 +74,15 @@
 #      real artifacts), and the tool's exit-code contract is probed; a
 #      soak row's attribution block edited so it no longer sums to its
 #      wall time must be a named tool error (exit 2)
-#  11. warning-clean `cargo doc --no-deps`
+#  11. benchmark tests: benchmark/ is a package of its own that no other
+#      step builds, so a change to an API it calls would otherwise break
+#      it only when the benchmark runs. Its tests build and run in a root
+#      under target/ that links the work tree's Cargo.toml, Cargo.lock,
+#      BENCHMARK.json, crates, src, tests and examples and holds a copy of
+#      benchmark/'s tracked files (building benchmark/ in place rewrites
+#      its stale Cargo.lock); every file under benchmark/ must be unchanged
+#      afterwards
+#  12. warning-clean `cargo doc --no-deps`
 #
 # Run from anywhere; it cd's to the repo root.
 
@@ -417,6 +425,25 @@ if [ "$rc" != "2" ] || ! grep -q "does not reconcile" "$bench_log"; then
 fi
 rm -f "$bench_tmp" "$bench_log"
 echo "bench-diff smoke passed"
+
+echo "==> benchmark tests (benchmark/ against the work tree, in a copy under target/)"
+bench_root="$PWD/target/verify-benchmark"
+benchmark_files() { find benchmark -printf '%p %s %T@\n' | sort; }
+benchmark_before="$(benchmark_files)"
+mkdir -p "$bench_root"
+for f in Cargo.toml Cargo.lock BENCHMARK.json crates src tests examples; do
+    ln -sfn "$PWD/$f" "$bench_root/$f"
+done
+rm -rf "$bench_root/benchmark"
+git ls-files -z benchmark | xargs -0 cp --parents -t "$bench_root"
+# The benchmark's own build goes to a target directory of its own: its
+# tests build ncss-cli into the root's target/ while `cargo test` runs.
+CARGO_TARGET_DIR="$bench_root/benchmark-target" \
+    cargo test --release --offline --manifest-path "$bench_root/benchmark/Cargo.toml" \
+    || { echo "FAIL: the benchmark's tests failed against the work tree" >&2; exit 1; }
+[ "$(benchmark_files)" = "$benchmark_before" ] \
+    || { echo "FAIL: building or testing the benchmark changed a file under benchmark/" >&2; exit 1; }
+echo "benchmark tests passed"
 
 echo "==> cargo doc --workspace --no-deps --offline (must be warning-clean)"
 doc_log="$(RUSTDOCFLAGS="${RUSTDOCFLAGS:-}" cargo doc --workspace --no-deps --offline 2>&1)" || {

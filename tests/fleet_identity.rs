@@ -18,12 +18,13 @@
 //! dispatch itself is the independent oracle at the end of this file:
 //! test-local copies of the loops that re-derived `W^{(C)}(r^-)` with a
 //! fresh `run_c` over each machine's history, which the per-machine
-//! shadow of `ncss_multi` must reproduce bit for bit.
+//! shadows and NC streams of `ncss_multi` must reproduce bit for bit. The
+//! same cells check Lemma 20: NC-PAR assigns every job where C-PAR does.
 
 use ncss::audit::AuditConfig;
 use ncss::core::run_c;
 use ncss::multi::fleet::{
-    audit_fleet, replay_nc_assigned, run_c_par_sharded, run_nc_par_sharded, DispatchLog,
+    audit_fleet, first_divergence, replay_nc, run_c_par_sharded, run_nc_par_sharded, DispatchLog,
 };
 use ncss::multi::{
     run_c_par, run_immediate_dispatch, run_nc_par, LeastCount, ParOutcome, RoundRobin,
@@ -75,34 +76,8 @@ fn pools() -> Vec<Pool> {
 
 #[track_caller]
 fn assert_bitwise(serial: &ParOutcome, sharded: &ParOutcome, ctx: &str) {
-    assert_eq!(serial.assignment, sharded.assignment, "{ctx}: assignment");
-    for (what, s, p) in [
-        ("energy", serial.objective.energy, sharded.objective.energy),
-        ("frac_flow", serial.objective.frac_flow, sharded.objective.frac_flow),
-        ("int_flow", serial.objective.int_flow, sharded.objective.int_flow),
-    ] {
-        assert_eq!(s.to_bits(), p.to_bits(), "{ctx}: objective {what} {s:?} vs {p:?}");
-    }
-    for j in 0..serial.per_job.completion.len() {
-        assert_eq!(
-            serial.per_job.completion[j].to_bits(),
-            sharded.per_job.completion[j].to_bits(),
-            "{ctx}: job {j} completion"
-        );
-        assert_eq!(
-            serial.per_job.frac_flow[j].to_bits(),
-            sharded.per_job.frac_flow[j].to_bits(),
-            "{ctx}: job {j} frac flow"
-        );
-        assert_eq!(
-            serial.per_job.int_flow[j].to_bits(),
-            sharded.per_job.int_flow[j].to_bits(),
-            "{ctx}: job {j} int flow"
-        );
-    }
-    assert_eq!(serial.schedules.len(), sharded.schedules.len(), "{ctx}: machine count");
-    for (m, (ss, ps)) in serial.schedules.iter().zip(&sharded.schedules).enumerate() {
-        assert_eq!(ss.segments(), ps.segments(), "{ctx}: machine {m} timeline");
+    if let Some(divergence) = first_divergence(serial, sharded) {
+        panic!("{ctx}: {divergence}");
     }
 }
 
@@ -200,7 +175,7 @@ fn immediate_dispatch_policies_shard_bitwise() {
             let sharded = {
                 let mut p = mk();
                 let log = DispatchLog::from_policy(inst, k, p.as_mut()).expect("log");
-                replay_nc_assigned(inst, law, &log, &pool).expect("sharded dispatch")
+                replay_nc(inst, law, &log, &pool).expect("sharded dispatch")
             };
             assert_bitwise(&serial, &sharded, &ctx);
             assert_audit_bitwise(inst, law, &serial, &sharded, &ctx);
@@ -219,10 +194,8 @@ fn dispatch_log_is_replayable_and_self_consistent() {
         let log = DispatchLog::nc_par(inst, law, k).expect("nc-par log");
         let serial = run_nc_par(inst, law, k).expect("serial");
         assert_eq!(log.assignment(), serial.assignment, "k={k}");
-        let a = ncss::multi::fleet::replay_nc(inst, law, &log, &Pool::with_threads(2))
-            .expect("replay A");
-        let b = ncss::multi::fleet::replay_nc(inst, law, &log, &Pool::with_threads(9))
-            .expect("replay B");
+        let a = replay_nc(inst, law, &log, &Pool::with_threads(2)).expect("replay A");
+        let b = replay_nc(inst, law, &log, &Pool::with_threads(9)).expect("replay B");
         assert_bitwise(&a, &b, &format!("replay-twice k={k}"));
     }
 }
@@ -249,7 +222,12 @@ fn rerun_base_power(history: &[Job], release: f64, law: PowerLaw) -> f64 {
 }
 
 /// Serial NC-PAR with `K_j` re-derived from the machine's strictly-earlier
-/// history on every dispatch — quadratic, kept only as the oracle.
+/// history on every dispatch — quadratic, kept only as the oracle. A job
+/// goes to the lowest-indexed machine available within `1e-12` of
+/// `max(release, earliest availability)` and starts there at
+/// `max(release, that machine's availability)`; each machine's energy and
+/// flows are summed in dispatch order, and the machine totals in machine
+/// order.
 fn reference_nc_par(inst: &Instance, law: PowerLaw, machines: usize) -> ParOutcome {
     let n = inst.len();
     let mut assignment = vec![0usize; n];
@@ -257,31 +235,37 @@ fn reference_nc_par(inst: &Instance, law: PowerLaw, machines: usize) -> ParOutco
     let mut history: Vec<Vec<Job>> = vec![Vec::new(); machines];
     let mut builders: Vec<ScheduleBuilder> =
         (0..machines).map(|_| ScheduleBuilder::new(law)).collect();
+    let mut totals = vec![Objective::default(); machines];
     let mut completion = vec![f64::NAN; n];
     let mut frac_flow = vec![0.0; n];
     let mut int_flow = vec![0.0; n];
-    let mut energy = 0.0;
     for (j, job) in inst.jobs().iter().enumerate() {
         let earliest = avail.iter().copied().fold(f64::INFINITY, f64::min);
-        let start = job.release.max(earliest);
-        let m = (0..machines).find(|&m| avail[m] <= start + 1e-12).expect("available machine");
+        let t = job.release.max(earliest);
+        let m = (0..machines).find(|&m| avail[m] <= t + 1e-12).expect("available machine");
         assignment[j] = m;
+        let start = job.release.max(avail[m]);
         let k_j = rerun_base_power(&history[m], job.release, law);
         let rho = job.density;
-        let kernel = GrowthKernel { law, u0: k_j, rho };
-        let tau = kernel.time_to_volume(job.volume);
-        energy += kernel.energy(tau);
+        let sv = GrowthKernel { law, u0: k_j, rho }.serve_volume(job.volume);
         frac_flow[j] = rho * job.volume * (start - job.release)
-            + rho * (job.volume * tau - kernel.volume_integral(tau));
-        completion[j] = start + tau;
+            + rho * (job.volume * sv.tau - sv.step.volume_integral);
+        completion[j] = start + sv.tau;
         int_flow[j] = job.weight() * (completion[j] - job.release);
+        totals[m].energy += sv.step.energy;
+        totals[m].frac_flow += frac_flow[j];
+        totals[m].int_flow += int_flow[j];
         let law_j = SpeedLaw::Growth { u0: k_j, rho };
         builders[m].push(Segment::new(start, completion[j], Some(j), law_j));
         avail[m] = completion[j];
         history[m].push(*job);
     }
-    let objective =
-        Objective { energy, frac_flow: frac_flow.iter().sum(), int_flow: int_flow.iter().sum() };
+    let mut objective = Objective::default();
+    for t in &totals {
+        objective.energy += t.energy;
+        objective.frac_flow += t.frac_flow;
+        objective.int_flow += t.int_flow;
+    }
     ParOutcome {
         assignment,
         objective,
@@ -358,6 +342,8 @@ fn shadow_dispatch_is_bitwise_the_history_rerun() {
                     let nc_par = run_nc_par(inst, law, k).expect("nc-par");
                     let want = reference_nc_par(inst, law, k);
                     assert_bitwise(&want, &nc_par, &format!("nc-par {ctx}"));
+                    // Lemma 20: NC-PAR assigns every job where C-PAR does.
+                    assert_eq!(nc_par.assignment, c_par.assignment, "lemma 20 {ctx}");
                 }
             }
         }
